@@ -11,10 +11,11 @@ from math import comb, log, sqrt
 import numpy as np
 from scipy.optimize import brentq
 
-from .ifs import IfsFamily, Poly, bernoulli_psi, moebius_shift, poly
-from .thermo import (bowen_root, entropy, gibbs_cylinder_measure,
-                     log_probability_potential, lyapunov_exponent,
-                     transfer_spectrum)
+from .ifs import (AuditFailure, EvaluationError, IfsFamily, Poly,
+                  bernoulli_psi, moebius_shift, poly)
+from .thermo import (ConvergenceError, bowen_root, entropy,
+                     gibbs_cylinder_measure, log_probability_potential,
+                     lyapunov_exponent, transfer_spectrum)
 
 SUPERCRITICAL = "SUPERCRITICAL"
 SUBCRITICAL = "SUBCRITICAL"
@@ -24,6 +25,10 @@ AUDIT_FAIL = "AUDIT-FAIL"
 # transversality interval endpoint for the Bernoulli-convolution family,
 # imported from the literature and treated as given
 BERNOULLI_TRANSVERSALITY_SUP = 0.6684755
+
+# failures a region cell reports as AUDIT-FAIL; the CLI maps them to exit 2
+NUMERICAL_ERRORS = (ConvergenceError, AuditFailure, EvaluationError,
+                    ValueError, ZeroDivisionError)
 
 
 @dataclass
@@ -145,11 +150,12 @@ def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
     the place-dependent probability curves (p_0, p_1).
 
     Returns (family, prob_fns, degenerate); at eps = 1/2 the two maps
-    coincide and the invariant measure is the Dirac mass at 1/2.
+    coincide and the invariant measure is the Dirac mass at 1/2, and at
+    p = 1/2 both maps are constant.
     """
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
-    degenerate = abs(eps - 0.5) < 1e-12
+    degenerate = abs(eps - 0.5) < 1e-12 or abs(p - 0.5) < 1e-9
     from .ifs import RationalMap
     maps = tuple(RationalMap(*_blackwell_coeffs(eps, s)) for s in (0, 1))
     lo = max(p - halfwidth, 1e-6)
@@ -172,7 +178,7 @@ def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
     """h/chi for the Blackwell Gibbs measure at (eps, p)."""
     fam, prob_fns, degenerate = blackwell_family(eps, p)
     if degenerate:
-        raise ValueError("eps = 1/2 is degenerate (Dirac mass at 1/2)")
+        raise ValueError("eps = 1/2 or p = 1/2 is degenerate")
     pot = log_probability_potential(prob_fns)
     spec = transfer_spectrum(fam, pot, p, r)
     h, _ = entropy(spec, pot, fam, p)
@@ -187,13 +193,13 @@ def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
     verdicts = np.empty(shape, dtype=object)
     for i, eps in enumerate(epss):
         for j, p in enumerate(ps):
-            if abs(eps - 0.5) < 1e-9:
+            if abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9:
                 values[i, j] = math.nan
                 verdicts[i, j] = DEGENERATE
                 continue
             try:
                 val = blackwell_cell_value(eps, p, r)
-            except Exception:
+            except NUMERICAL_ERRORS:
                 values[i, j] = math.nan
                 verdicts[i, j] = AUDIT_FAIL
                 continue

@@ -15,17 +15,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .apps import (bernoulli_family, bernoulli_potential,
+from .apps import (NUMERICAL_ERRORS, bernoulli_family, bernoulli_potential,
                    bernoulli_region_scan, blackwell_family,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
 from .config import ConfigError, as_floats, load_config
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, affine_map,
-                  natural_projection, poly, regularity_audit)
+from .ifs import (IfsFamily, affine_map, natural_projection, poly,
+                  regularity_audit)
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
                      gibbs_cylinder_measure, m_condition_probe,
                      sobolev_estimate)
-from .thermo import (ConvergenceError, bowen_root, constant_bernoulli_potential,
+from .thermo import (bowen_root, constant_bernoulli_potential,
                      entropy, gibbs_cylinder_measure, lyapunov_exponent,
                      pressure, pressure_drop_check, t_log_derivative_potential,
                      transfer_spectrum)
@@ -367,7 +367,6 @@ def build_parser():
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -405,8 +404,7 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, AuditFailure, EvaluationError, ValueError,
-            ZeroDivisionError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ lambda (flagged).  All evaluators accept numpy arrays in x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
@@ -38,6 +39,10 @@ class Poly:
         return np.polynomial.polynomial.polyval(lam, np.asarray(self.coeffs))
 
     def deriv(self) -> "Poly":
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "Poly":
         c = np.polynomial.polynomial.polyder(np.asarray(self.coeffs, dtype=float))
         return Poly(tuple(c) if len(c) else (0.0,))
 
@@ -198,6 +203,121 @@ class IfsFamily:
     def dlam_exact(self) -> bool:
         return all(mp.dlam_exact for mp in self.maps)
 
+    def at(self, lam) -> "FrozenFamily":
+        """The family frozen at `lam`, memoised for the most recent `lam` only."""
+        frozen = _frozen_cache.get(self)
+        if frozen is None or frozen.lam != lam:
+            frozen = FrozenFamily(tuple(_freeze(mp, lam) for mp in self.maps),
+                                  self.domain, lam)
+            _frozen_cache[self] = frozen
+        return frozen
+
+
+@dataclass(frozen=True, eq=False)
+class _FrozenAffine:
+    a: float
+    b: float
+
+    def value(self, x):
+        return self.a * x + self.b
+
+    def dx(self, x):
+        return self.a * np.ones_like(np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class _FrozenRational:
+    n0: float
+    n1: float
+    d0: float
+    d1: float
+    det: float  # n1 d0 - n0 d1
+
+    def value(self, x):
+        return (self.n0 + self.n1 * x) / (self.d0 + self.d1 * x)
+
+    def dx(self, x):
+        return self.det / (self.d0 + self.d1 * x) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class _BoundMap:
+    """A map without polynomial coefficients, called at a fixed lambda."""
+
+    inner: object
+    lam: float
+
+    def value(self, x):
+        return self.inner.value(self.lam, x)
+
+    def dx(self, x):
+        return self.inner.dx(self.lam, x)
+
+
+def _freeze(mp, lam):
+    """`mp` at `lam` as a map of x alone.  Coefficients come from the same
+    polyval calls as `mp.value`, so the results are the same floats."""
+    if type(mp) is AffineMap:
+        return _FrozenAffine(mp.slope(lam), mp.offset(lam))
+    if type(mp) is RationalMap:
+        n0, n1, d0, d1 = mp.n0(lam), mp.n1(lam), mp.d0(lam), mp.d1(lam)
+        return _FrozenRational(n0, n1, d0, d1, n1 * d0 - n0 * d1)
+    return _BoundMap(mp, lam)
+
+
+def concat_images(fns, y) -> np.ndarray:
+    """concat_j fns[j](y), one level of the all-words tree: when y is indexed
+    by the codes of the length-k words v, entry (j-1) m^k + code(v) of the
+    result belongs to the word j.v."""
+    n = np.size(y)
+    out = np.empty(len(fns) * n)
+    for j, f in enumerate(fns):
+        out[j * n:(j + 1) * n] = f(y)
+    return out
+
+
+@dataclass(eq=False)
+class FrozenFamily:
+    """Maps of a family evaluated at one lambda, plus the natural projection
+    of every word, built on demand.  It holds no reference to the family,
+    so the per-family memo in `IfsFamily.at` does not keep its key alive."""
+
+    maps: tuple  # each with value(x) and dx(x)
+    domain: tuple
+    lam: float
+    _levels: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def m(self) -> int:
+        return len(self.maps)
+
+    @functools.cached_property
+    def tail_point(self) -> float:
+        """Pi(1^infty), the attracting fixed point of f_1, by iteration."""
+        f = self.maps[0].value
+        x = 0.5 * (self.domain[0] + self.domain[1])
+        for _ in range(100000):
+            x_new = float(f(x))
+            if abs(x_new - x) < 1e-14:
+                return x_new
+            x = x_new
+        raise EvaluationError("fixed-point iteration for the tail did not converge")
+
+    def level(self, k: int) -> np.ndarray:
+        """Y_k[code(v)] = Pi(v . 1^infty) for every length-k word v, from
+        Y_0 = [Pi(1^infty)] and Y_{k+1} = concat_j f_j(Y_k).  Read-only."""
+        levels = self._levels
+        if not levels:
+            levels.append(np.array([self.tail_point]))
+        while len(levels) <= k:
+            y = concat_images([mp.value for mp in self.maps], levels[-1])
+            y.flags.writeable = False
+            levels.append(y)
+        return levels[k]
+
+
+_frozen_cache: WeakKeyDictionary = WeakKeyDictionary()
+
 
 @dataclass
 class AuditReport:
@@ -294,30 +414,9 @@ def compose_word(fam: IfsFamily, u, lam: float, x):
     return y, dy
 
 
-def compose_word_batch(fam: IfsFamily, words: np.ndarray, lam: float, x0):
-    """Vectorized f_u(x0) over a (k, n) array of words; returns values (k,)."""
-    k, n = words.shape
-    y = np.full(k, float(x0))
-    for pos in range(n - 1, -1, -1):
-        col = words[:, pos]
-        for j in range(1, fam.m + 1):
-            mask = col == j
-            if mask.any():
-                y[mask] = fam.maps[j - 1].value(lam, y[mask])
-    return y
-
-
-def tail_fixed_point(fam: IfsFamily, lam: float, tol: float = 1e-14,
-                     max_iter: int = 100000) -> float:
+def tail_fixed_point(fam: IfsFamily, lam: float) -> float:
     """Attracting fixed point of f_1, i.e. Pi(1^infty)."""
-    x = fam.midpoint
-    mp = fam.maps[0]
-    for _ in range(max_iter):
-        x_new = float(mp.value(lam, x))
-        if abs(x_new - x) < tol:
-            return x_new
-        x = x_new
-    raise EvaluationError("fixed-point iteration for the tail did not converge")
+    return fam.at(lam).tail_point
 
 
 def _pad_word(fam, u, depth):

@@ -3,15 +3,17 @@ pressure, Bowen roots, entropy, Lyapunov exponents, and partition sums."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from weakref import WeakSet
 
 import numpy as np
 import scipy.sparse as sp
 
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, regularity_audit,
-                  tail_fixed_point)
-from .words import CylinderIndex, enumerate_words
+from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
+                  regularity_audit)
+from .words import CylinderIndex
 
 
 class ConvergenceError(RuntimeError):
@@ -24,8 +26,9 @@ class Potential:
 
     `table_fn(fam, lam, depth)` returns phi for every depth-`depth` word
     (indexed by word code).  (var_b, var_alpha) bound the variations,
-    var_k <= b * alpha^k; (hol_c0, hol_theta) the Hoelder modulus in
-    lambda.
+    var_k <= b * alpha^k; a negative entry is filled in from
+    `default_var(fam, lam) -> (b, alpha)`.  (hol_c0, hol_theta) give the
+    Hoelder modulus in lambda.
     """
 
     kind: str
@@ -34,6 +37,7 @@ class Potential:
     var_alpha: float
     hol_c0: float = 1.0
     hol_theta: float = 1.0
+    default_var: object = None
 
     def table(self, fam, lam, depth):
         vals = np.asarray(self.table_fn(fam, lam, depth), dtype=float)
@@ -41,23 +45,12 @@ class Potential:
             raise EvaluationError("potential evaluated to a non-finite value")
         return vals
 
-    def truncation_bound(self, r: int) -> float:
-        return self.var_b * self.var_alpha ** (r + 1)
 
-
-def _suffix_projections(fam, lam, depth):
-    """Pi(sigma w . 1^infty) for all depth-`depth` words w, by code."""
-    words = enumerate_words(fam.m, depth)
-    xfix = tail_fixed_point(fam, lam)
-    k = words.shape[0]
-    y = np.full(k, xfix)
-    for pos in range(depth - 1, 0, -1):  # suffix w_2..w_depth
-        col = words[:, pos]
-        for j in range(1, fam.m + 1):
-            mask = col == j
-            if mask.any():
-                y[mask] = fam.maps[j - 1].value(lam, y[mask])
-    return words, y
+def _first_symbol_table(frozen, depth, g):
+    """g(j, Pi(sigma w . 1^infty)) with j = w_1 - 1, for every depth-`depth`
+    word w, by code: concat_j g(j, Y_{depth-1})."""
+    return concat_images([functools.partial(g, j) for j in range(frozen.m)],
+                         frozen.level(depth - 1))
 
 
 def constant_bernoulli_potential(probs) -> Potential:
@@ -67,8 +60,9 @@ def constant_bernoulli_potential(probs) -> Potential:
     logp = np.log(probs)
 
     def table_fn(fam, lam, depth):
-        words = enumerate_words(fam.m, depth)
-        return logp[words[:, 0] - 1]
+        if len(logp) != fam.m:
+            raise ValueError("need one probability per map")
+        return np.repeat(logp, fam.m ** (depth - 1))
 
     return Potential(kind="constant-bernoulli", table_fn=table_fn,
                      var_b=0.0, var_alpha=0.5, hol_c0=0.0)
@@ -80,31 +74,29 @@ def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
     """phi(w) = log p_{w_1}(Pi(sigma w . 1^infty)).
 
     `prob_fns[j-1](lam, x)` must be vectorized in x, positive, and sum
-    to 1 over j (audited on a grid at first use).
+    to 1 over j (audited on a grid at first use per family and lambda).
     """
-    audited = set()
+    audited = WeakSet()  # FrozenFamily records whose curves passed
 
-    def audit(fam, lam):
-        key = (id(fam), round(lam, 15))
-        if key in audited:
+    def audit(frozen):
+        if frozen in audited:
             return
-        xs = np.linspace(*fam.domain, audit_grid)
-        vals = np.array([np.asarray(f(lam, xs), dtype=float) for f in prob_fns])
+        if len(prob_fns) != frozen.m:
+            raise ValueError("need one probability curve per map")
+        xs = np.linspace(*frozen.domain, audit_grid)
+        vals = np.array([np.asarray(f(frozen.lam, xs), dtype=float)
+                         for f in prob_fns])
         if np.any(vals <= 0):
             raise AuditFailure("probability curve non-positive on domain")
         if np.max(np.abs(vals.sum(axis=0) - 1.0)) > 1e-9:
             raise AuditFailure("probability curves do not sum to 1")
-        audited.add(key)
+        audited.add(frozen)
 
     def table_fn(fam, lam, depth):
-        audit(fam, lam)
-        words, y = _suffix_projections(fam, lam, depth)
-        out = np.empty(words.shape[0])
-        for j in range(1, len(prob_fns) + 1):
-            mask = words[:, 0] == j
-            if mask.any():
-                out[mask] = np.log(prob_fns[j - 1](lam, y[mask]))
-        return out
+        frozen = fam.at(lam)
+        audit(frozen)
+        return _first_symbol_table(frozen, depth,
+                                   lambda j, y: np.log(prob_fns[j](lam, y)))
 
     def default_var(fam, lam):
         aud = regularity_audit(fam)
@@ -117,48 +109,46 @@ def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
             lip = max(lip, float(dp.max() / p.min()) if p.min() > 0 else math.inf)
         return lip * fam.diam, aud.gamma2
 
-    pot = Potential(kind="log-probability", table_fn=table_fn,
-                    var_b=var_b if var_b is not None else -1.0,
-                    var_alpha=var_alpha if var_alpha is not None else -1.0,
-                    hol_c0=hol_c0, hol_theta=hol_theta)
-    pot._default_var = default_var
-    return pot
+    return Potential(kind="log-probability", table_fn=table_fn,
+                     var_b=var_b if var_b is not None else -1.0,
+                     var_alpha=var_alpha if var_alpha is not None else -1.0,
+                     hol_c0=hol_c0, hol_theta=hol_theta, default_var=default_var)
 
 
 def t_log_derivative_potential(t: float) -> Potential:
     """phi(w) = t * log |f'_{w_1}(Pi(sigma w . 1^infty))|."""
 
     def table_fn(fam, lam, depth):
-        words, y = _suffix_projections(fam, lam, depth)
-        out = np.empty(words.shape[0])
+        frozen = fam.at(lam)
         with np.errstate(divide="ignore"):
-            for j in range(1, fam.m + 1):
-                mask = words[:, 0] == j
-                if mask.any():
-                    out[mask] = t * np.log(
-                        np.abs(fam.maps[j - 1].dx(lam, y[mask])))
-        return out
-
-    pot = Potential(kind="t-log-derivative", table_fn=table_fn,
-                    var_b=-1.0, var_alpha=-1.0)
-    pot.t = t
+            return _first_symbol_table(
+                frozen, depth,
+                lambda j, y: t * np.log(np.abs(frozen.maps[j].dx(y))))
 
     def default_var(fam, lam):
         aud = regularity_audit(fam)
         return abs(t) * aud.log_dx_lipschitz * fam.diam, aud.gamma2
 
-    pot._default_var = default_var
-    return pot
+    return Potential(kind="t-log-derivative", table_fn=table_fn,
+                     var_b=-1.0, var_alpha=-1.0, default_var=default_var)
 
 
 def resolve_variation(pot: Potential, fam, lam):
     """(b, alpha) for the truncation bound, filling family-dependent defaults."""
     b, a = pot.var_b, pot.var_alpha
     if b < 0 or a < 0:
-        db, da = pot._default_var(fam, lam)
+        if pot.default_var is None:
+            raise ValueError(f"{pot.kind} potential has a negative variation "
+                             "bound and no default_var to fill it in")
+        db, da = pot.default_var(fam, lam)
         b = db if b < 0 else b
         a = da if a < 0 else a
     return b, min(max(a, 1e-12), 1 - 1e-12)
+
+
+def _variation_tail(pot: Potential, fam, lam, r: int) -> float:
+    b, a = resolve_variation(pot, fam, lam)
+    return b * a ** (r + 1)
 
 
 def truncate_potential(pot: Potential, fam, lam, r: int):
@@ -166,8 +156,7 @@ def truncate_potential(pot: Potential, fam, lam, r: int):
     if r < 1:
         raise ValueError("r must be >= 1")
     vals = pot.table(fam, lam, r + 1)
-    b, a = resolve_variation(pot, fam, lam)
-    return vals, b * a ** (r + 1)
+    return vals, _variation_tail(pot, fam, lam, r)
 
 
 @dataclass(eq=False)
@@ -180,11 +169,19 @@ class TransferSpectrum:
     iterations: int
     residual_right: float
     residual_left: float
-    truncation_bound: float
+    potential: Potential
+    family: IfsFamily
+    lam: float
 
     @property
     def pressure(self) -> float:
         return math.log(self.gamma)
+
+    @functools.cached_property
+    def truncation_bound(self) -> float:
+        """Variation tail of the truncated potential.  Computed when first
+        read, because it may need a fresh regularity audit of the family."""
+        return _variation_tail(self.potential, self.family, self.lam, self.depth)
 
 
 @dataclass(eq=False)
@@ -227,7 +224,7 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
     to depth-r cylinder functions, normalized so sum(nu) = 1 and
     sum(h * nu) = 1."""
     CylinderIndex(r, fam.m)  # enforces the size cap
-    phi_vals, trunc = truncate_potential(pot, fam, lam, r)
+    phi_vals = pot.table(fam, lam, r + 1)
     M = transfer_matrix(fam, phi_vals, r)
     Mt = M.T.tocsr()
     n = M.shape[0]
@@ -259,7 +256,8 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
             f"power iteration residuals {res_r:.2e}/{res_l:.2e} after {iters} steps")
     return TransferSpectrum(depth=r, alphabet_size=fam.m, gamma=gamma, h=h,
                             nu=nu, iterations=iters, residual_right=res_r,
-                            residual_left=res_l, truncation_bound=trunc)
+                            residual_left=res_l, potential=pot, family=fam,
+                            lam=lam)
 
 
 def gibbs_cylinder_measure(spec: TransferSpectrum) -> CylinderMeasure:
@@ -308,6 +306,8 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int,
         raise ValueError("enumeration cap exceeded")
     if mode not in ("inf", "sup"):
         raise ValueError("mode must be 'inf' or 'sup'")
+    if not all(1 <= j <= fam.m for j in subset):
+        raise ValueError(f"subset symbols must lie in 1..{fam.m}")
     aud = regularity_audit(fam)
     # second derivative of |f'| has constant sign for the built-ins, so
     # endpoints capture the extrema; the grid adds robustness for customs
@@ -316,21 +316,18 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int,
         xs = np.linspace(*fam.domain, grid)
     else:
         xs = np.linspace(*fam.domain, max(3, grid // 8))
-    words = enumerate_words(k, n)
-    sub = np.asarray(subset)
-    count = words.shape[0]
-    best = np.full(count, np.inf if mode == "inf" else -np.inf)
+    frozen = fam.at(lam)
+    maps = [frozen.maps[j - 1] for j in subset]
+    values = [mp.value for mp in maps]
+    abs_dx = [lambda y, mp=mp: np.abs(mp.dx(y)) for mp in maps]
+    best = np.full(k ** n, np.inf if mode == "inf" else -np.inf)
     for x in xs:
-        y = np.full(count, float(x))
-        dy = np.ones(count)
-        for pos in range(n - 1, -1, -1):
-            col = sub[words[:, pos] - 1]
-            for j in range(1, fam.m + 1):
-                mask = col == j
-                if mask.any():
-                    mp = fam.maps[j - 1]
-                    dy[mask] *= np.abs(mp.dx(lam, y[mask]))
-                    y[mask] = mp.value(lam, y[mask])
+        # the all-words tree of f_u(x) and |f_u'(x)|, u in subset^n
+        y = np.array([float(x)])
+        dy = np.ones(1)
+        for _ in range(n):
+            dy = np.tile(dy, k) * concat_images(abs_dx, y)
+            y = concat_images(values, y)
         best = np.minimum(best, dy) if mode == "inf" else np.maximum(best, dy)
     return float(np.sum(best ** t))
 

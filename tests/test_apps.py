@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypifs import apps
 from hypifs.apps import (BERNOULLI_TRANSVERSALITY_SUP,
                          bernoulli_entropy_bounds, bernoulli_family,
                          bernoulli_moments, bernoulli_region_scan,
@@ -69,10 +70,11 @@ def test_blackwell_family_probabilities():
 
 
 def test_blackwell_degenerate_flag():
-    _, _, degenerate = blackwell_family(0.5, 0.6)
-    assert degenerate
-    with pytest.raises(ValueError):
-        blackwell_cell_value(0.5, 0.6)
+    for eps, p in [(0.5, 0.6), (0.3, 0.5), (0.05, 0.49999999999999994)]:
+        _, _, degenerate = blackwell_family(eps, p)
+        assert degenerate
+        with pytest.raises(ValueError):
+            blackwell_cell_value(eps, p)
 
 
 def test_blackwell_symmetry():
@@ -85,6 +87,24 @@ def test_blackwell_region_scan_marks_degenerate():
     grid = blackwell_region_scan((0.4, 0.6), (0.4, 0.6), (3, 3), r=4)
     assert grid.verdicts[1, 1] == "DEGENERATE"
     assert math.isnan(grid.values[1, 1])
+
+
+def test_blackwell_region_scan_half_bias_column():
+    # the middle of linspace(0.05, 0.95, 3) is 0.49999999999999994
+    grid = blackwell_region_scan((0.05, 0.95), (0.05, 0.95), (3, 3), r=8)
+    assert list(grid.verdicts[:, 1]) == ["DEGENERATE"] * 3
+    assert np.isnan(grid.values[:, 1]).all()
+    assert all(v in ("SUPERCRITICAL", "SUBCRITICAL")
+               for v in grid.verdicts[[0, 2]][:, [0, 2]].ravel())
+
+
+def test_blackwell_region_scan_propagates_bugs(monkeypatch):
+    def broken(eps, p, r):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(apps, "blackwell_cell_value", broken)
+    with pytest.raises(TypeError):
+        blackwell_region_scan((0.2, 0.3), (0.2, 0.3), (2, 2), r=4)
 
 
 def test_region_csv_round_trip(tmp_path):

@@ -1,12 +1,15 @@
 """Map families, audits, composition, and projections."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypifs import ifs
 from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily,
                         affine_map, bernoulli_psi, compose_word,
                         cylinder_interval, evaluate_map, metric_d_lambda,
@@ -31,6 +34,7 @@ def test_poly_eval_and_deriv():
     p = poly(1.0, 2.0, 3.0)
     assert p(2.0) == pytest.approx(1 + 4 + 12)
     assert p.deriv()(2.0) == pytest.approx(2 + 12)
+    assert p.deriv() is p.deriv()  # built once per Poly
 
 
 def test_affine_map_derivatives():
@@ -160,3 +164,23 @@ def test_metric_shrinks_with_prefix_length(k):
 def test_check_lam_guard(bernoulli_fam):
     with pytest.raises(EvaluationError):
         compose_word(bernoulli_fam, [1], 0.9, 0.0)
+
+
+def test_frozen_family_keeps_the_latest_lambda(bernoulli_fam):
+    frozen = bernoulli_fam.at(0.6)
+    assert bernoulli_fam.at(0.6) is frozen
+    assert bernoulli_fam.at(0.55) is not frozen
+    assert bernoulli_fam.at(0.6) is not frozen
+
+
+def test_frozen_family_memo_does_not_keep_the_family():
+    before = len(ifs._frozen_cache)
+    fam = IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
+                    (-1.0, 1.0), (0.5, 0.66))
+    fam.at(0.6).level(5)
+    assert len(ifs._frozen_cache) == before + 1
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None
+    assert len(ifs._frozen_cache) <= before

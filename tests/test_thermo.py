@@ -1,12 +1,18 @@
 """Transfer spectra, pressure, Bowen roots, entropy, partition sums."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypifs.ifs import IfsFamily, affine_map, bernoulli_psi
-from hypifs.thermo import (CylinderMeasure, bowen_root,
+from hypifs import ifs
+from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
+                        bernoulli_psi, compose_word, moebius_shift, poly,
+                        tail_fixed_point)
+from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
                            constant_bernoulli_potential, entropy,
                            gibbs_cylinder_measure, log_probability_potential,
                            lyapunov_dimension, lyapunov_exponent,
@@ -146,6 +152,101 @@ def test_place_dependent_potential_audit():
     bad = log_probability_potential(
         [lambda lam, x: 0.5 + 0.6 * np.asarray(x, dtype=float),
          lambda lam, x: 0.5 - 0.6 * np.asarray(x, dtype=float)])
-    from hypifs.ifs import AuditFailure
     with pytest.raises(AuditFailure):
         transfer_spectrum(fam, bad, 0.6, 4)
+
+
+def _tilted_probs(m, rho):
+    """p_1 = (1 + rho (x - 1/2)) / m, p_2 = (1 - rho (x - 1/2)) / m, others 1/m."""
+    def p(j):
+        sign = (1.0, -1.0, 0.0)[min(j, 2)]
+        return lambda lam, x: (1.0 + sign * rho * (np.asarray(x, dtype=float) - 0.5)) / m
+    return [p(j) for j in range(m)]
+
+
+@st.composite
+def _family_cases(draw):
+    """Affine or Moebius families on [0, 1] with lambda-dependent
+    coefficients, some maps hidden behind CustomMap."""
+    m = draw(st.integers(2, 3))
+    moebius = draw(st.booleans())
+    unit = st.floats(0.0, 0.25)
+    maps = []
+    for _ in range(m):
+        if moebius:
+            mp = moebius_shift(poly(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 1.0))))
+        else:
+            mp = affine_map(poly(draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.2))),
+                            poly(draw(unit), draw(unit)))
+        if draw(st.booleans()):
+            mp = CustomMap(mp.value, mp.dx)
+        maps.append(mp)
+    fam = IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+    depth = draw(st.integers(1, 8 if m == 2 else 6))
+    lams = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+    return fam, depth, lams, draw(st.floats(-0.9, 0.9)), draw(st.floats(0.1, 2.0))
+
+
+@given(_family_cases())
+@settings(max_examples=25, deadline=None)
+def test_builtin_tables_match_per_word_composition(case):
+    fam, depth, lams, rho, t = case
+    probs = _tilted_probs(fam.m, rho)
+    logp, tlog = log_probability_potential(probs), t_log_derivative_potential(t)
+    words = enumerate_words(fam.m, depth)
+    for lam in lams:
+        # one-element arrays, not scalars: numpy squares an array with a
+        # multiplication but a scalar with pow(), which can differ by an ulp
+        x0 = np.array([tail_fixed_point(fam, lam)])
+        ys = [compose_word(fam, w[1:], lam, x0)[0] for w in words]
+        ref_logp = np.concatenate([np.log(probs[w[0] - 1](lam, y))
+                                   for w, y in zip(words, ys)])
+        ref_tlog = np.concatenate([t * np.log(np.abs(fam.maps[w[0] - 1].dx(lam, y)))
+                                   for w, y in zip(words, ys)])
+        assert logp.table(fam, lam, depth).tobytes() == ref_logp.tobytes()
+        assert tlog.table(fam, lam, depth).tobytes() == ref_tlog.tobytes()
+
+
+def test_truncation_bound_computed_on_read():
+    fam = IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66))
+    pot = log_probability_potential(_tilted_probs(2, 0.4))
+    spec = transfer_spectrum(fam, pot, 0.6, 6)
+    assert fam not in ifs._audit_cache  # no audit until the bound is read
+    bound = spec.truncation_bound
+    assert fam in ifs._audit_cache
+    assert bound == truncate_potential(pot, fam, 0.6, 6)[1]
+
+
+def test_user_potential_without_default_variation(dyadic):
+    pot = Potential("user", lambda fam, lam, depth: np.zeros(fam.m ** depth),
+                    var_b=-1.0, var_alpha=0.5)
+    spec = transfer_spectrum(dyadic, pot, 0.0, 4)
+    assert spec.pressure == pytest.approx(math.log(2), abs=1e-12)
+    with pytest.raises(ValueError, match="default_var"):
+        spec.truncation_bound
+
+
+def test_builtin_potentials_declare_all_their_data():
+    declared = {f.name for f in dataclasses.fields(Potential)}
+    for pot in (constant_bernoulli_potential([0.5, 0.5]),
+                log_probability_potential(_tilted_probs(2, 0.2)),
+                t_log_derivative_potential(0.7)):
+        assert set(vars(pot)) == declared
+
+
+def test_probability_audit_is_per_family_object():
+    # curves positive on [-1/2, 1/2] but not on [-1, 1]; a memo keyed on a
+    # recycled id(fam) would skip the second family's audit
+    pot = log_probability_potential(
+        [lambda lam, x: 0.5 + 0.6 * np.asarray(x, dtype=float),
+         lambda lam, x: 0.5 - 0.6 * np.asarray(x, dtype=float)])
+    for _ in range(5):
+        good = IfsFamily((affine_map(0.4, -0.3), affine_map(0.4, 0.3)),
+                         (-0.5, 0.5), (0.0, 1e-9))
+        pot.table(good, 0.0, 3)
+        del good
+        bad = IfsFamily((affine_map(0.5, -0.5), affine_map(0.5, 0.5)),
+                        (-1.0, 1.0), (0.0, 1e-9))
+        with pytest.raises(AuditFailure):
+            pot.table(bad, 0.0, 3)
+        del bad
