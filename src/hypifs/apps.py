@@ -145,6 +145,12 @@ def _blackwell_coeffs(eps: float, sign: int):
     return n0, n1, d0, d1
 
 
+def _blackwell_degenerate(eps, p) -> bool:
+    """The one tolerance for eps = 1/2 or p = 1/2, shared by the family and
+    the region scan."""
+    return abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9
+
+
 def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
     """IFS {S_0, S_1} on [0, 1] parametrized by the channel bias p, plus
     the place-dependent probability curves (p_0, p_1).
@@ -155,7 +161,7 @@ def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
     """
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
-    degenerate = abs(eps - 0.5) < 1e-12 or abs(p - 0.5) < 1e-9
+    degenerate = _blackwell_degenerate(eps, p)
     from .ifs import RationalMap
     maps = tuple(RationalMap(*_blackwell_coeffs(eps, s)) for s in (0, 1))
     lo = max(p - halfwidth, 1e-6)
@@ -193,7 +199,7 @@ def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
     verdicts = np.empty(shape, dtype=object)
     for i, eps in enumerate(epss):
         for j, p in enumerate(ps):
-            if abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9:
+            if _blackwell_degenerate(eps, p):
                 values[i, j] = math.nan
                 verdicts[i, j] = DEGENERATE
                 continue

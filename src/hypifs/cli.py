@@ -23,12 +23,11 @@ from .config import ConfigError, as_floats, load_config
 from .ifs import (IfsFamily, affine_map, natural_projection, poly,
                   regularity_audit)
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
-                     gibbs_cylinder_measure, m_condition_probe,
-                     sobolev_estimate)
+                     m_condition_probe, sobolev_estimate)
 from .thermo import (bowen_root, constant_bernoulli_potential,
-                     entropy, gibbs_cylinder_measure, lyapunov_exponent,
-                     pressure, pressure_drop_check, t_log_derivative_potential,
-                     transfer_spectrum)
+                     entropy, gibbs_cylinder_measure, log_probability_potential,
+                     lyapunov_exponent, pressure, pressure_drop_check,
+                     t_log_derivative_potential, transfer_spectrum)
 from .transversality import (build_pm_translation, greedy_partition,
                              mc_transversality_probe, vertical_certificate)
 from .words import enumerate_words
@@ -69,7 +68,6 @@ def build_potential(cfg, fam):
     if kind == "blackwell":
         _, prob_fns, _ = blackwell_family(float(cfg["family.eps"]),
                                           float(cfg["family.p"]))
-        from .thermo import log_probability_potential
         return log_probability_potential(prob_fns)
     raise ConfigError(f"unknown potential kind {kind!r}")
 
@@ -265,14 +263,8 @@ def cmd_dimcor(cfg, args, out):
 
 def _prob_fns(cfg, fam):
     kind = cfg.get("potential.kind", "constant")
-    if kind == "bernoulli":
-        rho = float(cfg.get("potential.rho", 0.0))
-        return [lambda lam, x: 0.5 + rho * np.asarray(x, dtype=float),
-                lambda lam, x: 0.5 - rho * np.asarray(x, dtype=float)]
-    if kind == "blackwell":
-        _, fns, _ = blackwell_family(float(cfg["family.eps"]),
-                                     float(cfg["family.p"]))
-        return fns
+    if kind in ("bernoulli", "blackwell"):
+        return build_potential(cfg, fam).prob_fns
     probs = as_floats(cfg.get("potential.probs",
                               [1.0 / fam.m] * fam.m))
     return [(lambda p: (lambda lam, x: p * np.ones_like(

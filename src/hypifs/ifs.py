@@ -87,14 +87,14 @@ class RationalMap:
 
     def dx(self, lam, x):
         den = self.d0(lam) + self.d1(lam) * x
-        return (self.n1(lam) * self.d0(lam) - self.n0(lam) * self.d1(lam)) / den ** 2
+        return (self.n1(lam) * self.d0(lam) - self.n0(lam) * self.d1(lam)) / (den * den)
 
     def dlam(self, lam, x):
         num = self.n0(lam) + self.n1(lam) * x
         den = self.d0(lam) + self.d1(lam) * x
         dnum = self.n0.deriv()(lam) + self.n1.deriv()(lam) * x
         dden = self.d0.deriv()(lam) + self.d1.deriv()(lam) * x
-        return (dnum * den - num * dden) / den ** 2
+        return (dnum * den - num * dden) / (den * den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +215,8 @@ class IfsFamily:
 
 @dataclass(frozen=True, eq=False)
 class _FrozenAffine:
+    src: AffineMap
+    lam: float
     a: float
     b: float
 
@@ -224,9 +226,20 @@ class _FrozenAffine:
     def dx(self, x):
         return self.a * np.ones_like(np.asarray(x, dtype=float))
 
+    @functools.cached_property
+    def _dlam_coeffs(self):
+        """(a'(lam), b'(lam)), built on the first dlam call only."""
+        return self.src.slope.deriv()(self.lam), self.src.offset.deriv()(self.lam)
+
+    def dlam(self, x):
+        da, db = self._dlam_coeffs
+        return da * x + db
+
 
 @dataclass(frozen=True, eq=False)
 class _FrozenRational:
+    src: RationalMap
+    lam: float
     n0: float
     n1: float
     d0: float
@@ -237,7 +250,22 @@ class _FrozenRational:
         return (self.n0 + self.n1 * x) / (self.d0 + self.d1 * x)
 
     def dx(self, x):
-        return self.det / (self.d0 + self.d1 * x) ** 2
+        den = self.d0 + self.d1 * x
+        return self.det / (den * den)
+
+    @functools.cached_property
+    def _dlam_coeffs(self):
+        """(n0', n1', d0', d1') at lam, built on the first dlam call only."""
+        src = self.src
+        return tuple(c.deriv()(self.lam) for c in (src.n0, src.n1, src.d0, src.d1))
+
+    def dlam(self, x):
+        dn0, dn1, dd0, dd1 = self._dlam_coeffs
+        num = self.n0 + self.n1 * x
+        den = self.d0 + self.d1 * x
+        dnum = dn0 + dn1 * x
+        dden = dd0 + dd1 * x
+        return (dnum * den - num * dden) / (den * den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,15 +281,19 @@ class _BoundMap:
     def dx(self, x):
         return self.inner.dx(self.lam, x)
 
+    def dlam(self, x):
+        return self.inner.dlam(self.lam, x)
+
 
 def _freeze(mp, lam):
     """`mp` at `lam` as a map of x alone.  Coefficients come from the same
-    polyval calls as `mp.value`, so the results are the same floats."""
+    polyval calls as `mp.value` and `mp.dlam`, so the results are the same
+    floats."""
     if type(mp) is AffineMap:
-        return _FrozenAffine(mp.slope(lam), mp.offset(lam))
+        return _FrozenAffine(mp, lam, mp.slope(lam), mp.offset(lam))
     if type(mp) is RationalMap:
         n0, n1, d0, d1 = mp.n0(lam), mp.n1(lam), mp.d0(lam), mp.d1(lam)
-        return _FrozenRational(n0, n1, d0, d1, n1 * d0 - n0 * d1)
+        return _FrozenRational(mp, lam, n0, n1, d0, d1, n1 * d0 - n0 * d1)
     return _BoundMap(mp, lam)
 
 
@@ -282,7 +314,7 @@ class FrozenFamily:
     of every word, built on demand.  It holds no reference to the family,
     so the per-family memo in `IfsFamily.at` does not keep its key alive."""
 
-    maps: tuple  # each with value(x) and dx(x)
+    maps: tuple  # each with value(x), dx(x) and dlam(x)
     domain: tuple
     lam: float
     _levels: list = field(default_factory=list, init=False, repr=False)
@@ -412,6 +444,37 @@ def compose_word(fam: IfsFamily, u, lam: float, x):
         dy = mp.dx(lam, y) * dy
         y = mp.value(lam, y)
     return y, dy
+
+
+def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
+    """(f_w(x0), d/dlam f_w(x0)) for every row w of the (k, n) symbol array
+    `words`, x0 the domain midpoint: the natural projection truncated at
+    depth n and its parameter derivative, on `fam.at(lam)`.  The derivative
+    follows the recursion of `projection_lambda_derivative` when every map
+    has an exact dlam, and is a central difference at lam +- fd_step(lam)
+    otherwise."""
+    k, n = words.shape
+    exact = fam.dlam_exact
+
+    def backward_pass(at):
+        maps = fam.at(at).maps
+        x, d = np.full(k, fam.midpoint), np.zeros(k)
+        for pos in range(n - 1, -1, -1):
+            col = words[:, pos]
+            for j, mp in enumerate(maps, 1):
+                mask = col == j
+                if mask.any():
+                    xm = x[mask]
+                    if exact:
+                        d[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * d[mask]
+                    x[mask] = mp.value(xm)
+        return x, d
+
+    x, d = backward_pass(lam)
+    if not exact:
+        h = fd_step(lam)
+        d = (backward_pass(lam + h)[0] - backward_pass(lam - h)[0]) / (2 * h)
+    return x, d
 
 
 def tail_fixed_point(fam: IfsFamily, lam: float) -> float:

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import AuditFailure, IfsFamily, regularity_audit
-from .thermo import CylinderMeasure, gibbs_cylinder_measure, transfer_spectrum
-from .words import enumerate_words
+from .ifs import AuditFailure, IfsFamily, concat_images
+from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
+                     transfer_spectrum)
 
 
 @dataclass(eq=False)
@@ -27,23 +27,6 @@ class EmpiricalSample:
         return len(self.points)
 
 
-def _level_lengths(fam: IfsFamily, lam: float, depth: int) -> np.ndarray:
-    """|f_u(X)| for all depth-`depth` words, by code."""
-    words = enumerate_words(fam.m, depth)
-    k = words.shape[0]
-    lo = np.full(k, fam.domain[0])
-    hi = np.full(k, fam.domain[1])
-    for pos in range(depth - 1, -1, -1):
-        col = words[:, pos]
-        for j in range(1, fam.m + 1):
-            mask = col == j
-            if mask.any():
-                mp = fam.maps[j - 1]
-                lo[mask] = mp.value(lam, lo[mask])
-                hi[mask] = mp.value(lam, hi[mask])
-    return np.abs(hi - lo)
-
-
 def energy_level_sums(measure: CylinderMeasure, fam: IfsFamily, lam: float,
                       alpha: float, max_depth: int):
     """S_n = sum_u |f_u(X)|^{-alpha} * sum_{i != j} mu(u.i) mu(u.j)
@@ -53,14 +36,17 @@ def energy_level_sums(measure: CylinderMeasure, fam: IfsFamily, lam: float,
     if max_depth + 1 > measure.depth:
         raise ValueError("depth exceeds measure availability")
     m = fam.m
+    # f_u(x_lo) and f_u(x_hi) for all depth-n words u, one tree level per n
+    values = [mp.value for mp in fam.at(lam).maps]
+    lo, hi = np.array([fam.domain[0]]), np.array([fam.domain[1]])
     sums = []
     for n in range(0, max_depth + 1):
+        if n > 0:
+            lo, hi = concat_images(values, lo), concat_images(values, hi)
         child = measure.coarsen(n + 1).weights.reshape(-1, m)
         parent = child.sum(axis=1)
         cross = parent ** 2 - (child ** 2).sum(axis=1)
-        lengths = _level_lengths(fam, lam, n) if n > 0 else \
-            np.array([fam.diam])
-        sums.append(float(np.sum(lengths ** (-alpha) * cross)))
+        sums.append(float(np.sum(np.abs(hi - lo) ** (-alpha) * cross)))
     return np.asarray(sums)
 
 
@@ -121,15 +107,13 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     """Random iteration x <- f_j(x), j ~ p_.(x); deterministic per seed."""
     if count < 1 or burn_in < 0:
         raise ValueError("need count >= 1 and burn_in >= 0")
-    xs_audit = np.linspace(*fam.domain, 257)
-    probs = np.array([np.asarray(f(lam, xs_audit), dtype=float) for f in prob_fns])
-    if np.any(probs <= 0) or np.max(np.abs(probs.sum(axis=0) - 1.0)) > 1e-9:
-        raise AuditFailure("probability curves must be positive and sum to 1")
+    frozen = fam.at(lam)
+    audit_prob_fns(prob_fns, frozen, grid=257)
     rng = np.random.default_rng(seed)
     uni = rng.random(count + burn_in)
     x = fam.midpoint
     out = np.empty(count)
-    maps = fam.maps
+    maps = frozen.maps
     for k in range(count + burn_in):
         acc = 0.0
         j = len(prob_fns) - 1
@@ -138,7 +122,7 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
             if uni[k] < acc:
                 j = jj
                 break
-        x = float(maps[j].value(lam, x))
+        x = float(maps[j].value(x))
         if k >= burn_in:
             out[k - burn_in] = x
     return EmpiricalSample(points=out, family_id=family_id, lam=lam,

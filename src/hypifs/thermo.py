@@ -27,17 +27,16 @@ class Potential:
     `table_fn(fam, lam, depth)` returns phi for every depth-`depth` word
     (indexed by word code).  (var_b, var_alpha) bound the variations,
     var_k <= b * alpha^k; a negative entry is filled in from
-    `default_var(fam, lam) -> (b, alpha)`.  (hol_c0, hol_theta) give the
-    Hoelder modulus in lambda.
+    `default_var(fam, lam) -> (b, alpha)`.  A log-probability potential
+    also carries its probability curves `prob_fns`.
     """
 
     kind: str
     table_fn: object
     var_b: float
     var_alpha: float
-    hol_c0: float = 1.0
-    hol_theta: float = 1.0
     default_var: object = None
+    prob_fns: tuple = None
 
     def table(self, fam, lam, depth):
         vals = np.asarray(self.table_fn(fam, lam, depth), dtype=float)
@@ -65,36 +64,37 @@ def constant_bernoulli_potential(probs) -> Potential:
         return np.repeat(logp, fam.m ** (depth - 1))
 
     return Potential(kind="constant-bernoulli", table_fn=table_fn,
-                     var_b=0.0, var_alpha=0.5, hol_c0=0.0)
+                     var_b=0.0, var_alpha=0.5)
+
+
+def audit_prob_fns(prob_fns, frozen, grid: int):
+    """Check that the curves p_j(lam, .) of the family frozen at lam are one
+    per map, positive and sum to 1 on a `grid`-point grid over the domain."""
+    if len(prob_fns) != frozen.m:
+        raise ValueError("need one probability curve per map")
+    xs = np.linspace(*frozen.domain, grid)
+    vals = np.array([np.asarray(f(frozen.lam, xs), dtype=float) for f in prob_fns])
+    if np.any(vals <= 0):
+        raise AuditFailure("probability curve non-positive on domain")
+    if np.max(np.abs(vals.sum(axis=0) - 1.0)) > 1e-9:
+        raise AuditFailure("probability curves do not sum to 1")
 
 
 def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
-                              hol_c0=1.0, hol_theta=1.0,
                               audit_grid=1024) -> Potential:
     """phi(w) = log p_{w_1}(Pi(sigma w . 1^infty)).
 
     `prob_fns[j-1](lam, x)` must be vectorized in x, positive, and sum
     to 1 over j (audited on a grid at first use per family and lambda).
     """
+    prob_fns = tuple(prob_fns)
     audited = WeakSet()  # FrozenFamily records whose curves passed
-
-    def audit(frozen):
-        if frozen in audited:
-            return
-        if len(prob_fns) != frozen.m:
-            raise ValueError("need one probability curve per map")
-        xs = np.linspace(*frozen.domain, audit_grid)
-        vals = np.array([np.asarray(f(frozen.lam, xs), dtype=float)
-                         for f in prob_fns])
-        if np.any(vals <= 0):
-            raise AuditFailure("probability curve non-positive on domain")
-        if np.max(np.abs(vals.sum(axis=0) - 1.0)) > 1e-9:
-            raise AuditFailure("probability curves do not sum to 1")
-        audited.add(frozen)
 
     def table_fn(fam, lam, depth):
         frozen = fam.at(lam)
-        audit(frozen)
+        if frozen not in audited:
+            audit_prob_fns(prob_fns, frozen, audit_grid)
+            audited.add(frozen)
         return _first_symbol_table(frozen, depth,
                                    lambda j, y: np.log(prob_fns[j](lam, y)))
 
@@ -112,7 +112,7 @@ def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
     return Potential(kind="log-probability", table_fn=table_fn,
                      var_b=var_b if var_b is not None else -1.0,
                      var_alpha=var_alpha if var_alpha is not None else -1.0,
-                     hol_c0=hol_c0, hol_theta=hol_theta, default_var=default_var)
+                     default_var=default_var, prob_fns=prob_fns)
 
 
 def t_log_derivative_potential(t: float) -> Potential:

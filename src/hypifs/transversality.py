@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .ifs import (IfsFamily, Poly, ShiftedMap, poly, regularity_audit)
+from .ifs import IfsFamily, ShiftedMap, poly, project_words, regularity_audit
 
 LAMBDA_SWEEP_GRID = 1024
 
@@ -22,8 +22,8 @@ class PartitionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TranslationFamily:
-    """f_j^lam(x) = f_j(x) + a_j(lam); base maps are lambda-independent
-    (frozen at base_lam)."""
+    """f_j^lam(x) = f_j(x) + a_j(lam); the base maps are evaluated at
+    base_lam only."""
 
     base_maps: tuple
     translations: tuple  # Poly per map
@@ -270,64 +270,9 @@ def build_pm_translation(base: IfsFamily, lam0: float,
         h *= 0.5
         if h < 1e-15:
             raise ValueError("no positive halfwidth achieves invariance")
-    frozen = tuple(_FrozenMap(mp, lam0) for mp in base.maps)
-    return TranslationFamily(base_maps=frozen, translations=translations,
+    return TranslationFamily(base_maps=base.maps, translations=translations,
                              domain=base.domain, param_interval=(-h, h),
                              base_lam=lam0, gamma2_warning=warn)
-
-
-@dataclass(frozen=True, eq=False)
-class _FrozenMap:
-    inner: object
-    at: float
-    dlam_exact = True
-
-    def value(self, lam, x):
-        return self.inner.value(self.at, x)
-
-    def dx(self, lam, x):
-        return self.inner.dx(self.at, x)
-
-    def dlam(self, lam, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _batch_projection_and_dlam(fam: IfsFamily, words: np.ndarray, lam: float,
-                               use_recursion: bool):
-    """Pi (truncated) and d/dlam Pi for a batch of words, backward pass."""
-    k, n = words.shape
-    x = np.full(k, fam.midpoint)
-    d = np.zeros(k)
-    if use_recursion:
-        for pos in range(n - 1, -1, -1):
-            col = words[:, pos]
-            for j in range(1, fam.m + 1):
-                mask = col == j
-                if mask.any():
-                    mp = fam.maps[j - 1]
-                    xm = x[mask]
-                    d[mask] = np.asarray(mp.dlam(lam, xm)) + \
-                        np.asarray(mp.dx(lam, xm)) * d[mask]
-                    x[mask] = mp.value(lam, xm)
-        return x, d
-    from .ifs import fd_step
-    h = fd_step(lam)
-    xc = _batch_values(fam, words, lam)
-    xp = _batch_values(fam, words, lam + h)
-    xm = _batch_values(fam, words, lam - h)
-    return xc, (xp - xm) / (2 * h)
-
-
-def _batch_values(fam, words, lam):
-    k, n = words.shape
-    x = np.full(k, fam.midpoint)
-    for pos in range(n - 1, -1, -1):
-        col = words[:, pos]
-        for j in range(1, fam.m + 1):
-            mask = col == j
-            if mask.any():
-                x[mask] = fam.maps[j - 1].value(lam, x[mask])
-    return x
 
 
 def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
@@ -353,13 +298,12 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     clash = u[:, 0] == v[:, 0]
     v[clash, 0] = 1 + (v[clash, 0] % fam.m)  # force distinct first symbols
     lams = np.linspace(*fam.param_interval, lam_grid)
-    use_rec = fam.dlam_exact
     emp_eta = math.inf
     events = 0
     witness = None
     for lam in lams:
-        pu, du = _batch_projection_and_dlam(fam, u, lam, use_rec)
-        pv, dv = _batch_projection_and_dlam(fam, v, lam, use_rec)
+        pu, du = project_words(fam, u, lam)
+        pv, dv = project_words(fam, v, lam)
         phi = pu - pv
         dphi = du - dv
         near = np.abs(phi) < eta0

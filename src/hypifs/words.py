@@ -98,10 +98,6 @@ class CylinderIndex:
         return [(i, (i - 1) * base + tail) for i in range(1, m + 1)]
 
 
-def cylinder_neighbors(idx: CylinderIndex, code: int):
-    return idx.neighbors(code)
-
-
 def enumerate_words(m: int, depth: int) -> np.ndarray:
     """All depth-`depth` words as an (m^depth, depth) array of symbols,
     row k being the word with code k."""

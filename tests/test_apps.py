@@ -70,7 +70,8 @@ def test_blackwell_family_probabilities():
 
 
 def test_blackwell_degenerate_flag():
-    for eps, p in [(0.5, 0.6), (0.3, 0.5), (0.05, 0.49999999999999994)]:
+    for eps, p in [(0.5, 0.6), (0.3, 0.5), (0.05, 0.49999999999999994),
+                   (0.5 + 5e-10, 0.3)]:
         _, _, degenerate = blackwell_family(eps, p)
         assert degenerate
         with pytest.raises(ValueError):

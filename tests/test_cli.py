@@ -163,3 +163,13 @@ def test_partition_command(tmp_path, capsys):
     code, out = run(tmp_path, cfg, ["partition"], capsys)
     assert code == 0
     assert "I_plus:" in out and "I_minus:" in out
+
+
+@pytest.mark.parametrize("probs", ["1.0", "0.2, 0.3, 0.5"])
+def test_sample_needs_one_probability_per_map_exit_2(tmp_path, capsys, probs):
+    cfg = BERNOULLI.replace("potential.kind = bernoulli",
+                            "potential.kind = constant") + \
+        f"potential.probs = {probs}\nrun.samples = 100\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "sample"])
+    assert code == 2
+    assert "one probability curve per map" in capsys.readouterr().err

@@ -184,3 +184,44 @@ def test_frozen_family_memo_does_not_keep_the_family():
     gc.collect()
     assert ref() is None
     assert len(ifs._frozen_cache) <= before
+
+
+@st.composite
+def _word_batch_cases(draw):
+    """Affine or Moebius families on [0, 1] with lambda-dependent
+    coefficients, some maps behind CustomMap with or without dlam_fn, and a
+    random word batch."""
+    m = draw(st.integers(2, 3))
+    moebius = draw(st.booleans())
+    maps = []
+    for _ in range(m):
+        if moebius:
+            mp = moebius_shift(poly(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 1.0))))
+        else:
+            mp = affine_map(poly(draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.25))),
+                            poly(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 0.2))))
+        wrap = draw(st.sampled_from(["none", "exact", "fd"]))
+        if wrap == "exact":
+            mp = CustomMap(mp.value, mp.dx, mp.dlam)
+        elif wrap == "fd":
+            mp = CustomMap(mp.value, mp.dx)
+        maps.append(mp)
+    fam = IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+    depth = draw(st.integers(1, 30))
+    rows = draw(st.integers(1, 16))
+    words = np.array(draw(st.lists(st.lists(st.integers(1, m), min_size=depth, max_size=depth),
+                                   min_size=rows, max_size=rows)))
+    return fam, words, draw(st.floats(0.01, 0.99))
+
+
+@given(_word_batch_cases())
+@settings(max_examples=40, deadline=None)
+def test_project_words_matches_per_word_references(case):
+    fam, words, lam = case
+    x, d = ifs.project_words(fam, words, lam)
+    ref_x = np.array([float(compose_word(fam, w, lam, fam.midpoint)[0]) for w in words])
+    method = "recursion" if fam.dlam_exact else "fd"
+    ref_d = np.array([projection_lambda_derivative(fam, lam, w, len(w), method)
+                      for w in words])
+    assert x.tobytes() == ref_x.tobytes()
+    assert d.tobytes() == ref_d.tobytes()

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from hypifs.ifs import AuditFailure, IfsFamily, affine_map, bernoulli_psi
+from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
+from hypifs.ifs import (AuditFailure, IfsFamily, affine_map, bernoulli_psi,
+                        compose_word)
 from hypifs.mstats import (EmpiricalSample, chaos_game_sample,
                            correlation_dimension, energy, energy_level_sums,
                            m_condition_probe, sobolev_estimate, tail_ratio)
 from hypifs.thermo import (constant_bernoulli_potential,
-                           gibbs_cylinder_measure, transfer_spectrum)
+                           gibbs_cylinder_measure, log_probability_potential,
+                           transfer_spectrum)
+from hypifs.words import enumerate_words
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +112,35 @@ def test_m_condition_probe_holder_fit():
     res = m_condition_probe(fam, pot, pairs, r=5)
     assert res["theta"] >= 0.9
     assert all(row["R"] >= 0 for row in res["rows"])
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "blackwell"])
+def test_energy_level_sums_match_per_word_lengths(kind):
+    if kind == "bernoulli":
+        fam, lam, pot = bernoulli_family(), 0.6, bernoulli_potential(0.2)
+    else:
+        fam, prob_fns, _ = blackwell_family(0.3, 0.3)
+        lam, pot = 0.3, log_probability_potential(prob_fns)
+    measure = gibbs_cylinder_measure(transfer_spectrum(fam, pot, lam, 7))
+    alpha = 0.6
+    ref = []
+    for n in range(7):
+        lengths = np.concatenate([
+            np.abs(compose_word(fam, w, lam, np.array([fam.domain[1]]))[0] -
+                   compose_word(fam, w, lam, np.array([fam.domain[0]]))[0])
+            for w in enumerate_words(fam.m, n)])
+        child = measure.coarsen(n + 1).weights.reshape(-1, fam.m)
+        cross = child.sum(axis=1) ** 2 - (child ** 2).sum(axis=1)
+        ref.append(float(np.sum(lengths ** (-alpha) * cross)))
+    sums = energy_level_sums(measure, fam, lam, alpha, 6)
+    assert sums.tobytes() == np.array(ref).tobytes()
+
+
+def test_chaos_game_needs_one_curve_per_map():
+    fam = bernoulli_family()
+    one = lambda lam, x: np.ones_like(np.asarray(x, dtype=float))
+    third = lambda lam, x: np.full_like(np.asarray(x, dtype=float), 1 / 3)
+    with pytest.raises(ValueError, match="one probability curve per map"):
+        chaos_game_sample(fam, [one], 0.6, 100, 10, seed=0)
+    with pytest.raises(ValueError, match="one probability curve per map"):
+        chaos_game_sample(fam, [third, third, third], 0.6, 100, 10, seed=0)

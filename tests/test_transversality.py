@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hypifs.ifs import IfsFamily, affine_map, bernoulli_psi
+from hypifs.apps import blackwell_family
+from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, affine_map,
+                        bernoulli_psi, poly)
 from hypifs.transversality import (PartitionError, build_pm_translation,
                                    d_max, greedy_partition,
                                    mc_transversality_probe, overlap_domain,
@@ -127,3 +129,25 @@ def test_report_lines_cover_fields():
     text = "\n".join(rep.lines())
     assert "verdict: CERTIFIED-cond1" in text
     assert "d_max" in text and "margin1" in text
+
+
+def _constant_at(mp, lam):
+    """`mp` with every coefficient curve replaced by its value at `lam`."""
+    if isinstance(mp, AffineMap):
+        return AffineMap(poly(mp.slope(lam)), poly(mp.offset(lam)))
+    return RationalMap(*(poly(c(lam)) for c in (mp.n0, mp.n1, mp.d0, mp.d1)))
+
+
+@pytest.mark.parametrize("base, lam0, halfwidth", [
+    (IfsFamily((affine_map(poly(0.2, 0.2), poly(0.1, 0.2)),
+                affine_map(poly(0.3, -0.1), poly(0.45, 0.1))), (0.0, 1.0), (0.0, 1.0)),
+     0.5, 0.05),
+    (blackwell_family(0.2, 0.3)[0], 0.3, 0.01),
+])
+def test_certificate_evaluates_base_maps_at_lam0(base, lam0, halfwidth):
+    frozen = IfsFamily(tuple(_constant_at(mp, lam0) for mp in base.maps),
+                       base.domain, base.param_interval)
+    tf = build_pm_translation(base, lam0, halfwidth)
+    tf_frozen = build_pm_translation(frozen, lam0, halfwidth)
+    assert tf.param_interval == tf_frozen.param_interval
+    assert vertical_certificate(tf).lines() == vertical_certificate(tf_frozen).lines()

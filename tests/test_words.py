@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypifs.words import (CylinderIndex, SymbolWord, common_prefix,
-                          cylinder_neighbors, enumerate_words, word)
+                          enumerate_words, word)
 
 
 def test_word_validation():
@@ -58,7 +58,7 @@ def test_neighbors_prepend_symbol():
     idx = CylinderIndex(3, 2)
     w = word([2, 1, 2], 2)
     code = idx.encode(w)
-    for i, nb in cylinder_neighbors(idx, code):
+    for i, nb in idx.neighbors(code):
         expect = word((i,) + w.symbols[:-1], 2)
         assert nb == idx.encode(expect)
 
