@@ -13,6 +13,9 @@ from .ifs import AuditFailure, IfsFamily, concat_images
 from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
                      transfer_spectrum)
 
+CHAOS_BLOCK = 4096  # uniforms converted to Python floats per step of the chaos game
+FOURIER_BLOCK = 2 ** 14  # elements of a (frequency x cell) temporary in _fourier_mean
+
 
 @dataclass(eq=False)
 class EmpiricalSample:
@@ -27,27 +30,38 @@ class EmpiricalSample:
         return len(self.points)
 
 
-def energy_level_sums(measure: CylinderMeasure, fam: IfsFamily, lam: float,
-                      alpha: float, max_depth: int):
-    """S_n = sum_u |f_u(X)|^{-alpha} * sum_{i != j} mu(u.i) mu(u.j)
-    for n = 0..max_depth; finite energy shows as a geometric tail."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+def _energy_levels(measure: CylinderMeasure, fam: IfsFamily, lam: float,
+                   max_depth: int):
+    """(|f_u(X)|, sum_{i != j} mu(u.i) mu(u.j)) over the depth-n words u,
+    for n = 0..max_depth: everything in the level sums but the exponent."""
     if max_depth + 1 > measure.depth:
         raise ValueError("depth exceeds measure availability")
     m = fam.m
     # f_u(x_lo) and f_u(x_hi) for all depth-n words u, one tree level per n
     values = [mp.value for mp in fam.at(lam).maps]
     lo, hi = np.array([fam.domain[0]]), np.array([fam.domain[1]])
-    sums = []
+    levels = []
     for n in range(0, max_depth + 1):
         if n > 0:
             lo, hi = concat_images(values, lo), concat_images(values, hi)
         child = measure.coarsen(n + 1).weights.reshape(-1, m)
         parent = child.sum(axis=1)
-        cross = parent ** 2 - (child ** 2).sum(axis=1)
-        sums.append(float(np.sum(np.abs(hi - lo) ** (-alpha) * cross)))
-    return np.asarray(sums)
+        levels.append((np.abs(hi - lo), parent ** 2 - (child ** 2).sum(axis=1)))
+    return levels
+
+
+def _level_sums(levels, alpha: float) -> np.ndarray:
+    return np.asarray([float(np.sum(length ** (-alpha) * cross))
+                       for length, cross in levels])
+
+
+def energy_level_sums(measure: CylinderMeasure, fam: IfsFamily, lam: float,
+                      alpha: float, max_depth: int):
+    """S_n = sum_u |f_u(X)|^{-alpha} * sum_{i != j} mu(u.i) mu(u.j)
+    for n = 0..max_depth; finite energy shows as a geometric tail."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _level_sums(_energy_levels(measure, fam, lam, max_depth), alpha)
 
 
 def tail_ratio(sums: np.ndarray, levels: int = 5):
@@ -78,9 +92,10 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure,
     if max_depth < 8 and measure.depth - 1 < 8:
         raise ValueError("measure chain must reach depth >= 8")
 
+    levels = _energy_levels(measure, fam, lam, max_depth)
+
     def ratio(a):
-        sums = energy_level_sums(measure, fam, lam, a, max_depth)
-        return tail_ratio(sums)[0]
+        return tail_ratio(_level_sums(levels, a))[0]
 
     lo, hi = 1e-3, alpha_hi
     rlo, rhi = ratio(lo), ratio(hi)
@@ -95,7 +110,7 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure,
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    _, spread = tail_ratio(energy_level_sums(measure, fam, lam, alpha, max_depth))
+    _, spread = tail_ratio(_level_sums(levels, alpha))
     slope = (ratio(min(alpha + 0.02, alpha_hi)) -
              ratio(max(alpha - 0.02, 1e-3))) / 0.04
     half = spread / max(abs(slope), 1e-9) + (hi - lo)
@@ -113,20 +128,67 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     uni = rng.random(count + burn_in)
     x = fam.midpoint
     out = np.empty(count)
-    maps = frozen.maps
-    for k in range(count + burn_in):
-        acc = 0.0
-        j = len(prob_fns) - 1
-        for jj, f in enumerate(prob_fns):
-            acc += float(f(lam, x))
-            if uni[k] < acc:
-                j = jj
-                break
-        x = float(maps[j].value(x))
-        if k >= burn_in:
-            out[k - burn_in] = x
+    values = [mp.value for mp in frozen.maps]
+    last = len(prob_fns) - 1
+    # the last curve is never evaluated: its symbol is the default
+    curves = list(enumerate(prob_fns[:last]))
+    for s in range(0, len(uni), CHAOS_BLOCK):
+        for k, u in enumerate(uni[s:s + CHAOS_BLOCK].tolist(), s):
+            acc = 0.0
+            j = last
+            for jj, f in curves:
+                acc += float(f(lam, x))
+                if u < acc:
+                    j = jj
+                    break
+            x = float(values[j](x))
+            if k >= burn_in:
+                out[k - burn_in] = x
     return EmpiricalSample(points=out, family_id=family_id, lam=lam,
                            seed=seed, burn_in=burn_in)
+
+
+def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """mean_k exp(i xi x_k) for every xi in `freqs`, the points in [0, 1].
+
+    Local Taylor moments (Anderson & Dahleh, SIAM J. Sci. Comput. 1996):
+    [0, 1] is cut into ceil(xi_max) cells with centres c_b, so every offset
+    d = x - c_b has |xi d| <= a <= 1/2, and
+        sum_k exp(i xi x_k) = sum_b exp(i xi c_b) sum_{k<K} (i xi)^k M_k[b],
+    M_k[b] = sum_{x in b} d^k / k!, with K the least order whose term bound
+    a^K / K! is at most 2^-53.  When the moments would not be fewer than the
+    points, every point is its own cell (K = 1, d = 0): the direct sum."""
+    n = len(pts)
+    xi_max = float(np.abs(freqs).max(initial=0.0))
+    cells = max(1, math.ceil(xi_max))
+    a = xi_max / (2 * cells)
+    order, term = 0, 1.0
+    while term > 2.0 ** -53:
+        order += 1
+        term *= a / order
+    if cells * order < n:
+        b = np.minimum((pts * cells).astype(np.intp), cells - 1)
+        centres = (np.arange(cells) + 0.5) / cells
+        d = pts - centres[b]
+        moments, w = [], np.ones(n)
+        for k in range(order):
+            moments.append(np.bincount(b, weights=w, minlength=cells))
+            w = w * d / (k + 1)
+    else:
+        centres, moments = pts, [np.ones(n)]
+    rows = max(1, FOURIER_BLOCK // len(centres))
+    out = np.empty(len(freqs), dtype=complex)
+    for s in range(0, len(freqs), rows):
+        ixi = 1j * freqs[s:s + rows, None]
+        # sum_k (i xi)^k M_k[b] by Horner, then the phase of each cell
+        acc = np.empty((len(ixi), len(centres)), dtype=complex)
+        acc[...] = moments[-1]
+        for mk in moments[-2::-1]:
+            acc *= ixi
+            acc += mk
+        acc *= np.exp(ixi * centres)
+        out[s:s + rows] = acc.sum(axis=1)
+    return out / n
 
 
 def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
@@ -153,10 +215,7 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
     pts = (pts - pts.min()) / np.ptp(pts)
     decades = math.log10(xi_max)
     freqs = np.logspace(0.0, decades, int(round(per_decade * decades)))
-    power = np.empty_like(freqs)
-    for k, xi in enumerate(freqs):
-        z = np.exp(1j * xi * pts).mean()
-        power[k] = abs(z) ** 2 - 1.0 / n  # debias the flat i.i.d. floor
+    power = np.abs(_fourier_mean(pts, freqs)) ** 2 - 1.0 / n  # debias the i.i.d. floor
     # slope fit restricted to the upper two decades
     sel = freqs >= xi_max / 100.0
     f_sel, p_sel = freqs[sel], power[sel]

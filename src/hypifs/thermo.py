@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from weakref import WeakSet
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
                   regularity_audit)
@@ -201,40 +200,41 @@ class CylinderMeasure:
         return CylinderMeasure(depth, self.alphabet_size, w)
 
 
-def transfer_matrix(fam: IfsFamily, phi_vals: np.ndarray, r: int) -> sp.csr_matrix:
-    """Sparse operator on depth-r cylinder functions:
-    M[w, (i.w)|_r] = exp(phi(i.w))."""
-    m = fam.m
-    M = m ** r
-    base = m ** (r - 1)
-    w = np.arange(M)
-    rows, cols, vals = [], [], []
-    for i in range(1, m + 1):
-        rows.append(w)
-        cols.append((i - 1) * base + w // m)
-        vals.append(np.exp(phi_vals[(i - 1) * M + w]))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(M, M))
-
-
 def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
                       tol: float = 1e-12, max_iter: int = 10000) -> TransferSpectrum:
     """Lead eigentriple (gamma, h, nu) of the transfer operator truncated
-    to depth-r cylinder functions, normalized so sum(nu) = 1 and
-    sum(h * nu) = 1."""
+    to depth-r cylinder functions, M[w, (i.w)|_r] = exp(phi(i.w)),
+    normalized so sum(nu) = 1 and sum(h * nu) = 1."""
     CylinderIndex(r, fam.m)  # enforces the size cap
-    phi_vals = pot.table(fam, lam, r + 1)
-    M = transfer_matrix(fam, phi_vals, r)
-    Mt = M.T.tocsr()
-    n = M.shape[0]
+    m = fam.m
+    # E[i, b, c] = exp(phi(i.w)) for w = b.c, c its last symbol: the m
+    # entries of row w sit in the columns (i, b), i = 0..m-1
+    E = np.exp(pot.table(fam, lam, r + 1)).reshape(m, -1, m)
+
+    def apply(h):
+        """M @ h, each row summed over ascending i."""
+        hb = h.reshape(m, -1, 1)
+        y = E[0] * hb[0]
+        for i in range(1, m):
+            y += E[i] * hb[i]
+        return y.ravel()
+
+    def apply_t(nu):
+        """M.T @ nu, each row summed over ascending c."""
+        terms = E * nu.reshape(1, -1, m)
+        y = terms[..., 0].copy()
+        for c in range(1, m):
+            y += terms[..., c]
+        return y.ravel()
+
+    n = E.size // m
     h = np.ones(n)
     nu = np.full(n, 1.0 / n)
     gamma = 1.0
     iters = 0
     for iters in range(1, max_iter + 1):
-        h_new = M @ h
-        nu_new = Mt @ nu
+        h_new = apply(h)
+        nu_new = apply_t(nu)
         g_new = float(h_new.max())
         h_new = h_new / g_new
         nu_new = nu_new / nu_new.sum()
@@ -246,11 +246,11 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
     if nu.sum() <= 0 or not np.all(h > 0):
         raise ConvergenceError("degenerate eigendata (fully zero or non-positive)")
     # Rayleigh refinement of gamma, then the Bowen normalization.
-    gamma = float(nu @ (M @ h)) / float(nu @ h)
+    gamma = float(nu @ apply(h)) / float(nu @ h)
     nu = nu / nu.sum()
     h = h / float(h @ nu)
-    res_r = float(np.abs(M @ h - gamma * h).max() / np.abs(h).max())
-    res_l = float(np.abs(Mt @ nu - gamma * nu).max() / np.abs(nu).max())
+    res_r = float(np.abs(apply(h) - gamma * h).max() / np.abs(h).max())
+    res_l = float(np.abs(apply_t(nu) - gamma * nu).max() / np.abs(nu).max())
     if res_r > 1e-8 or res_l > 1e-8:
         raise ConvergenceError(
             f"power iteration residuals {res_r:.2e}/{res_l:.2e} after {iters} steps")

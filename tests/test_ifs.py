@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs
-from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily,
+from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, ShiftedMap,
                         affine_map, bernoulli_psi, compose_word,
                         cylinder_interval, evaluate_map, metric_d_lambda,
                         moebius_shift, natural_projection, poly,
@@ -189,8 +189,8 @@ def test_frozen_family_memo_does_not_keep_the_family():
 @st.composite
 def _word_batch_cases(draw):
     """Affine or Moebius families on [0, 1] with lambda-dependent
-    coefficients, some maps behind CustomMap with or without dlam_fn, and a
-    random word batch."""
+    coefficients, some maps behind CustomMap with or without dlam_fn or
+    translated by a ShiftedMap, and a random word batch."""
     m = draw(st.integers(2, 3))
     moebius = draw(st.booleans())
     maps = []
@@ -200,11 +200,14 @@ def _word_batch_cases(draw):
         else:
             mp = affine_map(poly(draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.25))),
                             poly(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 0.2))))
-        wrap = draw(st.sampled_from(["none", "exact", "fd"]))
+        wrap = draw(st.sampled_from(["none", "exact", "fd", "shifted"]))
         if wrap == "exact":
             mp = CustomMap(mp.value, mp.dx, mp.dlam)
         elif wrap == "fd":
             mp = CustomMap(mp.value, mp.dx)
+        elif wrap == "shifted":
+            mp = ShiftedMap(mp, poly(draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.2, 0.2))),
+                            draw(st.floats(0.01, 0.99)))
         maps.append(mp)
     fam = IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
     depth = draw(st.integers(1, 30))
@@ -225,3 +228,21 @@ def test_project_words_matches_per_word_references(case):
                       for w in words])
     assert x.tobytes() == ref_x.tobytes()
     assert d.tobytes() == ref_d.tobytes()
+
+
+def test_frozen_shifted_map_evaluates_no_polynomial(monkeypatch):
+    base = (affine_map(poly(0.2, 0.2), poly(0.1, 0.2)),
+            moebius_shift(poly(0.5, 1.0)))
+    maps = tuple(ShiftedMap(ShiftedMap(b, poly(0.0, 0.1), 0.3), poly(0.05, -0.1), 0.5)
+                 for b in base)
+    fam = IfsFamily(maps, (0.0, 1.0), (0.0, 1.0))
+    words = np.random.default_rng(2).integers(1, 3, size=(50, 20))
+    first = ifs.project_words(fam, words, 0.4)  # freezes and builds the derivatives
+    calls = []
+    call = ifs.Poly.__call__
+    monkeypatch.setattr(ifs.Poly, "__call__",
+                        lambda self, lam: calls.append(lam) or call(self, lam))
+    again = ifs.project_words(fam, words, 0.4)
+    assert calls == []
+    assert again[0].tobytes() == first[0].tobytes()
+    assert again[1].tobytes() == first[1].tobytes()

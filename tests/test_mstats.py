@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.ifs import (AuditFailure, IfsFamily, affine_map, bernoulli_psi,
                         compose_word)
-from hypifs.mstats import (EmpiricalSample, chaos_game_sample,
+from hypifs.mstats import (EmpiricalSample, _fourier_mean, chaos_game_sample,
                            correlation_dimension, energy, energy_level_sums,
                            m_condition_probe, sobolev_estimate, tail_ratio)
 from hypifs.thermo import (constant_bernoulli_potential,
@@ -144,3 +146,81 @@ def test_chaos_game_needs_one_curve_per_map():
         chaos_game_sample(fam, [one], 0.6, 100, 10, seed=0)
     with pytest.raises(ValueError, match="one probability curve per map"):
         chaos_game_sample(fam, [third, third, third], 0.6, 100, 10, seed=0)
+
+
+@given(st.integers(1, 3000), st.floats(1.0, 1e4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(3000, 50.0, 0)  # cells * K < n: binned moments
+@example(200, 9999.0, 1)  # one cell per point: the direct sum
+def test_fourier_mean_matches_direct_sum(n, xi_max, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random(n)
+    pts[0], pts[-1] = 0.0, 1.0
+    freqs = np.concatenate([np.logspace(0.0, math.log10(xi_max), 24), [xi_max]])
+    ref = np.array([np.exp(1j * xi * pts).mean() for xi in freqs])
+    err = np.abs(_fourier_mean(pts, freqs) - ref).max()
+    assert err <= 1e-14 * (1 + xi_max)
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+def test_fourier_mean_dirichlet_kernel(n):
+    # x_k = k/(n-1): sum_k e^{i theta k} = e^{i theta (n-1)/2} sin(n theta/2) / sin(theta/2)
+    pts = np.arange(n) / (n - 1)
+    freqs = np.logspace(0.0, 3.0, 192)
+    theta = freqs / (n - 1)
+    exact = (np.exp(0.5j * theta * (n - 1)) * np.sin(0.5 * n * theta)
+             / np.sin(0.5 * theta) / n)
+    assert np.abs(_fourier_mean(pts, freqs) - exact).max() <= 1e-14
+
+
+def _chaos_reference(fam, prob_fns, lam, count, burn_in, seed):
+    """The chaos game as one scalar loop that evaluates every curve."""
+    uni = np.random.default_rng(seed).random(count + burn_in)
+    x = fam.midpoint
+    out = np.empty(count)
+    maps = fam.at(lam).maps
+    for k in range(count + burn_in):
+        acc = 0.0
+        j = len(prob_fns) - 1
+        for jj, f in enumerate(prob_fns):
+            acc += float(f(lam, x))
+            if uni[k] < acc:
+                j = jj
+                break
+        x = float(maps[j].value(x))
+        if k >= burn_in:
+            out[k - burn_in] = x
+    return out
+
+
+def _constant_curves(probs):
+    return [lambda lam, x, p=p: np.full(np.shape(x), p) for p in probs]
+
+
+def _chaos_cases():
+    halves = _constant_curves([0.5, 0.5])
+    bw_fam, bw_probs, _ = blackwell_family(0.2, 0.3)
+    three = IfsFamily((affine_map(0.2, 0.0), affine_map(0.25, 0.35), affine_map(0.3, 0.7)),
+                      (0.0, 1.0), (0.0, 1e-9))
+    three_probs = [lambda lam, x: 0.2 + 0.1 * np.asarray(x, dtype=float),
+                   lambda lam, x: 0.3 - 0.05 * np.asarray(x, dtype=float),
+                   lambda lam, x: 0.5 - 0.05 * np.asarray(x, dtype=float)]
+    uniform = IfsFamily((affine_map(0.5, 0.0), affine_map(0.5, 0.5)), (0.0, 1.0), (0.0, 1e-9))
+    cantor = IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
+                       (0.0, 1.0), (0.0, 1e-9))
+    return {
+        "uniform": (uniform, halves, 0.0, 9000, 100),
+        "cantor": (cantor, halves, 0.0, 5000, 100),
+        "bernoulli": (bernoulli_family(), bernoulli_potential(0.2).prob_fns, 0.6, 5000, 100),
+        "blackwell": (bw_fam, bw_probs, 0.3, 5000, 100),
+        "three-map": (three, three_probs, 0.0, 5000, 100),
+        "one-point": (uniform, halves, 0.0, 1, 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_chaos_cases()))
+def test_chaos_game_matches_scalar_reference(name):
+    fam, probs, lam, count, burn_in = _chaos_cases()[name]
+    sample = chaos_game_sample(fam, probs, lam, count, burn_in, seed=17)
+    ref = _chaos_reference(fam, probs, lam, count, burn_in, seed=17)
+    assert sample.points.tobytes() == ref.tobytes()

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs
+from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
                         bernoulli_psi, compose_word, moebius_shift, poly,
                         tail_fixed_point)
@@ -250,3 +252,62 @@ def test_probability_audit_is_per_family_object():
         with pytest.raises(AuditFailure):
             pot.table(bad, 0.0, 3)
         del bad
+
+
+def _csr_spectrum(fam, pot, lam, r, tol=1e-12, max_iter=10000):
+    """Power iteration on the scipy CSR operator M[w, (i.w)|_r] = exp(phi(i.w)):
+    the reference the array products must reproduce bit for bit."""
+    m = fam.m
+    n, base = m ** r, m ** (r - 1)
+    phi_vals = pot.table(fam, lam, r + 1)
+    w = np.arange(n)
+    rows, cols, vals = [], [], []
+    for i in range(1, m + 1):
+        rows.append(w)
+        cols.append((i - 1) * base + w // m)
+        vals.append(np.exp(phi_vals[(i - 1) * n + w]))
+    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    Mt = M.T.tocsr()
+    h, nu, gamma = np.ones(n), np.full(n, 1.0 / n), 1.0
+    for iters in range(1, max_iter + 1):
+        h_new, nu_new = M @ h, Mt @ nu
+        g_new = float(h_new.max())
+        h_new = h_new / g_new
+        nu_new = nu_new / nu_new.sum()
+        delta = max(np.abs(h_new - h).max(), np.abs(nu_new - nu).max(),
+                    abs(g_new - gamma) / max(g_new, 1e-300))
+        h, nu, gamma = h_new, nu_new, g_new
+        if delta < tol:
+            break
+    gamma = float(nu @ (M @ h)) / float(nu @ h)
+    nu = nu / nu.sum()
+    h = h / float(h @ nu)
+    res_r = float(np.abs(M @ h - gamma * h).max() / np.abs(h).max())
+    res_l = float(np.abs(Mt @ nu - gamma * nu).max() / np.abs(nu).max())
+    return gamma, h, nu, iters, res_r, res_l
+
+
+def _blackwell_case():
+    fam, probs, _ = blackwell_family(0.2, 0.3)
+    return fam, log_probability_potential(probs), 0.3
+
+
+THREE_MAPS = IfsFamily((affine_map(0.2, 0.0), affine_map(0.25, 0.35), affine_map(0.3, 0.7)),
+                       (0.0, 1.0), (0.0, 1e-9))
+
+
+@pytest.mark.parametrize("case, r", [
+    (_blackwell_case, 1), (_blackwell_case, 8),
+    (lambda: (bernoulli_family(), bernoulli_potential(0.2), 0.6), 10),
+    (lambda: (THREE_MAPS, t_log_derivative_potential(0.7), 0.0), 6),
+    (lambda: (THREE_MAPS, constant_bernoulli_potential([0.2, 0.3, 0.5]), 0.0), 4),
+])
+def test_transfer_spectrum_matches_csr_reference(case, r):
+    fam, pot, lam = case()
+    spec = transfer_spectrum(fam, pot, lam, r)
+    gamma, h, nu, iters, res_r, res_l = _csr_spectrum(fam, pot, lam, r)
+    assert (spec.gamma, spec.iterations) == (gamma, iters)
+    assert (spec.residual_right, spec.residual_left) == (res_r, res_l)
+    assert spec.h.tobytes() == h.tobytes()
+    assert spec.nu.tobytes() == nu.tobytes()
