@@ -269,28 +269,6 @@ class _FrozenRational:
 
 
 @dataclass(frozen=True, eq=False)
-class _FrozenShifted:
-    src: ShiftedMap
-    lam: float
-    base: object  # the base map frozen at src.base_lam
-    shift: float
-
-    def value(self, x):
-        return self.base.value(x) + self.shift
-
-    def dx(self, x):
-        return self.base.dx(x)
-
-    @functools.cached_property
-    def _dshift(self):
-        """a'(lam), built on the first dlam call only."""
-        return self.src.shift.deriv()(self.lam)
-
-    def dlam(self, x):
-        return self._dshift * np.ones_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
 class _BoundMap:
     """A map without polynomial coefficients, called at a fixed lambda."""
 
@@ -316,8 +294,6 @@ def _freeze(mp, lam):
     if type(mp) is RationalMap:
         n0, n1, d0, d1 = mp.n0(lam), mp.n1(lam), mp.d0(lam), mp.d1(lam)
         return _FrozenRational(mp, lam, n0, n1, d0, d1, n1 * d0 - n0 * d1)
-    if type(mp) is ShiftedMap:
-        return _FrozenShifted(mp, lam, _freeze(mp.base, mp.base_lam), mp.shift(lam))
     return _BoundMap(mp, lam)
 
 

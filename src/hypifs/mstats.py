@@ -207,6 +207,8 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
     if n < 10 ** 4:
         import warnings
         warnings.warn("sobolev_estimate is unreliable below 1e4 samples")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sobolev_estimate needs finite sample points")
     if np.ptp(pts) == 0.0:
         return {"slope": 0.0, "dim_s": 0.0, "label": "HEURISTIC",
                 "frequencies": np.array([]), "power": np.array([])}

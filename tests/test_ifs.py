@@ -229,20 +229,3 @@ def test_project_words_matches_per_word_references(case):
     assert x.tobytes() == ref_x.tobytes()
     assert d.tobytes() == ref_d.tobytes()
 
-
-def test_frozen_shifted_map_evaluates_no_polynomial(monkeypatch):
-    base = (affine_map(poly(0.2, 0.2), poly(0.1, 0.2)),
-            moebius_shift(poly(0.5, 1.0)))
-    maps = tuple(ShiftedMap(ShiftedMap(b, poly(0.0, 0.1), 0.3), poly(0.05, -0.1), 0.5)
-                 for b in base)
-    fam = IfsFamily(maps, (0.0, 1.0), (0.0, 1.0))
-    words = np.random.default_rng(2).integers(1, 3, size=(50, 20))
-    first = ifs.project_words(fam, words, 0.4)  # freezes and builds the derivatives
-    calls = []
-    call = ifs.Poly.__call__
-    monkeypatch.setattr(ifs.Poly, "__call__",
-                        lambda self, lam: calls.append(lam) or call(self, lam))
-    again = ifs.project_words(fam, words, 0.4)
-    assert calls == []
-    assert again[0].tobytes() == first[0].tobytes()
-    assert again[1].tobytes() == first[1].tobytes()

@@ -92,6 +92,13 @@ def test_sobolev_uniform_slope():
     assert res["slope"] == pytest.approx(-2.0, abs=0.3)
 
 
+def test_sobolev_rejects_non_finite_points():
+    pts = np.random.default_rng(3).random(100000)
+    pts[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sobolev_estimate(EmpiricalSample(pts, "", 0.0, 3, 0))
+
+
 def test_sobolev_warns_small_sample():
     rng = np.random.default_rng(1)
     sample = EmpiricalSample(rng.random(500), "", 0.0, 1, 0)

@@ -254,9 +254,29 @@ def test_probability_audit_is_per_family_object():
         del bad
 
 
+def _csr_products(A):
+    """y = A @ x summed as scipy's csr_matvec sums a row: one product per
+    stored entry, added in ascending column order.  Written as separate numpy
+    multiplies and adds, so no compiler can fuse them into multiply-adds."""
+    A = A.tocsr()
+    A.sort_indices()
+    k = int(A.indptr[1])
+    assert (np.diff(A.indptr) == k).all()  # every row holds k entries
+    data, cols = A.data.reshape(-1, k), A.indices.reshape(-1, k)
+
+    def apply(x):
+        y = data[:, 0] * x[cols[:, 0]]
+        for j in range(1, k):
+            y = y + data[:, j] * x[cols[:, j]]
+        np.testing.assert_array_max_ulp(A @ x, y, maxulp=2)
+        return y
+    return apply
+
+
 def _csr_spectrum(fam, pot, lam, r, tol=1e-12, max_iter=10000):
-    """Power iteration on the scipy CSR operator M[w, (i.w)|_r] = exp(phi(i.w)):
-    the reference the array products must reproduce bit for bit."""
+    """Power iteration on the scipy CSR operator M[w, (i.w)|_r] = exp(phi(i.w)),
+    applied in csr_matvec's summation order: the reference the array products
+    must reproduce bit for bit."""
     m = fam.m
     n, base = m ** r, m ** (r - 1)
     phi_vals = pot.table(fam, lam, r + 1)
@@ -266,12 +286,12 @@ def _csr_spectrum(fam, pot, lam, r, tol=1e-12, max_iter=10000):
         rows.append(w)
         cols.append((i - 1) * base + w // m)
         vals.append(np.exp(phi_vals[(i - 1) * n + w]))
-    M = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
-    Mt = M.T.tocsr()
+    M, Mt = _csr_products(A), _csr_products(A.T)
     h, nu, gamma = np.ones(n), np.full(n, 1.0 / n), 1.0
     for iters in range(1, max_iter + 1):
-        h_new, nu_new = M @ h, Mt @ nu
+        h_new, nu_new = M(h), Mt(nu)
         g_new = float(h_new.max())
         h_new = h_new / g_new
         nu_new = nu_new / nu_new.sum()
@@ -280,11 +300,11 @@ def _csr_spectrum(fam, pot, lam, r, tol=1e-12, max_iter=10000):
         h, nu, gamma = h_new, nu_new, g_new
         if delta < tol:
             break
-    gamma = float(nu @ (M @ h)) / float(nu @ h)
+    gamma = float(nu @ M(h)) / float(nu @ h)
     nu = nu / nu.sum()
     h = h / float(h @ nu)
-    res_r = float(np.abs(M @ h - gamma * h).max() / np.abs(h).max())
-    res_l = float(np.abs(Mt @ nu - gamma * nu).max() / np.abs(nu).max())
+    res_r = float(np.abs(M(h) - gamma * h).max() / np.abs(h).max())
+    res_l = float(np.abs(Mt(nu) - gamma * nu).max() / np.abs(nu).max())
     return gamma, h, nu, iters, res_r, res_l
 
 
@@ -295,6 +315,9 @@ def _blackwell_case():
 
 THREE_MAPS = IfsFamily((affine_map(0.2, 0.0), affine_map(0.25, 0.35), affine_map(0.3, 0.7)),
                        (0.0, 1.0), (0.0, 1e-9))
+PLACE_DEPENDENT = [lambda lam, x: 0.2 + 0.1 * np.asarray(x, dtype=float),
+                   lambda lam, x: 0.3 - 0.05 * np.asarray(x, dtype=float),
+                   lambda lam, x: 0.5 - 0.05 * np.asarray(x, dtype=float)]
 
 
 @pytest.mark.parametrize("case, r", [
@@ -302,6 +325,7 @@ THREE_MAPS = IfsFamily((affine_map(0.2, 0.0), affine_map(0.25, 0.35), affine_map
     (lambda: (bernoulli_family(), bernoulli_potential(0.2), 0.6), 10),
     (lambda: (THREE_MAPS, t_log_derivative_potential(0.7), 0.0), 6),
     (lambda: (THREE_MAPS, constant_bernoulli_potential([0.2, 0.3, 0.5]), 0.0), 4),
+    (lambda: (THREE_MAPS, log_probability_potential(PLACE_DEPENDENT), 0.0), 5),
 ])
 def test_transfer_spectrum_matches_csr_reference(case, r):
     fam, pot, lam = case()
