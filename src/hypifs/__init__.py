@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 from .ifs import (AffineMap, AuditFailure, CustomMap, EvaluationError,
                   IfsFamily, Poly, RationalMap, ShiftedMap, affine_map,
                   bernoulli_psi, compose_word, cylinder_interval,
-                  evaluate_map, metric_d_lambda, moebius_shift,
-                  natural_projection, poly, projection_lambda_derivative,
-                  regularity_audit)
+                  moebius_shift, natural_projection, poly,
+                  projection_lambda_derivative, regularity_audit)
 from .thermo import (ConvergenceError, CylinderMeasure, Potential,
                      TransferSpectrum, bowen_root,
                      constant_bernoulli_potential, entropy,
@@ -30,4 +29,4 @@ from .apps import (RegionGrid, bernoulli_entropy_bounds, bernoulli_family,
                    bernoulli_region_scan, blackwell_cell_value,
                    blackwell_family, blackwell_region_scan, cf_family,
                    cf_overlap, similarity_dimension)
-from .words import CylinderIndex, SymbolWord, enumerate_words
+from .words import enumerate_words

@@ -11,11 +11,11 @@ from math import comb, log, sqrt
 import numpy as np
 from scipy.optimize import brentq
 
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, Poly,
+from .ifs import (AuditFailure, EvaluationError, IfsFamily, RationalMap,
                   bernoulli_psi, moebius_shift, poly)
-from .thermo import (ConvergenceError, bowen_root, entropy,
-                     gibbs_cylinder_measure, log_probability_potential,
-                     lyapunov_exponent, transfer_spectrum)
+from .thermo import (ConvergenceError, entropy, gibbs_cylinder_measure,
+                     log_probability_potential, lyapunov_exponent,
+                     transfer_spectrum)
 
 SUPERCRITICAL = "SUPERCRITICAL"
 SUBCRITICAL = "SUBCRITICAL"
@@ -29,6 +29,11 @@ BERNOULLI_TRANSVERSALITY_SUP = 0.6684755
 # failures a region cell reports as AUDIT-FAIL; the CLI maps them to exit 2
 NUMERICAL_ERRORS = (ConvergenceError, AuditFailure, EvaluationError,
                     ValueError, ZeroDivisionError)
+
+
+class DegenerateCell(ValueError):
+    """The measure at this parameter is degenerate; a region scan reports
+    the cell as DEGENERATE."""
 
 
 @dataclass
@@ -104,25 +109,39 @@ def bernoulli_entropy_bounds(lam: float, rho: float, n_terms: int):
     return upper - tail, upper
 
 
+def region_scan(axes, axis_names, cell_fn, critical: float) -> RegionGrid:
+    """Evaluate `cell_fn(a, b)` at every point of the grid axes[0] x axes[1].
+
+    A cell is SUPERCRITICAL when its value exceeds `critical` and
+    SUBCRITICAL otherwise.  A cell whose `cell_fn` raises `DegenerateCell`
+    is DEGENERATE and one that raises any other of NUMERICAL_ERRORS is
+    AUDIT-FAIL, both with value NaN; every other exception propagates.
+    """
+    axis1, axis2 = axes
+    values = np.full((len(axis1), len(axis2)), math.nan)
+    verdicts = np.empty(values.shape, dtype=object)
+    for i, a in enumerate(axis1):
+        for j, b in enumerate(axis2):
+            try:
+                val = cell_fn(a, b)
+            except NUMERICAL_ERRORS as exc:
+                verdicts[i, j] = (DEGENERATE if isinstance(exc, DegenerateCell)
+                                  else AUDIT_FAIL)
+                continue
+            values[i, j] = val
+            verdicts[i, j] = SUPERCRITICAL if val > critical else SUBCRITICAL
+    return RegionGrid(axis_names, axis1, axis2, values, verdicts)
+
+
 def bernoulli_region_scan(rho_range, lam_range, shape, n_terms: int = 12) -> RegionGrid:
     """value = entropy lower bound + log(lam); supercritical iff > 0
     (the Lyapunov exponent is -log lam)."""
-    rhos = np.linspace(*rho_range, shape[0])
-    lams = np.linspace(*lam_range, shape[1])
-    values = np.zeros(shape)
-    verdicts = np.empty(shape, dtype=object)
-    for i, rho in enumerate(rhos):
-        for j, lam in enumerate(lams):
-            try:
-                lower, _ = bernoulli_entropy_bounds(lam, rho, n_terms)
-            except (ZeroDivisionError, ValueError):
-                values[i, j] = math.nan
-                verdicts[i, j] = AUDIT_FAIL
-                continue
-            val = lower + log(lam)
-            values[i, j] = val
-            verdicts[i, j] = SUPERCRITICAL if val > 0 else SUBCRITICAL
-    return RegionGrid(("rho", "lambda"), rhos, lams, values, verdicts)
+    def cell(rho, lam):
+        lower, _ = bernoulli_entropy_bounds(lam, rho, n_terms)
+        return lower + log(lam)
+
+    axes = (np.linspace(*rho_range, shape[0]), np.linspace(*lam_range, shape[1]))
+    return region_scan(axes, ("rho", "lambda"), cell, 0.0)
 
 
 def _blackwell_coeffs(eps: float, sign: int):
@@ -147,7 +166,7 @@ def _blackwell_coeffs(eps: float, sign: int):
 
 def _blackwell_degenerate(eps, p) -> bool:
     """The one tolerance for eps = 1/2 or p = 1/2, shared by the family and
-    the region scan."""
+    the cell value."""
     return abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9
 
 
@@ -162,7 +181,6 @@ def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
     degenerate = _blackwell_degenerate(eps, p)
-    from .ifs import RationalMap
     maps = tuple(RationalMap(*_blackwell_coeffs(eps, s)) for s in (0, 1))
     lo = max(p - halfwidth, 1e-6)
     hi = min(p + halfwidth, 1 - 1e-6)
@@ -181,10 +199,11 @@ def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
 
 
 def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
-    """h/chi for the Blackwell Gibbs measure at (eps, p)."""
-    fam, prob_fns, degenerate = blackwell_family(eps, p)
-    if degenerate:
-        raise ValueError("eps = 1/2 or p = 1/2 is degenerate")
+    """h/chi for the Blackwell Gibbs measure at (eps, p); raises
+    `DegenerateCell` at eps = 1/2 or p = 1/2, before any range check."""
+    if _blackwell_degenerate(eps, p):
+        raise DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
+    fam, prob_fns, _ = blackwell_family(eps, p)
     pot = log_probability_potential(prob_fns)
     spec = transfer_spectrum(fam, pot, p, r)
     h, _ = entropy(spec, pot, fam, p)
@@ -193,25 +212,11 @@ def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
 
 
 def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
-    epss = np.linspace(*eps_range, shape[0])
-    ps = np.linspace(*p_range, shape[1])
-    values = np.zeros(shape)
-    verdicts = np.empty(shape, dtype=object)
-    for i, eps in enumerate(epss):
-        for j, p in enumerate(ps):
-            if _blackwell_degenerate(eps, p):
-                values[i, j] = math.nan
-                verdicts[i, j] = DEGENERATE
-                continue
-            try:
-                val = blackwell_cell_value(eps, p, r)
-            except NUMERICAL_ERRORS:
-                values[i, j] = math.nan
-                verdicts[i, j] = AUDIT_FAIL
-                continue
-            values[i, j] = val
-            verdicts[i, j] = SUPERCRITICAL if val > 1 else SUBCRITICAL
-    return RegionGrid(("eps", "p"), epss, ps, values, verdicts)
+    """value = h/chi; supercritical iff > 1."""
+    axes = (np.linspace(*eps_range, shape[0]), np.linspace(*p_range, shape[1]))
+    # the name is resolved per cell, so a traced or patched one is called
+    return region_scan(axes, ("eps", "p"),
+                       lambda eps, p: blackwell_cell_value(eps, p, r), 1.0)
 
 
 def cf_domain(alpha: float, beta: float):

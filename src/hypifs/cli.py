@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -20,8 +19,7 @@ from .apps import (NUMERICAL_ERRORS, bernoulli_family, bernoulli_potential,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
 from .config import ConfigError, as_floats, load_config
-from .ifs import (IfsFamily, affine_map, natural_projection, poly,
-                  regularity_audit)
+from .ifs import IfsFamily, affine_map, natural_projection, regularity_audit
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
                      m_condition_probe, sobolev_estimate)
 from .thermo import (bowen_root, constant_bernoulli_potential,
@@ -233,7 +231,7 @@ def cmd_partition(cfg, args, out):
     return 0
 
 
-def _measure_for(cfg, args, fam, lam):
+def _measure_for(cfg, fam, lam):
     pot = build_potential(cfg, fam)
     r = int(cfg.get("run.measure_depth", 12))
     spec = transfer_spectrum(fam, pot, lam, r)
@@ -243,7 +241,7 @@ def _measure_for(cfg, args, fam, lam):
 def cmd_energy(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    measure = _measure_for(cfg, args, fam, lam)
+    measure = _measure_for(cfg, fam, lam)
     res = energy(measure, fam, lam, float(cfg.get("run.alpha", 0.5)),
                  measure.depth - 1)
     print(f"tail_ratio: {res['tail_ratio']:.12g}")
@@ -254,7 +252,7 @@ def cmd_energy(cfg, args, out):
 def cmd_dimcor(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    measure = _measure_for(cfg, args, fam, lam)
+    measure = _measure_for(cfg, fam, lam)
     res = correlation_dimension(fam, lam, measure)
     print(f"dim_cor: {res['alpha']:.12g}")
     print(f"bracket: {res['bracket'][0]:.12g} {res['bracket'][1]:.12g}")
@@ -271,13 +269,17 @@ def _prob_fns(cfg, fam):
         np.asarray(x, dtype=float))))(p) for p in probs]
 
 
-def cmd_sample(cfg, args, out):
+def _chaos_sample(cfg, args):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     seed = args.seed if args.seed is not None else int(cfg.get("run.seed", 0))
-    sample = chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
-                               int(cfg.get("run.samples", 100000)),
-                               int(cfg.get("run.burn_in", 100)), seed)
+    return chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
+                             int(cfg.get("run.samples", 100000)),
+                             int(cfg.get("run.burn_in", 100)), seed)
+
+
+def cmd_sample(cfg, args, out):
+    sample = _chaos_sample(cfg, args)
     path = os.path.join(out, "sample.csv")
     _write_rows(path, ["x"], [(float(x),) for x in sample.points])
     print(f"count: {sample.count}")
@@ -286,12 +288,7 @@ def cmd_sample(cfg, args, out):
 
 
 def cmd_sobolev(cfg, args, out):
-    fam = build_family(cfg)
-    lam = get_lam(cfg, fam)
-    seed = args.seed if args.seed is not None else int(cfg.get("run.seed", 0))
-    sample = chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
-                               int(cfg.get("run.samples", 100000)),
-                               int(cfg.get("run.burn_in", 100)), seed)
+    sample = _chaos_sample(cfg, args)
     res = sobolev_estimate(sample, float(cfg.get("run.xi_max", 1e3)))
     path = os.path.join(out, "fourier.csv")
     _write_rows(path, ["xi", "power"],

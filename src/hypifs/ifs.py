@@ -8,7 +8,6 @@ lambda (flagged).  All evaluators accept numpy arrays in x.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
@@ -415,31 +414,14 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     return report
 
 
-def evaluate_map(fam: IfsFamily, j: int, lam: float, x):
-    """(value, d/dx, d/dlam) of f_j at (lam, x)."""
-    fam.check_lam(lam)
-    lo, hi = fam.domain
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < lo - 1e-9 * fam.diam) or np.any(xa > hi + 1e-9 * fam.diam):
-        raise EvaluationError("x outside domain")
-    mp = fam.map(j)
-    v = mp.value(lam, x)
-    if not np.all(np.isfinite(v)):
-        raise EvaluationError("non-finite map value")
-    return v, mp.dx(lam, x), mp.dlam(lam, x)
-
-
 def compose_word(fam: IfsFamily, u, lam: float, x):
-    """f_u(x) and its x-derivative by the chain-rule product.
-
-    Accepts a SymbolWord or any iterable of symbols; the empty word is
-    the identity.
+    """f_u(x) and its x-derivative by the chain-rule product, for any
+    iterable of symbols u; the empty word is the identity.
     """
     fam.check_lam(lam)
-    syms = getattr(u, "symbols", tuple(u))
     y = np.asarray(x, dtype=float)
     dy = np.ones_like(y)
-    for s in reversed(syms):
+    for s in reversed(tuple(u)):
         mp = fam.map(s)
         dy = mp.dx(lam, y) * dy
         y = mp.value(lam, y)
@@ -477,13 +459,8 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
     return x, d
 
 
-def tail_fixed_point(fam: IfsFamily, lam: float) -> float:
-    """Attracting fixed point of f_1, i.e. Pi(1^infty)."""
-    return fam.at(lam).tail_point
-
-
 def _pad_word(fam, u, depth):
-    syms = list(getattr(u, "symbols", tuple(u)))
+    syms = list(u)
     if len(syms) < depth:
         syms += [1] * (depth - len(syms))  # 1^infty tail convention
     return syms[:depth]
@@ -537,13 +514,12 @@ def cylinder_interval(fam: IfsFamily, lam: float, u):
     """Image interval f_u(X); endpoints via the domain endpoints for
     monotone maps, min/max over a small grid otherwise."""
     fam.check_lam(lam)
-    syms = getattr(u, "symbols", tuple(u))
     aud = regularity_audit(fam)
     if all(aud.monotone_increasing) or _strictly_monotone(fam, lam):
         pts = np.array(fam.domain)
     else:
         pts = np.linspace(*fam.domain, 65)
-    v, _ = compose_word(fam, syms, lam, pts)
+    v, _ = compose_word(fam, u, lam, pts)
     return float(np.min(v)), float(np.max(v))
 
 
@@ -554,17 +530,3 @@ def _strictly_monotone(fam, lam) -> bool:
         if not (np.all(d > 0) or np.all(d < 0)):
             return False
     return True
-
-
-def metric_d_lambda(fam: IfsFamily, lam: float, u, v) -> float:
-    """d_lambda(u, v) = |f_{u ^ v}(X)|; equals |X| when first symbols differ."""
-    from .words import SymbolWord, common_prefix
-    if not isinstance(u, SymbolWord):
-        u = SymbolWord(tuple(u), fam.m)
-    if not isinstance(v, SymbolWord):
-        v = SymbolWord(tuple(v), fam.m)
-    w = common_prefix(u, v)
-    if len(w) == 0:
-        return fam.diam
-    lo, hi = cylinder_interval(fam, lam, w)
-    return hi - lo

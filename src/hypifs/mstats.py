@@ -200,7 +200,8 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
     fits the log-log slope over the upper two decades.  Decade-wide
     blocks (the default) suppress the log-periodic oscillation of
     self-similar spectra.  The estimate is evidence, not a rigorous
-    Sobolev dimension.
+    Sobolev dimension.  Raises ValueError when `xi_max` leaves fewer than
+    two blocks in the upper two decades.
     """
     pts = np.asarray(sample.points, dtype=float)
     n = len(pts)
@@ -209,17 +210,22 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
         warnings.warn("sobolev_estimate is unreliable below 1e4 samples")
     if not np.all(np.isfinite(pts)):
         raise ValueError("sobolev_estimate needs finite sample points")
+    decades = math.log10(xi_max) if 1.0 < xi_max < math.inf else 0.0
+    freqs = np.logspace(0.0, decades, int(round(per_decade * decades)))
+    # slope fit restricted to the upper two decades
+    sel = freqs >= xi_max / 100.0
+    window = int(np.count_nonzero(sel))
+    if window < 2 * block:
+        raise ValueError(
+            f"xi_max = {xi_max:g} leaves {window} frequencies in the upper "
+            f"two decades, fewer than two blocks of {block}")
     if np.ptp(pts) == 0.0:
         return {"slope": 0.0, "dim_s": 0.0, "label": "HEURISTIC",
                 "frequencies": np.array([]), "power": np.array([])}
     # the dimension is affine-invariant, so normalize to unit diameter
     # to decouple the frequency window from the sampling scale
     pts = (pts - pts.min()) / np.ptp(pts)
-    decades = math.log10(xi_max)
-    freqs = np.logspace(0.0, decades, int(round(per_decade * decades)))
     power = np.abs(_fourier_mean(pts, freqs)) ** 2 - 1.0 / n  # debias the i.i.d. floor
-    # slope fit restricted to the upper two decades
-    sel = freqs >= xi_max / 100.0
     f_sel, p_sel = freqs[sel], power[sel]
     nb = len(f_sel) // block
     fb, pb = [], []

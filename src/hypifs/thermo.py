@@ -12,7 +12,8 @@ import numpy as np
 
 from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
                   regularity_audit)
-from .words import CylinderIndex
+
+MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 
 
 class ConvergenceError(RuntimeError):
@@ -205,8 +206,11 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
     """Lead eigentriple (gamma, h, nu) of the transfer operator truncated
     to depth-r cylinder functions, M[w, (i.w)|_r] = exp(phi(i.w)),
     normalized so sum(nu) = 1 and sum(h * nu) = 1."""
-    CylinderIndex(r, fam.m)  # enforces the size cap
     m = fam.m
+    if r < 1:
+        raise ValueError("depth must be positive")
+    if m ** r > MAX_CYLINDERS:
+        raise ValueError(f"m^r = {m ** r} exceeds cap {MAX_CYLINDERS}")
     # E[i, b, c] = exp(phi(i.w)) for w = b.c, c its last symbol: the m
     # entries of row w sit in the columns (i, b), i = 0..m-1
     E = np.exp(pot.table(fam, lam, r + 1)).reshape(m, -1, m)
@@ -309,13 +313,11 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int,
     if not all(1 <= j <= fam.m for j in subset):
         raise ValueError(f"subset symbols must lie in 1..{fam.m}")
     aud = regularity_audit(fam)
-    # second derivative of |f'| has constant sign for the built-ins, so
-    # endpoints capture the extrema; the grid adds robustness for customs
-    xs = np.array(fam.domain) if all(aud.monotone_increasing) else None
-    if xs is None:
-        xs = np.linspace(*fam.domain, grid)
-    else:
-        xs = np.linspace(*fam.domain, max(3, grid // 8))
+    # |f_u'| is monotone in x for the built-in affine and Moebius maps, so
+    # its extrema sit at the domain endpoints, which both grids contain; the
+    # full grid adds robustness for custom maps that are not all increasing
+    points = max(3, grid // 8) if all(aud.monotone_increasing) else grid
+    xs = np.linspace(*fam.domain, points)
     frozen = fam.at(lam)
     maps = [frozen.maps[j - 1] for j in subset]
     values = [mp.value for mp in maps]
@@ -372,7 +374,6 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
         if tries > 10:
             raise ValueError("pressure does not change sign on [0, t_max]")
     lo, hi = 0.0, t_hi
-    plo = p0
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         pm = P(mid)
@@ -380,7 +381,7 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
             lo = hi = mid
             break
         if pm > 0:
-            lo, plo = mid, pm
+            lo = mid
         else:
             hi = mid
     s = 0.5 * (lo + hi)

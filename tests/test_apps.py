@@ -60,6 +60,24 @@ def test_bernoulli_region_scan_monotone_edge():
     assert all(v == "SUPERCRITICAL" for v in grid.verdicts[0])
 
 
+def test_bernoulli_region_scan_marks_audit_fail():
+    # lambda = 1.2 lies outside (0, 1), where the moment recursion is defined
+    grid = bernoulli_region_scan((0.0, 0.4), (0.5, 1.2), (3, 8), 8)
+    assert grid.axis2[-1] == 1.2
+    assert list(grid.verdicts[:, -1]) == ["AUDIT-FAIL"] * 3
+    assert np.isnan(grid.values[:, -1]).all()
+    assert not np.isnan(grid.values[:, 0]).any()
+
+
+def test_bernoulli_region_scan_propagates_bugs(monkeypatch):
+    def broken(lam, rho, n_terms):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(apps, "bernoulli_entropy_bounds", broken)
+    with pytest.raises(TypeError):
+        bernoulli_region_scan((0.0, 0.2), (0.55, 0.6), (2, 2), 6)
+
+
 def test_blackwell_family_probabilities():
     fam, (p0, p1), degenerate = blackwell_family(0.3, 0.6)
     assert not degenerate
@@ -88,6 +106,16 @@ def test_blackwell_region_scan_marks_degenerate():
     grid = blackwell_region_scan((0.4, 0.6), (0.4, 0.6), (3, 3), r=4)
     assert grid.verdicts[1, 1] == "DEGENERATE"
     assert math.isnan(grid.values[1, 1])
+
+
+def test_blackwell_degenerate_before_range_check():
+    # eps = 1/2 is degenerate even where p = 1.2 is out of range
+    grid = blackwell_region_scan((0.5, 0.5), (0.6, 1.2), (1, 2), r=4)
+    assert list(grid.verdicts[0]) == ["DEGENERATE", "DEGENERATE"]
+    grid = blackwell_region_scan((0.3, 0.3), (1.2, 1.2), (1, 1), r=4)
+    assert grid.verdicts[0, 0] == "AUDIT-FAIL"
+    with pytest.raises(ValueError, match="degenerate"):
+        blackwell_cell_value(0.5, 1.2)
 
 
 def test_blackwell_region_scan_half_bias_column():

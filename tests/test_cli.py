@@ -158,6 +158,13 @@ def test_sample_seed_flag(tmp_path, capsys):
     assert (tmp_path / "sample.csv").read_text() == first
 
 
+def test_sobolev_window_too_small_exit_2(tmp_path, capsys):
+    cfg = CANTOR + "run.samples = 10000\nrun.xi_max = 50\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "sobolev"])
+    assert code == 2
+    assert "xi_max = 50" in capsys.readouterr().err
+
+
 def test_partition_command(tmp_path, capsys):
     cfg = "partition.intervals = 0.0, 0.3, 0.2, 0.5, 0.6, 0.9\nfamily.kind = bernoulli\n"
     code, out = run(tmp_path, cfg, ["partition"], capsys)

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from hypifs import ifs
 from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, ShiftedMap,
                         affine_map, bernoulli_psi, compose_word,
-                        cylinder_interval, evaluate_map, metric_d_lambda,
-                        moebius_shift, natural_projection, poly,
-                        projection_lambda_derivative, regularity_audit,
-                        tail_fixed_point)
+                        cylinder_interval, moebius_shift, natural_projection,
+                        poly, projection_lambda_derivative, regularity_audit)
 
 
 @pytest.fixture
@@ -80,14 +78,6 @@ def test_audit_flags_escape():
     assert not rep.invariant
 
 
-def test_evaluate_map_domain_check(cantor_fam):
-    with pytest.raises(EvaluationError):
-        evaluate_map(cantor_fam, 1, 0.0, 1.5)
-    v, dx, dlam = evaluate_map(cantor_fam, 2, 0.0, 0.5)
-    assert v == pytest.approx(0.5 / 3 + 2 / 3)
-    assert dx == pytest.approx(1 / 3)
-
-
 def test_compose_word_chain_rule(cantor_fam):
     v, dv = compose_word(cantor_fam, [2, 1, 2], 0.0, 0.5)
     direct = (((0.5 / 3 + 2 / 3) / 3) / 3 + 2 / 3)
@@ -109,9 +99,9 @@ def test_compose_word_splits(u, v):
 
 
 def test_tail_fixed_point(cantor_fam, bernoulli_fam):
-    assert tail_fixed_point(cantor_fam, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert cantor_fam.at(0.0).tail_point == pytest.approx(0.0, abs=1e-12)
     # psi_0 fixed point: lam x - (1 - lam) = x  ->  x = -1
-    assert tail_fixed_point(bernoulli_fam, 0.6) == pytest.approx(-1.0, abs=1e-12)
+    assert bernoulli_fam.at(0.6).tail_point == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_natural_projection_error_bound(cantor_fam):
@@ -138,27 +128,6 @@ def test_cylinder_interval_nested(cantor_fam):
     assert (a, b) == pytest.approx((2 / 3, 1.0))
     a2, b2 = cylinder_interval(cantor_fam, 0.0, [2, 1])
     assert a <= a2 <= b2 <= b
-
-
-def test_metric_d_lambda(cantor_fam):
-    assert metric_d_lambda(cantor_fam, 0.0, [1, 2], [2, 1]) == \
-        pytest.approx(1.0)
-    d1 = metric_d_lambda(cantor_fam, 0.0, [1, 2, 1], [1, 2, 2])
-    d0 = metric_d_lambda(cantor_fam, 0.0, [1, 2, 1], [1, 1, 2])
-    assert d1 == pytest.approx((1 / 3) ** 2)
-    assert d1 < d0
-
-
-@given(st.integers(2, 8))
-@settings(max_examples=20, deadline=None)
-def test_metric_shrinks_with_prefix_length(k):
-    fam = IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
-                    (0.0, 1.0), (0.0, 1e-9))
-    u = [1] * k + [2]
-    v = [1] * k + [1]
-    shorter = [1] * (k - 1) + [2, 1]
-    assert metric_d_lambda(fam, 0.0, u, v) < \
-        metric_d_lambda(fam, 0.0, shorter, [1] * (k - 1) + [1, 1]) + 1e-15
 
 
 def test_check_lam_guard(bernoulli_fam):

@@ -99,6 +99,13 @@ def test_sobolev_rejects_non_finite_points():
         sobolev_estimate(EmpiricalSample(pts, "", 0.0, 3, 0))
 
 
+@pytest.mark.parametrize("xi_max", [50.0, 98.0, 120.0, 200.0, 0.5])
+def test_sobolev_rejects_windows_below_two_blocks(xi_max):
+    sample = EmpiricalSample(np.random.default_rng(2).random(10000), "", 0.0, 2, 0)
+    with pytest.raises(ValueError, match="xi_max"):
+        sobolev_estimate(sample, xi_max)
+
+
 def test_sobolev_warns_small_sample():
     rng = np.random.default_rng(1)
     sample = EmpiricalSample(rng.random(500), "", 0.0, 1, 0)

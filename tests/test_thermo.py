@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hypifs import ifs
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
-                        bernoulli_psi, compose_word, moebius_shift, poly,
-                        tail_fixed_point)
+                        bernoulli_psi, compose_word, moebius_shift, poly)
 from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
                            constant_bernoulli_potential, entropy,
                            gibbs_cylinder_measure, log_probability_potential,
@@ -199,7 +198,7 @@ def test_builtin_tables_match_per_word_composition(case):
     for lam in lams:
         # one-element arrays, not scalars: numpy squares an array with a
         # multiplication but a scalar with pow(), which can differ by an ulp
-        x0 = np.array([tail_fixed_point(fam, lam)])
+        x0 = np.array([fam.at(lam).tail_point])
         ys = [compose_word(fam, w[1:], lam, x0)[0] for w in words]
         ref_logp = np.concatenate([np.log(probs[w[0] - 1](lam, y))
                                    for w, y in zip(words, ys)])
@@ -207,6 +206,17 @@ def test_builtin_tables_match_per_word_composition(case):
                                    for w, y in zip(words, ys)])
         assert logp.table(fam, lam, depth).tobytes() == ref_logp.tobytes()
         assert tlog.table(fam, lam, depth).tobytes() == ref_tlog.tobytes()
+
+
+def test_transfer_spectrum_checks_size_before_tables():
+    def table_fn(fam, lam, depth):
+        raise AssertionError("a table was built")
+
+    pot = Potential(kind="probe", table_fn=table_fn, var_b=0.0, var_alpha=0.5)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        transfer_spectrum(THREE_MAPS, pot, 0.0, 40)
+    with pytest.raises(ValueError, match="depth must be positive"):
+        transfer_spectrum(THREE_MAPS, pot, 0.0, 0)
 
 
 def test_truncation_bound_computed_on_read():
