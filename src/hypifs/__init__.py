@@ -15,7 +15,7 @@ from .thermo import (ConvergenceError, CylinderMeasure, Potential,
                      constant_bernoulli_potential, entropy,
                      gibbs_cylinder_measure, log_probability_potential,
                      lyapunov_dimension, lyapunov_exponent, partition_sum,
-                     pressure, pressure_drop_check,
+                     pressure, pressure_bracket, pressure_drop_check,
                      t_log_derivative_potential, transfer_spectrum)
 from .transversality import (PartitionError, TranslationFamily,
                              TransversalityReport, build_pm_translation,

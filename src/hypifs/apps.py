@@ -26,6 +26,8 @@ AUDIT_FAIL = "AUDIT-FAIL"
 # imported from the literature and treated as given
 BERNOULLI_TRANSVERSALITY_SUP = 0.6684755
 
+BLACKWELL_HALFWIDTH = 0.02  # half-width of the Blackwell family's p interval
+
 # failures a region cell reports as AUDIT-FAIL; the CLI maps them to exit 2
 NUMERICAL_ERRORS = (ConvergenceError, AuditFailure, EvaluationError,
                     ValueError, ZeroDivisionError)
@@ -53,7 +55,7 @@ class RegionGrid:
                              f"{self.verdicts[i, j]}\n")
 
 
-def bernoulli_family(param_interval=(0.5, 0.6684755)) -> IfsFamily:
+def bernoulli_family(param_interval=(0.5, BERNOULLI_TRANSVERSALITY_SUP)) -> IfsFamily:
     """{lam*x - (1-lam), lam*x + (1-lam)} on [-1, 1]."""
     return IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
                      domain=(-1.0, 1.0), param_interval=param_interval)
@@ -164,26 +166,19 @@ def _blackwell_coeffs(eps: float, sign: int):
     return n0, n1, d0, d1
 
 
-def _blackwell_degenerate(eps, p) -> bool:
-    """The one tolerance for eps = 1/2 or p = 1/2, shared by the family and
-    the cell value."""
-    return abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9
-
-
-def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
+def blackwell_family(eps: float, p: float):
     """IFS {S_0, S_1} on [0, 1] parametrized by the channel bias p, plus
     the place-dependent probability curves (p_0, p_1).
 
-    Returns (family, prob_fns, degenerate); at eps = 1/2 the two maps
-    coincide and the invariant measure is the Dirac mass at 1/2, and at
-    p = 1/2 both maps are constant.
+    Returns (family, prob_fns).  At eps = 1/2 the two maps coincide and
+    the invariant measure is the Dirac mass at 1/2, and at p = 1/2 both
+    maps are constant; `blackwell_cell_value` rejects both.
     """
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
-    degenerate = _blackwell_degenerate(eps, p)
     maps = tuple(RationalMap(*_blackwell_coeffs(eps, s)) for s in (0, 1))
-    lo = max(p - halfwidth, 1e-6)
-    hi = min(p + halfwidth, 1 - 1e-6)
+    lo = max(p - BLACKWELL_HALFWIDTH, 1e-6)
+    hi = min(p + BLACKWELL_HALFWIDTH, 1 - 1e-6)
     fam = IfsFamily(maps, domain=(0.0, 1.0), param_interval=(lo, hi))
 
     B = poly(1 - eps, 2 * eps - 1)
@@ -195,18 +190,17 @@ def blackwell_family(eps: float, p: float, halfwidth: float = 0.02):
     def p1(lam, x):
         return 1.0 - p0(lam, x)
 
-    return fam, [p0, p1], degenerate
+    return fam, [p0, p1]
 
 
 def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
     """h/chi for the Blackwell Gibbs measure at (eps, p); raises
     `DegenerateCell` at eps = 1/2 or p = 1/2, before any range check."""
-    if _blackwell_degenerate(eps, p):
+    if abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9:
         raise DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
-    fam, prob_fns, _ = blackwell_family(eps, p)
-    pot = log_probability_potential(prob_fns)
-    spec = transfer_spectrum(fam, pot, p, r)
-    h, _ = entropy(spec, pot, fam, p)
+    fam, prob_fns = blackwell_family(eps, p)
+    spec = transfer_spectrum(fam, log_probability_potential(prob_fns), p, r)
+    h, _ = entropy(spec)
     chi = lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
     return h / chi
 

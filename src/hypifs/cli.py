@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .apps import (NUMERICAL_ERRORS, bernoulli_family, bernoulli_potential,
+from .apps import (BERNOULLI_TRANSVERSALITY_SUP, NUMERICAL_ERRORS,
+                   bernoulli_family, bernoulli_potential,
                    bernoulli_region_scan, blackwell_family,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
@@ -24,7 +25,8 @@ from .mstats import (chaos_game_sample, correlation_dimension, energy,
                      m_condition_probe, sobolev_estimate)
 from .thermo import (bowen_root, constant_bernoulli_potential,
                      entropy, gibbs_cylinder_measure, log_probability_potential,
-                     lyapunov_exponent, pressure, pressure_drop_check,
+                     lyapunov_exponent, pressure, pressure_bracket,
+                     pressure_drop_check,
                      t_log_derivative_potential, transfer_spectrum)
 from .transversality import (build_pm_translation, greedy_partition,
                              mc_transversality_probe, vertical_certificate)
@@ -43,11 +45,12 @@ def build_family(cfg) -> IfsFamily:
         maps = tuple(affine_map(a, b) for a, b in zip(ratios, offsets))
         return IfsFamily(maps, tuple(dom), tuple(interval))
     if kind == "bernoulli":
-        interval = as_floats(cfg.get("family.param_interval", [0.5, 0.6684755]))
+        interval = as_floats(cfg.get("family.param_interval",
+                                     [0.5, BERNOULLI_TRANSVERSALITY_SUP]))
         return bernoulli_family(tuple(interval))
     if kind == "blackwell":
-        fam, _, _ = blackwell_family(float(cfg["family.eps"]),
-                                     float(cfg["family.p"]))
+        fam, _ = blackwell_family(float(cfg["family.eps"]),
+                                  float(cfg["family.p"]))
         return fam
     if kind == "cf":
         return cf_family(float(cfg["family.alpha"]), float(cfg["family.beta"]),
@@ -64,8 +67,8 @@ def build_potential(cfg, fam):
     if kind == "bernoulli":
         return bernoulli_potential(float(cfg.get("potential.rho", 0.0)))
     if kind == "blackwell":
-        _, prob_fns, _ = blackwell_family(float(cfg["family.eps"]),
-                                          float(cfg["family.p"]))
+        _, prob_fns = blackwell_family(float(cfg["family.eps"]),
+                                       float(cfg["family.p"]))
         return log_probability_potential(prob_fns)
     raise ConfigError(f"unknown potential kind {kind!r}")
 
@@ -75,6 +78,13 @@ def get_lam(cfg, fam):
         return float(cfg["family.lambda"])
     lo, hi = fam.param_interval
     return 0.5 * (lo + hi)
+
+
+def get_depth(cfg, args, default):
+    """--depth when given (0 included), else run.depth, else `default`."""
+    if args.depth is not None:
+        return args.depth
+    return int(cfg.get("run.depth", default))
 
 
 def stanza(cfg, seed=None):
@@ -105,7 +115,7 @@ def cmd_project(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     word = [int(c) for c in str(cfg.get("run.word", "1"))]
-    depth = args.depth or int(cfg.get("run.depth", 40))
+    depth = get_depth(cfg, args, 40)
     x, err = natural_projection(fam, lam, word, depth)
     print(f"projection: {x:.12g}")
     print(f"error_bound: {err:.12g}")
@@ -116,7 +126,7 @@ def cmd_spectrum(cfg, args, out):
     fam = build_family(cfg)
     pot = build_potential(cfg, fam)
     lam = get_lam(cfg, fam)
-    r = args.depth or int(cfg.get("run.depth", 8))
+    r = get_depth(cfg, args, 8)
     spec = transfer_spectrum(fam, pot, lam, r)
     mu = gibbs_cylinder_measure(spec)
     words = enumerate_words(fam.m, r)
@@ -137,10 +147,9 @@ def cmd_pressure(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     t = float(cfg.get("potential.t", 1.0))
-    r = args.depth or int(cfg.get("run.depth", 8))
-    p_tr, _ = pressure(fam, t, lam, "transfer", r=r)
-    _, bracket = pressure(fam, t, lam, "partition-sum",
-                          n=int(cfg.get("run.partition_n", 8)))
+    r = get_depth(cfg, args, 8)
+    p_tr = pressure(fam, t, lam, r=r)
+    bracket = pressure_bracket(fam, t, lam, n=int(cfg.get("run.partition_n", 8)))
     print(f"pressure_transfer: {p_tr:.12g}")
     print(f"pressure_bracket: {bracket[0]:.12g} {bracket[1]:.12g}")
     return 0
@@ -149,7 +158,7 @@ def cmd_pressure(cfg, args, out):
 def cmd_bowen(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    r = args.depth or int(cfg.get("run.depth", 8))
+    r = get_depth(cfg, args, 8)
     res = bowen_root(fam, lam, r=r)
     print(f"s: {res['s']:.12g}")
     print(f"pressure_at_s: {res['pressure_at_s']:.3g}")
@@ -161,9 +170,9 @@ def cmd_entropy(cfg, args, out):
     fam = build_family(cfg)
     pot = build_potential(cfg, fam)
     lam = get_lam(cfg, fam)
-    r = args.depth or int(cfg.get("run.depth", 8))
+    r = get_depth(cfg, args, 8)
     spec = transfer_spectrum(fam, pot, lam, r)
-    h, shannon = entropy(spec, pot, fam, lam)
+    h, shannon = entropy(spec)
     chi = lyapunov_exponent(fam, lam, gibbs_cylinder_measure(spec))
     print(f"entropy: {h:.12g}")
     print(f"entropy_shannon_diagnostic: {shannon:.12g}")
@@ -216,7 +225,7 @@ def cmd_probe(cfg, args, out):
     seed = args.seed if args.seed is not None else int(cfg.get("run.seed", 0))
     rep = mc_transversality_probe(
         fam, samples=int(cfg.get("run.samples", 10000)),
-        depth=args.depth or int(cfg.get("run.depth", 40)), seed=seed)
+        depth=get_depth(cfg, args, 40), seed=seed)
     for line in rep.lines():
         print(line)
     return 3 if rep.verdict == "FALSIFIED" else 0
@@ -307,7 +316,7 @@ def cmd_mprobe(cfg, args, out):
     deltas = as_floats(cfg.get("run.deltas", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]))
     pairs = [(lam, lam + d) for d in deltas]
     res = m_condition_probe(fam, pot, pairs,
-                            args.depth or int(cfg.get("run.depth", 8)))
+                            get_depth(cfg, args, 8))
     print(f"theta_fit: {res['theta']:.12g}")
     print(f"c_fit: {res['c']:.12g}")
     for row in res["rows"]:
@@ -390,7 +399,7 @@ def main(argv=None) -> int:
         else:
             handler = COMMANDS[args.command]
         return handler(cfg, args, args.out)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NUMERICAL_ERRORS as exc:

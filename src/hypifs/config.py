@@ -9,6 +9,13 @@ class ConfigError(ValueError):
     pass
 
 
+class Config(dict):
+    """Parsed configuration; looking up a missing key raises ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing config key {key!r}")
+
+
 def _parse_value(raw: str):
     raw = raw.strip()
     if "," in raw:
@@ -26,8 +33,8 @@ def _parse_scalar(raw: str):
     return raw
 
 
-def load_config(path: str) -> dict:
-    cfg = {}
+def load_config(path: str) -> Config:
+    cfg = Config()
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -50,9 +50,6 @@ def poly(*coeffs) -> Poly:
     return Poly(tuple(float(c) for c in coeffs))
 
 
-CONST_ZERO = poly(0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """x -> a(lam) * x + b(lam)."""

@@ -15,6 +15,10 @@ from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
 
 CHAOS_BLOCK = 4096  # uniforms converted to Python floats per step of the chaos game
 FOURIER_BLOCK = 2 ** 14  # elements of a (frequency x cell) temporary in _fourier_mean
+TAIL_LEVELS = 5  # level sums in the geometric tail fit
+ALPHA_HI = 2.0  # upper end of the correlation-dimension bisection
+SOBOLEV_PER_DECADE = 64  # log-grid frequencies per decade
+SOBOLEV_BLOCK = 64  # frequencies averaged per block of the slope fit
 
 
 @dataclass(eq=False)
@@ -64,9 +68,9 @@ def energy_level_sums(measure: CylinderMeasure, fam: IfsFamily, lam: float,
     return _level_sums(_energy_levels(measure, fam, lam, max_depth), alpha)
 
 
-def tail_ratio(sums: np.ndarray, levels: int = 5):
-    """Geometric ratio of the last `levels` level sums by log-LSQ fit."""
-    tail = sums[-levels:]
+def tail_ratio(sums: np.ndarray):
+    """Geometric ratio of the last TAIL_LEVELS level sums by log-LSQ fit."""
+    tail = sums[-TAIL_LEVELS:]
     if np.any(tail <= 0):
         return 0.0, 0.0
     y = np.log(tail)
@@ -84,12 +88,11 @@ def energy(measure: CylinderMeasure, fam: IfsFamily, lam: float,
             "finite_looking": ratio < 1.0 - 3.0 * spread}
 
 
-def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure,
-                          max_depth: int = None, alpha_hi: float = 2.0):
-    """Bisection on alpha for tail ratio 1 of the energy level sums."""
-    if max_depth is None:
-        max_depth = measure.depth - 1
-    if max_depth < 8 and measure.depth - 1 < 8:
+def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure):
+    """Bisection on alpha for tail ratio 1 of the energy level sums up to
+    depth measure.depth - 1."""
+    max_depth = measure.depth - 1
+    if max_depth < 8:
         raise ValueError("measure chain must reach depth >= 8")
 
     levels = _energy_levels(measure, fam, lam, max_depth)
@@ -97,7 +100,7 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure,
     def ratio(a):
         return tail_ratio(_level_sums(levels, a))[0]
 
-    lo, hi = 1e-3, alpha_hi
+    lo, hi = 1e-3, ALPHA_HI
     rlo, rhi = ratio(lo), ratio(hi)
     if rlo >= 1.0:
         return {"alpha": lo, "bracket": (0.0, lo)}
@@ -111,7 +114,7 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure,
             hi = mid
     alpha = 0.5 * (lo + hi)
     _, spread = tail_ratio(_level_sums(levels, alpha))
-    slope = (ratio(min(alpha + 0.02, alpha_hi)) -
+    slope = (ratio(min(alpha + 0.02, ALPHA_HI)) -
              ratio(max(alpha - 0.02, 1e-3))) / 0.04
     half = spread / max(abs(slope), 1e-9) + (hi - lo)
     return {"alpha": alpha, "bracket": (alpha - half, alpha + half)}
@@ -191,14 +194,13 @@ def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out / n
 
 
-def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
-                     per_decade: int = 64, block: int = 64):
+def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3):
     """HEURISTIC Fourier-decay slope fit.
 
     Computes the debiased empirical |nu_hat(xi)|^2 on a log-spaced grid,
     block-averages it, drops blocks below the sampling noise floor, and
     fits the log-log slope over the upper two decades.  Decade-wide
-    blocks (the default) suppress the log-periodic oscillation of
+    blocks suppress the log-periodic oscillation of
     self-similar spectra.  The estimate is evidence, not a rigorous
     Sobolev dimension.  Raises ValueError when `xi_max` leaves fewer than
     two blocks in the upper two decades.
@@ -211,14 +213,14 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
     if not np.all(np.isfinite(pts)):
         raise ValueError("sobolev_estimate needs finite sample points")
     decades = math.log10(xi_max) if 1.0 < xi_max < math.inf else 0.0
-    freqs = np.logspace(0.0, decades, int(round(per_decade * decades)))
+    freqs = np.logspace(0.0, decades, int(round(SOBOLEV_PER_DECADE * decades)))
     # slope fit restricted to the upper two decades
     sel = freqs >= xi_max / 100.0
     window = int(np.count_nonzero(sel))
-    if window < 2 * block:
+    if window < 2 * SOBOLEV_BLOCK:
         raise ValueError(
             f"xi_max = {xi_max:g} leaves {window} frequencies in the upper "
-            f"two decades, fewer than two blocks of {block}")
+            f"two decades, fewer than two blocks of {SOBOLEV_BLOCK}")
     if np.ptp(pts) == 0.0:
         return {"slope": 0.0, "dim_s": 0.0, "label": "HEURISTIC",
                 "frequencies": np.array([]), "power": np.array([])}
@@ -227,6 +229,7 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3,
     pts = (pts - pts.min()) / np.ptp(pts)
     power = np.abs(_fourier_mean(pts, freqs)) ** 2 - 1.0 / n  # debias the i.i.d. floor
     f_sel, p_sel = freqs[sel], power[sel]
+    block = SOBOLEV_BLOCK
     nb = len(f_sel) // block
     fb, pb = [], []
     floor = 3.0 / (n * math.sqrt(block))  # residual noise after block averaging

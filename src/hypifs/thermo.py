@@ -14,6 +14,13 @@ from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
                   regularity_audit)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
+SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
+SPECTRUM_MAX_ITER = 10000
+PROB_AUDIT_GRID = 1024  # grid on which a log-probability potential audits its curves
+PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
+PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
+BOWEN_TOL = 1e-10  # bisection stops once |P(s)| <= BOWEN_TOL
+BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
 
 
 class ConvergenceError(RuntimeError):
@@ -25,17 +32,15 @@ class Potential:
     """Function on symbol sequences, evaluated at w . 1^infty truncations.
 
     `table_fn(fam, lam, depth)` returns phi for every depth-`depth` word
-    (indexed by word code).  (var_b, var_alpha) bound the variations,
-    var_k <= b * alpha^k; a negative entry is filled in from
-    `default_var(fam, lam) -> (b, alpha)`.  A log-probability potential
-    also carries its probability curves `prob_fns`.
+    (indexed by word code).  `variation(fam, lam) -> (b, alpha)` bounds
+    the variations, var_k <= b * alpha^k, or is None when the potential
+    declares no bound.  A log-probability potential also carries its
+    probability curves `prob_fns`.
     """
 
     kind: str
     table_fn: object
-    var_b: float
-    var_alpha: float
-    default_var: object = None
+    variation: object = None
     prob_fns: tuple = None
 
     def table(self, fam, lam, depth):
@@ -64,7 +69,7 @@ def constant_bernoulli_potential(probs) -> Potential:
         return np.repeat(logp, fam.m ** (depth - 1))
 
     return Potential(kind="constant-bernoulli", table_fn=table_fn,
-                     var_b=0.0, var_alpha=0.5)
+                     variation=lambda fam, lam: (0.0, 0.5))
 
 
 def audit_prob_fns(prob_fns, frozen, grid: int):
@@ -80,8 +85,7 @@ def audit_prob_fns(prob_fns, frozen, grid: int):
         raise AuditFailure("probability curves do not sum to 1")
 
 
-def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
-                              audit_grid=1024) -> Potential:
+def log_probability_potential(prob_fns) -> Potential:
     """phi(w) = log p_{w_1}(Pi(sigma w . 1^infty)).
 
     `prob_fns[j-1](lam, x)` must be vectorized in x, positive, and sum
@@ -93,12 +97,12 @@ def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
     def table_fn(fam, lam, depth):
         frozen = fam.at(lam)
         if frozen not in audited:
-            audit_prob_fns(prob_fns, frozen, audit_grid)
+            audit_prob_fns(prob_fns, frozen, PROB_AUDIT_GRID)
             audited.add(frozen)
         return _first_symbol_table(frozen, depth,
                                    lambda j, y: np.log(prob_fns[j](lam, y)))
 
-    def default_var(fam, lam):
+    def variation(fam, lam):
         aud = regularity_audit(fam)
         xs = np.linspace(*fam.domain, 257)
         h = xs[1] - xs[0]
@@ -110,9 +114,7 @@ def log_probability_potential(prob_fns, var_b=None, var_alpha=None,
         return lip * fam.diam, aud.gamma2
 
     return Potential(kind="log-probability", table_fn=table_fn,
-                     var_b=var_b if var_b is not None else -1.0,
-                     var_alpha=var_alpha if var_alpha is not None else -1.0,
-                     default_var=default_var, prob_fns=prob_fns)
+                     variation=variation, prob_fns=prob_fns)
 
 
 def t_log_derivative_potential(t: float) -> Potential:
@@ -125,38 +127,20 @@ def t_log_derivative_potential(t: float) -> Potential:
                 frozen, depth,
                 lambda j, y: t * np.log(np.abs(frozen.maps[j].dx(y))))
 
-    def default_var(fam, lam):
+    def variation(fam, lam):
         aud = regularity_audit(fam)
         return abs(t) * aud.log_dx_lipschitz * fam.diam, aud.gamma2
 
     return Potential(kind="t-log-derivative", table_fn=table_fn,
-                     var_b=-1.0, var_alpha=-1.0, default_var=default_var)
+                     variation=variation)
 
 
 def resolve_variation(pot: Potential, fam, lam):
-    """(b, alpha) for the truncation bound, filling family-dependent defaults."""
-    b, a = pot.var_b, pot.var_alpha
-    if b < 0 or a < 0:
-        if pot.default_var is None:
-            raise ValueError(f"{pot.kind} potential has a negative variation "
-                             "bound and no default_var to fill it in")
-        db, da = pot.default_var(fam, lam)
-        b = db if b < 0 else b
-        a = da if a < 0 else a
+    """(b, alpha) of `pot.variation`, alpha clamped into (0, 1)."""
+    if pot.variation is None:
+        raise ValueError(f"{pot.kind} potential declares no variation bound")
+    b, a = pot.variation(fam, lam)
     return b, min(max(a, 1e-12), 1 - 1e-12)
-
-
-def _variation_tail(pot: Potential, fam, lam, r: int) -> float:
-    b, a = resolve_variation(pot, fam, lam)
-    return b * a ** (r + 1)
-
-
-def truncate_potential(pot: Potential, fam, lam, r: int):
-    """phi on all depth-(r+1) words plus the variation tail bound."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    vals = pot.table(fam, lam, r + 1)
-    return vals, _variation_tail(pot, fam, lam, r)
 
 
 @dataclass(eq=False)
@@ -181,7 +165,8 @@ class TransferSpectrum:
     def truncation_bound(self) -> float:
         """Variation tail of the truncated potential.  Computed when first
         read, because it may need a fresh regularity audit of the family."""
-        return _variation_tail(self.potential, self.family, self.lam, self.depth)
+        b, a = resolve_variation(self.potential, self.family, self.lam)
+        return b * a ** (self.depth + 1)
 
 
 @dataclass(eq=False)
@@ -201,8 +186,8 @@ class CylinderMeasure:
         return CylinderMeasure(depth, self.alphabet_size, w)
 
 
-def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
-                      tol: float = 1e-12, max_iter: int = 10000) -> TransferSpectrum:
+def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float,
+                      r: int) -> TransferSpectrum:
     """Lead eigentriple (gamma, h, nu) of the transfer operator truncated
     to depth-r cylinder functions, M[w, (i.w)|_r] = exp(phi(i.w)),
     normalized so sum(nu) = 1 and sum(h * nu) = 1."""
@@ -236,7 +221,7 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
     nu = np.full(n, 1.0 / n)
     gamma = 1.0
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, SPECTRUM_MAX_ITER + 1):
         h_new = apply(h)
         nu_new = apply_t(nu)
         g_new = float(h_new.max())
@@ -245,7 +230,7 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float, r: int,
         delta = max(np.abs(h_new - h).max(), np.abs(nu_new - nu).max(),
                     abs(g_new - gamma) / max(g_new, 1e-300))
         h, nu, gamma = h_new, nu_new, g_new
-        if delta < tol:
+        if delta < SPECTRUM_TOL:
             break
     if nu.sum() <= 0 or not np.all(h > 0):
         raise ConvergenceError("degenerate eigendata (fully zero or non-positive)")
@@ -270,15 +255,16 @@ def gibbs_cylinder_measure(spec: TransferSpectrum) -> CylinderMeasure:
     return CylinderMeasure(spec.depth, spec.alphabet_size, w)
 
 
-def entropy(spec: TransferSpectrum, pot: Potential, fam: IfsFamily, lam: float):
-    """h_mu = P - integral(phi dmu), evaluated on depth-r cylinders.
+def entropy(spec: TransferSpectrum):
+    """h_mu = P - integral(phi dmu) for the spectrum's own potential,
+    evaluated on depth-r cylinders.
 
     Returns (entropy, shannon_diagnostic) where the diagnostic is the
     finite-depth Shannon sum at the spectrum depth (slowly convergent,
     reported for cross-checking only).
     """
     mu = gibbs_cylinder_measure(spec).weights
-    phi_r = pot.table(fam, lam, spec.depth)
+    phi_r = spec.potential.table(spec.family, spec.lam, spec.depth)
     h_primary = spec.pressure - float(phi_r @ mu)
     nz = mu[mu > 0]
     shannon = -float((nz * np.log(nz)).sum()) / spec.depth
@@ -300,29 +286,28 @@ def lyapunov_dimension(h: float, chi: float):
     return min(1.0, raw), raw
 
 
-def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int,
-                  mode: str = "inf", grid: int = 65,
-                  enumeration_cap: int = 1 << 22) -> float:
-    """Z_n = sum over subset^n of inf (or sup) over x of |f'_u(x)|^t."""
+def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
+    """(Z_inf, Z_sup): the sums over subset^n of the inf and of the sup
+    over x of |f'_u(x)|^t, from one pass over the all-words tree."""
     subset = list(subset)
     k = len(subset)
-    if k ** n > enumeration_cap:
+    if k ** n > PARTITION_CAP:
         raise ValueError("enumeration cap exceeded")
-    if mode not in ("inf", "sup"):
-        raise ValueError("mode must be 'inf' or 'sup'")
     if not all(1 <= j <= fam.m for j in subset):
         raise ValueError(f"subset symbols must lie in 1..{fam.m}")
     aud = regularity_audit(fam)
     # |f_u'| is monotone in x for the built-in affine and Moebius maps, so
     # its extrema sit at the domain endpoints, which both grids contain; the
     # full grid adds robustness for custom maps that are not all increasing
-    points = max(3, grid // 8) if all(aud.monotone_increasing) else grid
+    points = (max(3, PARTITION_GRID // 8) if all(aud.monotone_increasing)
+              else PARTITION_GRID)
     xs = np.linspace(*fam.domain, points)
     frozen = fam.at(lam)
     maps = [frozen.maps[j - 1] for j in subset]
     values = [mp.value for mp in maps]
     abs_dx = [lambda y, mp=mp: np.abs(mp.dx(y)) for mp in maps]
-    best = np.full(k ** n, np.inf if mode == "inf" else -np.inf)
+    lo = np.full(k ** n, np.inf)
+    hi = np.full(k ** n, -np.inf)
     for x in xs:
         # the all-words tree of f_u(x) and |f_u'(x)|, u in subset^n
         y = np.array([float(x)])
@@ -330,36 +315,33 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int,
         for _ in range(n):
             dy = np.tile(dy, k) * concat_images(abs_dx, y)
             y = concat_images(values, y)
-        best = np.minimum(best, dy) if mode == "inf" else np.maximum(best, dy)
-    return float(np.sum(best ** t))
+        lo = np.minimum(lo, dy)
+        hi = np.maximum(hi, dy)
+    return float(np.sum(lo ** t)), float(np.sum(hi ** t))
 
 
-def pressure(fam: IfsFamily, t: float, lam: float, method: str = "transfer",
-             r: int = 8, n: int = 8):
-    """Pressure P(t); transfer method returns (P, None), partition-sum
-    method returns (midpoint, (inf-based, sup-based) bracket)."""
+def pressure(fam: IfsFamily, t: float, lam: float, r: int = 8) -> float:
+    """Pressure P(t) of t log|f'| from the depth-r transfer spectrum."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if method == "transfer":
-        spec = transfer_spectrum(fam, t_log_derivative_potential(t), lam, r)
-        return spec.pressure, None
-    if method == "partition-sum":
-        symbols = range(1, fam.m + 1)
-        z_inf = partition_sum(fam, symbols, t, lam, n, "inf")
-        z_sup = partition_sum(fam, symbols, t, lam, n, "sup")
-        lo = math.log(z_inf) / n
-        hi = math.log(z_sup) / n
-        return 0.5 * (lo + hi), (lo, hi)
-    raise ValueError(f"unknown method {method!r}")
+    return transfer_spectrum(fam, t_log_derivative_potential(t), lam, r).pressure
 
 
-def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
-               bracket_n: int = 6) -> dict:
+def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
+    """(log Z_inf / n, log Z_sup / n), which brackets P(t), from the
+    length-n partition sums."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    z_inf, z_sup = partition_sum(fam, range(1, fam.m + 1), t, lam, n)
+    return math.log(z_inf) / n, math.log(z_sup) / n
+
+
+def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     """Solve P(s) = 0 by bisection on the transfer-method pressure."""
     aud = regularity_audit(fam)
 
     def P(t):
-        return pressure(fam, t, lam, "transfer", r=r)[0]
+        return pressure(fam, t, lam, r=r)
 
     p0 = P(0.0)
     if p0 <= 0:
@@ -377,7 +359,7 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         pm = P(mid)
-        if abs(pm) <= tol:
+        if abs(pm) <= BOWEN_TOL:
             lo = hi = mid
             break
         if pm > 0:
@@ -385,7 +367,7 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
         else:
             hi = mid
     s = 0.5 * (lo + hi)
-    _, bracket = pressure(fam, s, lam, "partition-sum", n=bracket_n)
+    bracket = pressure_bracket(fam, s, lam, BOWEN_BRACKET_N)
     return {"s": s, "pressure_at_s": P(s),
             "partition_bracket": bracket,
             "bracket_width": bracket[1] - bracket[0]}
@@ -393,14 +375,15 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8, tol: float = 1e-10,
 
 def pressure_drop_check(fam: IfsFamily, t: float, lam: float, n: int) -> dict:
     """Check Z_n(A, t) >= Z_n(B, t) (1 + delta_t)^n with B = A minus the
-    last symbol, delta_t = gamma1^t / ((m-1) gamma2^t)."""
+    last symbol, delta_t = gamma1^t / ((m-1) gamma2^t), on the inf-based
+    partition sums."""
     if fam.m < 2:
         raise ValueError("need at least two maps")
     aud = regularity_audit(fam)
     delta_t = aud.gamma1 ** t / ((fam.m - 1) * aud.gamma2 ** t)
     full = list(range(1, fam.m + 1))
-    za = partition_sum(fam, full, t, lam, n, "inf")
-    zb = partition_sum(fam, full[:-1], t, lam, n, "inf")
+    za = partition_sum(fam, full, t, lam, n)[0]
+    zb = partition_sum(fam, full[:-1], t, lam, n)[0]
     rhs = zb * (1 + delta_t) ** n
     return {"Z_A": za, "Z_B": zb, "delta_t": delta_t, "rhs": rhs,
             "holds": za >= rhs * (1 - 1e-12)}

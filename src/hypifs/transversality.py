@@ -9,9 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .ifs import IfsFamily, ShiftedMap, poly, project_words, regularity_audit
+from .ifs import (IfsFamily, ShiftedMap, cylinder_interval, poly, project_words,
+                  regularity_audit)
 
 LAMBDA_SWEEP_GRID = 1024
+NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
+FALSIFY_PHI_REL = 1e-9  # witness: |Phi| < FALSIFY_PHI_REL * diam(X) ...
+FALSIFY_DPHI_TOL = 1e-6  # ... and |d/dlam Phi| < FALSIFY_DPHI_TOL
 
 
 class PartitionError(RuntimeError):
@@ -84,13 +88,13 @@ class TransversalityReport:
         return out
 
 
-def _sweep(fn, interval, grid=LAMBDA_SWEEP_GRID):
-    xs = np.linspace(*interval, grid)
+def _sweep(fn, interval):
+    xs = np.linspace(*interval, LAMBDA_SWEEP_GRID)
     vals = np.asarray(fn(xs), dtype=float)
-    step = xs[1] - xs[0] if grid > 1 else 0.0
-    slope = np.abs(np.diff(vals)).max() / step if grid > 1 and step > 0 else 0.0
+    step = xs[1] - xs[0]
+    slope = np.abs(np.diff(vals)).max() / step if step > 0 else 0.0
     pad = step * slope
-    return float(vals.min()) - pad, float(vals.max()) + pad, pad
+    return float(vals.min()) - pad, float(vals.max()) + pad
 
 
 def _base_image(tf: TranslationFamily, i: int):
@@ -122,7 +126,7 @@ def overlap_domain(tf: TranslationFamily, i: int, j: int):
     if i == j:
         raise ValueError("need i != j")
     ai, aj = tf.translations[i - 1], tf.translations[j - 1]
-    dlo, dhi, _ = _sweep(lambda l: aj(l) - ai(l), tf.param_interval)
+    dlo, dhi = _sweep(lambda l: aj(l) - ai(l), tf.param_interval)
     fj_lo, fj_hi = _base_image(tf, j)
     fi_lo, fi_hi = _base_image(tf, i)
     tgt_lo = max(fj_lo + dlo, fi_lo)
@@ -144,7 +148,7 @@ def d_max(tf: TranslationFamily) -> float:
     out = 0.0
     for i in range(1, tf.m + 1):
         sup_ap = max(abs(v) for v in
-                     _sweep(tf.translations[i - 1].deriv(), tf.param_interval)[:2])
+                     _sweep(tf.translations[i - 1].deriv(), tf.param_interval))
         sup_f = _sup_abs_dx(tf, i, tf.domain)
         out = max(out, sup_ap / (1.0 - sup_f))
     return out
@@ -160,7 +164,7 @@ def vertical_certificate(tf: TranslationFamily) -> TransversalityReport:
     monotone_ok = all(aud.monotone_increasing)
     incr_translations = True
     for a in tf.translations:
-        lo, hi, _ = _sweep(a.deriv(), tf.param_interval)
+        lo, _ = _sweep(a.deriv(), tf.param_interval)
         if lo < 0:
             incr_translations = False
     pairs = []
@@ -176,7 +180,7 @@ def vertical_certificate(tf: TranslationFamily) -> TransversalityReport:
             any_pair = True
             ai = tf.translations[i - 1].deriv()
             aj = tf.translations[j - 1].deriv()
-            lo, hi, _ = _sweep(lambda l: np.abs(ai(l) - aj(l)),
+            lo, _ = _sweep(lambda l: np.abs(ai(l) - aj(l)),
                                tf.param_interval)
             eta = max(lo, 0.0)
             nfi = _sup_abs_dx(tf, i, xij) if xij else 0.0
@@ -239,7 +243,6 @@ def build_pm_translation(base: IfsFamily, lam0: float,
     from the greedy partition of the level-1 cylinder intervals; the
     halfwidth is shrunk until invariance and within-class disjointness
     hold at the sweep endpoints."""
-    from .ifs import cylinder_interval
     aud = regularity_audit(base)
     warn = aud.gamma2 >= 0.5
     intervals = [cylinder_interval(base, lam0, [j]) for j in range(1, base.m + 1)]
@@ -276,10 +279,8 @@ def build_pm_translation(base: IfsFamily, lam0: float,
 
 
 def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
-                            depth: int = 40, eta0: float = None,
-                            seed: int = 0, lam_grid: int = 17,
-                            falsify_phi_tol: float = None,
-                            falsify_dphi_tol: float = 1e-6) -> TransversalityReport:
+                            depth: int = 40, seed: int = 0,
+                            lam_grid: int = 17) -> TransversalityReport:
     """Sample word pairs with distinct first symbols and sweep lambda,
     recording near-collisions of the projections and the minimum
     |d/dlam Phi| over them.  A simultaneous near-zero of Phi and its
@@ -288,10 +289,10 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
         raise ValueError("need at least two symbols")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if eta0 is None:
-        eta0 = 1e-3 * fam.diam
-    if falsify_phi_tol is None:
-        falsify_phi_tol = 1e-9 * fam.diam
+    if depth < 1:
+        raise ValueError("need depth >= 1")
+    eta0 = NEAR_COLLISION_REL * fam.diam
+    falsify_phi_tol = FALSIFY_PHI_REL * fam.diam
     rng = np.random.default_rng(seed)
     u = rng.integers(1, fam.m + 1, size=(samples, depth))
     v = rng.integers(1, fam.m + 1, size=(samples, depth))
@@ -311,7 +312,7 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
         if near.any():
             emp_eta = min(emp_eta, float(np.abs(dphi[near]).min()))
             bad = near & (np.abs(phi) < falsify_phi_tol) & \
-                (np.abs(dphi) < falsify_dphi_tol)
+                (np.abs(dphi) < FALSIFY_DPHI_TOL)
             if bad.any() and witness is None:
                 k = int(np.argmax(bad))
                 witness = (tuple(u[k]), tuple(v[k]), float(lam))

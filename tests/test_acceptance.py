@@ -89,7 +89,7 @@ def test_06_cross_method_entropy():
     fam = hi.bernoulli_family()
     pot = hi.bernoulli_potential(0.2)
     spec = hi.transfer_spectrum(fam, pot, 0.6, 10)
-    h, _ = hi.entropy(spec, pot, fam, 0.6)
+    h, _ = hi.entropy(spec)
     slack = 2.0 * spec.truncation_bound
     ok = lo - slack <= h <= up + slack
     report(6, "cross-method entropy agreement", ok)

@@ -79,8 +79,7 @@ def test_bernoulli_region_scan_propagates_bugs(monkeypatch):
 
 
 def test_blackwell_family_probabilities():
-    fam, (p0, p1), degenerate = blackwell_family(0.3, 0.6)
-    assert not degenerate
+    fam, (p0, p1) = blackwell_family(0.3, 0.6)
     xs = np.linspace(0, 1, 33)
     total = p0(0.6, xs) + p1(0.6, xs)
     assert np.abs(total - 1.0).max() < 1e-12
@@ -90,9 +89,7 @@ def test_blackwell_family_probabilities():
 def test_blackwell_degenerate_flag():
     for eps, p in [(0.5, 0.6), (0.3, 0.5), (0.05, 0.49999999999999994),
                    (0.5 + 5e-10, 0.3)]:
-        _, _, degenerate = blackwell_family(eps, p)
-        assert degenerate
-        with pytest.raises(ValueError):
+        with pytest.raises(apps.DegenerateCell):
             blackwell_cell_value(eps, p)
 
 

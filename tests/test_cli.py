@@ -2,6 +2,7 @@
 
 import pytest
 
+from hypifs import cli
 from hypifs.cli import main
 from hypifs.config import ConfigError, as_floats, load_config
 
@@ -43,6 +44,8 @@ def test_config_parser(tmp_path):
         load_config(write(tmp_path, "no equals here", "bad.cfg"))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"))
+    with pytest.raises(ConfigError, match="'e.f'"):
+        cfg["e.f"]
 
 
 def test_stanza_and_audit(tmp_path, capsys):
@@ -55,6 +58,33 @@ def test_stanza_and_audit(tmp_path, capsys):
 def test_invalid_config_exit_1(tmp_path, capsys):
     code, _ = run(tmp_path, "family.kind = nonsense\n", ["audit"], capsys)
     assert code == 1
+
+
+def test_missing_key_exit_1_names_it(tmp_path, capsys):
+    cfg = "family.kind = blackwell\nfamily.eps = 0.2\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "audit"])
+    assert code == 1
+    assert "'family.p'" in capsys.readouterr().err
+
+
+def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
+    def broken(cfg, args, out):
+        raise KeyError("not a config key")
+
+    monkeypatch.setitem(cli.COMMANDS, "audit", broken)
+    with pytest.raises(KeyError):
+        main(["--config", write(tmp_path, CANTOR), "--out", str(tmp_path), "audit"])
+
+
+@pytest.mark.parametrize("argv, cfg_depth", [
+    (["--depth", "0", "spectrum"], 6), (["--depth", "-1", "spectrum"], 6),
+    (["transversality", "probe"], 0)])
+def test_nonpositive_depth_exit_2(tmp_path, capsys, argv, cfg_depth):
+    cfg = CANTOR + f"potential.kind = constant\npotential.probs = 0.5, 0.5\n" \
+        f"run.depth = {cfg_depth}\nrun.samples = 10\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_audit_failure_exit_2(tmp_path, capsys):

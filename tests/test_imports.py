@@ -1,4 +1,6 @@
-"""Every top-level import of a hypifs module is used in that module."""
+"""Every top-level import of a hypifs module is used in that module, and
+every top-level name a module defines is read somewhere in the package
+or exported from `hypifs`."""
 
 import ast
 import pathlib
@@ -6,6 +8,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hypifs"
+SOURCES = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -31,3 +34,60 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(tree) -> dict:
+    """{name: line} of the top-level functions, classes and assignments."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    out[t.id] = node.lineno
+    return out
+
+
+def used_names(trees) -> set:
+    """Names read in any of `trees`, as a variable or as an attribute."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def exported_names(init_tree) -> set:
+    return {alias.asname or alias.name for node in init_tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unused_names(sources: dict) -> list:
+    """(module, line, name) of every top-level definition in `sources`
+    ({module name: source}) that no module reads and `__init__` does not
+    export."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = used_names(trees.values())
+    if "__init__" in trees:
+        used |= exported_names(trees["__init__"])
+    return sorted((mod, line, name) for mod, tree in trees.items()
+                  for name, line in defined_names(tree).items() if name not in used)
+
+
+def test_detects_an_unused_name():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": "X = 1\nY: int = 2\ndef f(): return X\ndef exported(): f()\nclass C: pass\n",
+        "b": "from .a import Y\nY.attr\n",
+    }
+    assert unused_names(sources) == [("a", 5, "C")]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_unused_top_level_names(module):
+    assert [u for u in unused_names(SOURCES) if u[0] == module] == []

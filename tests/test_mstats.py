@@ -135,7 +135,7 @@ def test_energy_level_sums_match_per_word_lengths(kind):
     if kind == "bernoulli":
         fam, lam, pot = bernoulli_family(), 0.6, bernoulli_potential(0.2)
     else:
-        fam, prob_fns, _ = blackwell_family(0.3, 0.3)
+        fam, prob_fns = blackwell_family(0.3, 0.3)
         lam, pot = 0.3, log_probability_potential(prob_fns)
     measure = gibbs_cylinder_measure(transfer_spectrum(fam, pot, lam, 7))
     alpha = 0.6
@@ -213,7 +213,7 @@ def _constant_curves(probs):
 
 def _chaos_cases():
     halves = _constant_curves([0.5, 0.5])
-    bw_fam, bw_probs, _ = blackwell_family(0.2, 0.3)
+    bw_fam, bw_probs = blackwell_family(0.2, 0.3)
     three = IfsFamily((affine_map(0.2, 0.0), affine_map(0.25, 0.35), affine_map(0.3, 0.7)),
                       (0.0, 1.0), (0.0, 1e-9))
     three_probs = [lambda lam, x: 0.2 + 0.1 * np.asarray(x, dtype=float),

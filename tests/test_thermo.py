@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from hypifs import ifs
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
-from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
-                        bernoulli_psi, compose_word, moebius_shift, poly)
+from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, RationalMap,
+                        affine_map, bernoulli_psi, compose_word, moebius_shift,
+                        poly)
 from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
                            constant_bernoulli_potential, entropy,
                            gibbs_cylinder_measure, log_probability_potential,
                            lyapunov_dimension, lyapunov_exponent,
-                           partition_sum, pressure, pressure_drop_check,
-                           t_log_derivative_potential, transfer_spectrum,
-                           truncate_potential)
+                           partition_sum, pressure, pressure_bracket,
+                           pressure_drop_check, resolve_variation,
+                           t_log_derivative_potential, transfer_spectrum)
 from hypifs.words import enumerate_words
 
 
@@ -44,8 +45,8 @@ def test_constant_potential_validation():
 
 def test_truncation_bound_decays(dyadic):
     pot = t_log_derivative_potential(1.0)
-    _, b5 = truncate_potential(pot, dyadic, 0.0, 5)
-    _, b8 = truncate_potential(pot, dyadic, 0.0, 8)
+    b5 = transfer_spectrum(dyadic, pot, 0.0, 5).truncation_bound
+    b8 = transfer_spectrum(dyadic, pot, 0.0, 8).truncation_bound
     assert 0 <= b8 <= b5
 
 
@@ -70,15 +71,15 @@ def test_spectrum_normalization(dyadic):
 def test_pressure_homogeneous_closed_form(dyadic):
     # P(t) = log(m) + t log(gamma) for equicontractive affine families
     for t in (0.0, 0.5, 1.3):
-        p, _ = pressure(dyadic, t, 0.0, "transfer", r=6)
+        p = pressure(dyadic, t, 0.0, r=6)
         assert p == pytest.approx(math.log(2) - t * math.log(2), abs=1e-10)
 
 
 def test_pressure_partition_bracket(cantor):
-    mid, bracket = pressure(cantor, 0.8, 0.0, "partition-sum", n=7)
+    lo, hi = pressure_bracket(cantor, 0.8, 0.0, n=7)
     exact = math.log(2) - 0.8 * math.log(3)
-    assert bracket[0] - 1e-12 <= exact <= bracket[1] + 1e-12
-    assert mid == pytest.approx(exact, abs=1e-9)
+    assert lo - 1e-12 <= exact <= hi + 1e-12
+    assert 0.5 * (lo + hi) == pytest.approx(exact, abs=1e-9)
 
 
 def test_gibbs_measure_consistency(dyadic):
@@ -99,7 +100,7 @@ def test_coarsen_range_check(dyadic):
 def test_entropy_and_lyapunov_bernoulli(dyadic):
     pot = constant_bernoulli_potential([0.3, 0.7])
     spec = transfer_spectrum(dyadic, pot, 0.0, 8)
-    h, shannon = entropy(spec, pot, dyadic, 0.0)
+    h, shannon = entropy(spec)
     expect = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
     assert h == pytest.approx(expect, abs=1e-10)
     assert shannon == pytest.approx(expect, rel=0.2)
@@ -124,12 +125,30 @@ def test_bowen_root_bracket_contains_zero(cantor):
 
 
 def test_partition_sum_modes(cantor):
-    z_inf = partition_sum(cantor, [1, 2], 1.0, 0.0, 4, "inf")
-    z_sup = partition_sum(cantor, [1, 2], 1.0, 0.0, 4, "sup")
+    z_inf, z_sup = partition_sum(cantor, [1, 2], 1.0, 0.0, 4)
     assert z_inf == pytest.approx(z_sup)  # affine: derivative is constant
     assert z_inf == pytest.approx((2 / 3) ** 4)
-    with pytest.raises(ValueError):
-        partition_sum(cantor, [1, 2], 1.0, 0.0, 4, "mid")
+
+
+E2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
+                     for k in (1, 2)), (1 / 3, 1.0), (0.0, 1e-9))
+E2_DIMENSION = 0.5312805062772051  # Jenkinson & Pollicott, Adv. Math. 2018
+
+
+def test_partition_sum_moebius_one_pass():
+    # x -> 1/(k + x) is decreasing, so the sums run on the full x-grid and
+    # |f_u'| is not constant: inf and sup differ
+    t = E2_DIMENSION
+    z_inf, z_sup = partition_sum(E2, [1, 2], t, 0.0, 4)
+    assert z_inf < z_sup
+    xs = np.linspace(*E2.domain, 65)
+    dx = np.array([np.abs(compose_word(E2, w, 0.0, xs)[1])
+                   for w in enumerate_words(2, 4)])
+    assert z_inf == pytest.approx(np.sum(dx.min(axis=1) ** t), rel=1e-13)
+    assert z_sup == pytest.approx(np.sum(dx.max(axis=1) ** t), rel=1e-13)
+    for n in (4, 6, 8):
+        lo, hi = pressure_bracket(E2, t, 0.0, n)
+        assert lo < 0.0 < hi
 
 
 def test_pressure_drop_homogeneous_equality(dyadic):
@@ -212,7 +231,7 @@ def test_transfer_spectrum_checks_size_before_tables():
     def table_fn(fam, lam, depth):
         raise AssertionError("a table was built")
 
-    pot = Potential(kind="probe", table_fn=table_fn, var_b=0.0, var_alpha=0.5)
+    pot = Potential(kind="probe", table_fn=table_fn)
     with pytest.raises(ValueError, match="exceeds cap"):
         transfer_spectrum(THREE_MAPS, pot, 0.0, 40)
     with pytest.raises(ValueError, match="depth must be positive"):
@@ -226,15 +245,15 @@ def test_truncation_bound_computed_on_read():
     assert fam not in ifs._audit_cache  # no audit until the bound is read
     bound = spec.truncation_bound
     assert fam in ifs._audit_cache
-    assert bound == truncate_potential(pot, fam, 0.6, 6)[1]
+    b, alpha = resolve_variation(pot, fam, 0.6)
+    assert bound == b * alpha ** 7
 
 
 def test_user_potential_without_default_variation(dyadic):
-    pot = Potential("user", lambda fam, lam, depth: np.zeros(fam.m ** depth),
-                    var_b=-1.0, var_alpha=0.5)
+    pot = Potential("user", lambda fam, lam, depth: np.zeros(fam.m ** depth))
     spec = transfer_spectrum(dyadic, pot, 0.0, 4)
     assert spec.pressure == pytest.approx(math.log(2), abs=1e-12)
-    with pytest.raises(ValueError, match="default_var"):
+    with pytest.raises(ValueError, match="no variation bound"):
         spec.truncation_bound
 
 
@@ -319,7 +338,7 @@ def _csr_spectrum(fam, pot, lam, r, tol=1e-12, max_iter=10000):
 
 
 def _blackwell_case():
-    fam, probs, _ = blackwell_family(0.2, 0.3)
+    fam, probs = blackwell_family(0.2, 0.3)
     return fam, log_probability_potential(probs), 0.3
 
 

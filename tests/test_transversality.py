@@ -116,6 +116,14 @@ def test_probe_deterministic_and_inconclusive():
     assert a.n_events == b.n_events
 
 
+@pytest.mark.parametrize("samples, depth", [(0, 10), (10, 0), (10, -1)])
+def test_probe_rejects_empty_word_batches(samples, depth):
+    fam = IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
+                    (-1.0, 1.0), (0.5, 0.66))
+    with pytest.raises(ValueError):
+        mc_transversality_probe(fam, samples=samples, depth=depth)
+
+
 def test_probe_distinct_first_symbols_forced():
     fam = IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
                     (-1.0, 1.0), (0.5, 0.66))
