@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from math import comb, log, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ifs import (AuditFailure, EvaluationError, IfsFamily, RationalMap,
-                  bernoulli_psi, moebius_shift, poly)
+                  bernoulli_psi, moebius_shift, poly, solve_root)
 from .thermo import (ConvergenceError, entropy, gibbs_cylinder_measure,
                      log_probability_potential, lyapunov_exponent,
                      transfer_spectrum)
@@ -207,6 +206,8 @@ def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
 
 def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
     """value = h/chi; supercritical iff > 1."""
+    if r < 1:
+        raise ValueError("depth must be positive")
     axes = (np.linspace(*eps_range, shape[0]), np.linspace(*p_range, shape[1]))
     # the name is resolved per cell, so a traced or patched one is called
     return region_scan(axes, ("eps", "p"),
@@ -264,4 +265,4 @@ def similarity_dimension(ratios) -> float:
     hi = 1.0
     while g(hi) > 0:
         hi *= 2.0
-    return brentq(g, 0.0, hi, xtol=1e-12)
+    return solve_root(g, 0.0, hi)

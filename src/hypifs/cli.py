@@ -36,55 +36,54 @@ from .words import enumerate_words
 def build_family(cfg) -> IfsFamily:
     kind = cfg.get("family.kind")
     if kind == "affine":
-        ratios = as_floats(cfg["family.ratios"])
-        offsets = as_floats(cfg["family.offsets"])
+        ratios = cfg.read("family.ratios", as_floats)
+        offsets = cfg.read("family.offsets", as_floats)
         if len(ratios) != len(offsets):
             raise ConfigError("ratios and offsets must have equal length")
-        dom = as_floats(cfg.get("family.domain", [0.0, 1.0]))
-        interval = as_floats(cfg.get("family.param_interval", [0.0, 1e-9]))
+        dom = cfg.read("family.domain", as_floats, [0.0, 1.0])
+        interval = cfg.read("family.param_interval", as_floats, [0.0, 1e-9])
         maps = tuple(affine_map(a, b) for a, b in zip(ratios, offsets))
         return IfsFamily(maps, tuple(dom), tuple(interval))
     if kind == "bernoulli":
-        interval = as_floats(cfg.get("family.param_interval",
-                                     [0.5, BERNOULLI_TRANSVERSALITY_SUP]))
+        interval = cfg.read("family.param_interval", as_floats,
+                            [0.5, BERNOULLI_TRANSVERSALITY_SUP])
         return bernoulli_family(tuple(interval))
     if kind == "blackwell":
-        fam, _ = blackwell_family(float(cfg["family.eps"]),
-                                  float(cfg["family.p"]))
+        fam, _ = blackwell_family(cfg.read("family.eps", float),
+                                  cfg.read("family.p", float))
         return fam
     if kind == "cf":
-        return cf_family(float(cfg["family.alpha"]), float(cfg["family.beta"]),
-                         float(cfg.get("family.lam_halfwidth", 0.0)))
+        return cf_family(cfg.read("family.alpha", float),
+                         cfg.read("family.beta", float),
+                         cfg.read("family.lam_halfwidth", float, 0.0))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
 def build_potential(cfg, fam):
     kind = cfg.get("potential.kind", "tlog")
     if kind == "constant":
-        return constant_bernoulli_potential(as_floats(cfg["potential.probs"]))
+        return constant_bernoulli_potential(cfg.read("potential.probs", as_floats))
     if kind == "tlog":
-        return t_log_derivative_potential(float(cfg.get("potential.t", 1.0)))
+        return t_log_derivative_potential(cfg.read("potential.t", float, 1.0))
     if kind == "bernoulli":
-        return bernoulli_potential(float(cfg.get("potential.rho", 0.0)))
+        return bernoulli_potential(cfg.read("potential.rho", float, 0.0))
     if kind == "blackwell":
-        _, prob_fns = blackwell_family(float(cfg["family.eps"]),
-                                       float(cfg["family.p"]))
+        _, prob_fns = blackwell_family(cfg.read("family.eps", float),
+                                       cfg.read("family.p", float))
         return log_probability_potential(prob_fns)
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def get_lam(cfg, fam):
-    if "family.lambda" in cfg:
-        return float(cfg["family.lambda"])
     lo, hi = fam.param_interval
-    return 0.5 * (lo + hi)
+    return cfg.read("family.lambda", float, 0.5 * (lo + hi))
 
 
 def get_depth(cfg, args, default):
     """--depth when given (0 included), else run.depth, else `default`."""
     if args.depth is not None:
         return args.depth
-    return int(cfg.get("run.depth", default))
+    return cfg.read("run.depth", int, default)
 
 
 def stanza(cfg, seed=None):
@@ -104,7 +103,7 @@ def _write_rows(path, header, rows):
 
 def cmd_audit(cfg, args, out):
     fam = build_family(cfg)
-    rep = regularity_audit(fam, int(cfg.get("run.grid", 1024)))
+    rep = regularity_audit(fam, cfg.read("run.grid", int, 1024))
     print(f"gamma1_est: {rep.gamma1:.12g}")
     print(f"gamma2_est: {rep.gamma2:.12g}")
     print(f"verdict: {'PASS' if rep.passed else 'FAIL'}")
@@ -114,7 +113,7 @@ def cmd_audit(cfg, args, out):
 def cmd_project(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    word = [int(c) for c in str(cfg.get("run.word", "1"))]
+    word = cfg.read("run.word", lambda raw: [int(c) for c in str(raw)], "1")
     depth = get_depth(cfg, args, 40)
     x, err = natural_projection(fam, lam, word, depth)
     print(f"projection: {x:.12g}")
@@ -146,10 +145,10 @@ def cmd_spectrum(cfg, args, out):
 def cmd_pressure(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    t = float(cfg.get("potential.t", 1.0))
+    t = cfg.read("potential.t", float, 1.0)
     r = get_depth(cfg, args, 8)
     p_tr = pressure(fam, t, lam, r=r)
-    bracket = pressure_bracket(fam, t, lam, n=int(cfg.get("run.partition_n", 8)))
+    bracket = pressure_bracket(fam, t, lam, n=cfg.read("run.partition_n", int, 8))
     print(f"pressure_transfer: {p_tr:.12g}")
     print(f"pressure_bracket: {bracket[0]:.12g} {bracket[1]:.12g}")
     return 0
@@ -183,18 +182,18 @@ def cmd_entropy(cfg, args, out):
 
 def cmd_region(cfg, args, out):
     which = args.which
-    shape = (int(cfg.get("run.grid1", 50)), int(cfg.get("run.grid2", 50)))
+    shape = (cfg.read("run.grid1", int, 50), cfg.read("run.grid2", int, 50))
     if which == "bernoulli":
         grid = bernoulli_region_scan(
-            as_floats(cfg.get("region.rho_range", [0.0, 0.45])),
-            as_floats(cfg.get("region.lambda_range", [0.51, 0.668])),
-            shape, int(cfg.get("run.moment_terms", 12)))
+            cfg.read("region.rho_range", as_floats, [0.0, 0.45]),
+            cfg.read("region.lambda_range", as_floats, [0.51, 0.668]),
+            shape, cfg.read("run.moment_terms", int, 12))
         path = os.path.join(out, "region_bernoulli.csv")
     elif which == "blackwell":
         grid = blackwell_region_scan(
-            as_floats(cfg.get("region.eps_range", [0.05, 0.95])),
-            as_floats(cfg.get("region.p_range", [0.05, 0.95])),
-            shape, int(cfg.get("run.depth", 8)))
+            cfg.read("region.eps_range", as_floats, [0.05, 0.95]),
+            cfg.read("region.p_range", as_floats, [0.05, 0.95]),
+            shape, get_depth(cfg, args, 8))
         path = os.path.join(out, "region_blackwell.csv")
     else:
         raise ConfigError(f"unknown region {which!r}")
@@ -210,7 +209,7 @@ def cmd_certify(cfg, args, out):
     fam = build_family(cfg)
     lam0 = get_lam(cfg, fam)
     tf = build_pm_translation(fam, lam0,
-                              float(cfg.get("run.halfwidth", 0.05)))
+                              cfg.read("run.halfwidth", float, 0.05))
     rep = vertical_certificate(tf)
     for line in rep.lines():
         print(line)
@@ -222,9 +221,9 @@ def cmd_certify(cfg, args, out):
 
 def cmd_probe(cfg, args, out):
     fam = build_family(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("run.seed", 0))
+    seed = args.seed if args.seed is not None else cfg.read("run.seed", int, 0)
     rep = mc_transversality_probe(
-        fam, samples=int(cfg.get("run.samples", 10000)),
+        fam, samples=cfg.read("run.samples", int, 10000),
         depth=get_depth(cfg, args, 40), seed=seed)
     for line in rep.lines():
         print(line)
@@ -232,7 +231,7 @@ def cmd_probe(cfg, args, out):
 
 
 def cmd_partition(cfg, args, out):
-    ivs = as_floats(cfg["partition.intervals"])
+    ivs = cfg.read("partition.intervals", as_floats)
     pairs = [(ivs[k], ivs[k + 1]) for k in range(0, len(ivs), 2)]
     plus, minus = greedy_partition(pairs)
     print(f"I_plus: {' '.join(str(k + 1) for k in plus)}")
@@ -242,7 +241,7 @@ def cmd_partition(cfg, args, out):
 
 def _measure_for(cfg, fam, lam):
     pot = build_potential(cfg, fam)
-    r = int(cfg.get("run.measure_depth", 12))
+    r = cfg.read("run.measure_depth", int, 12)
     spec = transfer_spectrum(fam, pot, lam, r)
     return gibbs_cylinder_measure(spec)
 
@@ -251,7 +250,7 @@ def cmd_energy(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     measure = _measure_for(cfg, fam, lam)
-    res = energy(measure, fam, lam, float(cfg.get("run.alpha", 0.5)),
+    res = energy(measure, fam, lam, cfg.read("run.alpha", float, 0.5),
                  measure.depth - 1)
     print(f"tail_ratio: {res['tail_ratio']:.12g}")
     print(f"finite_looking: {res['finite_looking']}")
@@ -272,8 +271,7 @@ def _prob_fns(cfg, fam):
     kind = cfg.get("potential.kind", "constant")
     if kind in ("bernoulli", "blackwell"):
         return build_potential(cfg, fam).prob_fns
-    probs = as_floats(cfg.get("potential.probs",
-                              [1.0 / fam.m] * fam.m))
+    probs = cfg.read("potential.probs", as_floats, [1.0 / fam.m] * fam.m)
     return [(lambda p: (lambda lam, x: p * np.ones_like(
         np.asarray(x, dtype=float))))(p) for p in probs]
 
@@ -281,10 +279,10 @@ def _prob_fns(cfg, fam):
 def _chaos_sample(cfg, args):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    seed = args.seed if args.seed is not None else int(cfg.get("run.seed", 0))
+    seed = args.seed if args.seed is not None else cfg.read("run.seed", int, 0)
     return chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
-                             int(cfg.get("run.samples", 100000)),
-                             int(cfg.get("run.burn_in", 100)), seed)
+                             cfg.read("run.samples", int, 100000),
+                             cfg.read("run.burn_in", int, 100), seed)
 
 
 def cmd_sample(cfg, args, out):
@@ -298,7 +296,7 @@ def cmd_sample(cfg, args, out):
 
 def cmd_sobolev(cfg, args, out):
     sample = _chaos_sample(cfg, args)
-    res = sobolev_estimate(sample, float(cfg.get("run.xi_max", 1e3)))
+    res = sobolev_estimate(sample, cfg.read("run.xi_max", float, 1e3))
     path = os.path.join(out, "fourier.csv")
     _write_rows(path, ["xi", "power"],
                 list(zip(map(float, res["frequencies"]),
@@ -313,7 +311,7 @@ def cmd_mprobe(cfg, args, out):
     fam = build_family(cfg)
     pot = build_potential(cfg, fam)
     lam = get_lam(cfg, fam)
-    deltas = as_floats(cfg.get("run.deltas", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]))
+    deltas = cfg.read("run.deltas", as_floats, [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     pairs = [(lam, lam + d) for d in deltas]
     res = m_condition_probe(fam, pot, pairs,
                             get_depth(cfg, args, 8))
@@ -327,8 +325,8 @@ def cmd_mprobe(cfg, args, out):
 def cmd_pressure_drop(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    res = pressure_drop_check(fam, float(cfg.get("potential.t", 1.0)), lam,
-                              int(cfg.get("run.partition_n", 5)))
+    res = pressure_drop_check(fam, cfg.read("potential.t", float, 1.0), lam,
+                              cfg.read("run.partition_n", int, 5))
     print(f"Z_A: {res['Z_A']:.12g}")
     print(f"Z_B: {res['Z_B']:.12g}")
     print(f"delta_t: {res['delta_t']:.12g}")
@@ -337,15 +335,15 @@ def cmd_pressure_drop(cfg, args, out):
 
 
 def cmd_cf(cfg, args, out):
-    over, slack = cf_overlap(float(cfg["family.alpha"]),
-                             float(cfg["family.beta"]))
+    over, slack = cf_overlap(cfg.read("family.alpha", float),
+                             cfg.read("family.beta", float))
     print(f"overlapping: {over}")
     print(f"slack: {slack:.12g}")
     return 0
 
 
 def cmd_simdim(cfg, args, out):
-    s = similarity_dimension(as_floats(cfg["family.ratios"]))
+    s = similarity_dimension(cfg.read("family.ratios", as_floats))
     print(f"similarity_dimension: {s:.12g}")
     return 0
 

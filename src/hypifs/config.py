@@ -15,6 +15,17 @@ class Config(dict):
     def __missing__(self, key):
         raise ConfigError(f"missing config key {key!r}")
 
+    def read(self, key, convert, default=None):
+        """`convert` of the numeric value at `key`, or of `default` when it
+        is given and the key is absent; a value `convert` rejects raises
+        ConfigError naming the key and the raw value."""
+        raw = self[key] if default is None else self.get(key, default)
+        try:
+            return convert(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"config key {key!r}: cannot read {raw!r} as a number") from None
+
 
 def _parse_value(raw: str):
     raw = raw.strip()
@@ -56,6 +67,6 @@ def load_config(path: str) -> Config:
 
 
 def as_floats(value) -> list:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, str)):
         return [float(value)]
     return [float(v) for v in value]

@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
+from scipy.optimize import brentq
 
 FD_STEP_SCALE = np.finfo(float).eps ** (1.0 / 3.0)  # central-difference optimum
+ROOT_XTOL = 1e-15  # absolute term of the root tolerance
+ROOT_RTOL = 4 * np.finfo(float).eps  # relative term, the least brentq accepts
+INVARIANCE_PAD = 1e-9  # slack of the invariance check, relative to |X|
 
 
 class EvaluationError(ValueError):
@@ -26,6 +30,12 @@ class AuditFailure(RuntimeError):
 
 def fd_step(lam: float) -> float:
     return FD_STEP_SCALE * max(1.0, abs(lam))
+
+
+def solve_root(g, lo: float, hi: float) -> float:
+    """The root of g on [lo, hi], where g changes sign, by Brent's method to
+    within ROOT_XTOL + ROOT_RTOL |x|: the one scalar root solver of hypifs."""
+    return brentq(g, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,15 +331,19 @@ class FrozenFamily:
 
     @functools.cached_property
     def tail_point(self) -> float:
-        """Pi(1^infty), the attracting fixed point of f_1, by iteration."""
+        """Pi(1^infty), the fixed point of f_1: the root of f_1(x) - x on the
+        domain padded by INVARIANCE_PAD |X| on each side, because a domain
+        endpoint may be that fixed point up to rounding."""
         f = self.maps[0].value
-        x = 0.5 * (self.domain[0] + self.domain[1])
-        for _ in range(100000):
-            x_new = float(f(x))
-            if abs(x_new - x) < 1e-14:
-                return x_new
-            x = x_new
-        raise EvaluationError("fixed-point iteration for the tail did not converge")
+        pad = INVARIANCE_PAD * (self.domain[1] - self.domain[0])
+        lo, hi = self.domain[0] - pad, self.domain[1] + pad
+
+        def g(x):
+            return float(f(x)) - x
+
+        if g(lo) * g(hi) > 0:
+            raise EvaluationError(f"f_1(x) - x has no sign change on [{lo!r}, {hi!r}]")
+        return solve_root(g, lo, hi)
 
     def level(self, k: int) -> np.ndarray:
         """Y_k[code(v)] = Pi(v . 1^infty) for every length-k word v, from
@@ -383,7 +397,7 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     deriv_ok = True
     monotone = []
     lip = 0.0
-    pad = 1e-9 * fam.diam
+    pad = INVARIANCE_PAD * fam.diam
     step = xs[1] - xs[0]
     for mp in fam.maps:
         v = np.broadcast_to(np.asarray(mp.value(lams, xs[None, :]),

@@ -9,14 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import AuditFailure, IfsFamily, concat_images
+from .ifs import (ROOT_RTOL, ROOT_XTOL, AuditFailure, IfsFamily, concat_images,
+                  solve_root)
 from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
                      transfer_spectrum)
 
 CHAOS_BLOCK = 4096  # uniforms converted to Python floats per step of the chaos game
 FOURIER_BLOCK = 2 ** 14  # elements of a (frequency x cell) temporary in _fourier_mean
 TAIL_LEVELS = 5  # level sums in the geometric tail fit
-ALPHA_HI = 2.0  # upper end of the correlation-dimension bisection
+ALPHA_LO, ALPHA_HI = 1e-3, 2.0  # the correlation-dimension search interval
 SOBOLEV_PER_DECADE = 64  # log-grid frequencies per decade
 SOBOLEV_BLOCK = 64  # frequencies averaged per block of the slope fit
 
@@ -75,9 +76,9 @@ def tail_ratio(sums: np.ndarray):
         return 0.0, 0.0
     y = np.log(tail)
     x = np.arange(len(tail), dtype=float)
-    slope, _ = np.polyfit(x, y, 1)
-    resid = y - np.polyval(np.polyfit(x, y, 1), x)
-    return float(math.exp(slope)), float(resid.std())
+    fit = np.polyfit(x, y, 1)
+    resid = y - np.polyval(fit, x)
+    return float(math.exp(fit[0])), float(resid.std())
 
 
 def energy(measure: CylinderMeasure, fam: IfsFamily, lam: float,
@@ -89,8 +90,8 @@ def energy(measure: CylinderMeasure, fam: IfsFamily, lam: float,
 
 
 def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure):
-    """Bisection on alpha for tail ratio 1 of the energy level sums up to
-    depth measure.depth - 1."""
+    """The alpha at which the tail ratio of the energy level sums up to
+    depth measure.depth - 1 crosses 1, by Brent's method."""
     max_depth = measure.depth - 1
     if max_depth < 8:
         raise ValueError("measure chain must reach depth >= 8")
@@ -100,23 +101,15 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure):
     def ratio(a):
         return tail_ratio(_level_sums(levels, a))[0]
 
-    lo, hi = 1e-3, ALPHA_HI
-    rlo, rhi = ratio(lo), ratio(hi)
-    if rlo >= 1.0:
-        return {"alpha": lo, "bracket": (0.0, lo)}
-    if rhi <= 1.0:
-        return {"alpha": hi, "bracket": (hi, math.inf)}
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ratio(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    if ratio(ALPHA_LO) >= 1.0:
+        return {"alpha": ALPHA_LO, "bracket": (0.0, ALPHA_LO)}
+    if ratio(ALPHA_HI) <= 1.0:
+        return {"alpha": ALPHA_HI, "bracket": (ALPHA_HI, math.inf)}
+    alpha = solve_root(lambda a: ratio(a) - 1.0, ALPHA_LO, ALPHA_HI)
     _, spread = tail_ratio(_level_sums(levels, alpha))
     slope = (ratio(min(alpha + 0.02, ALPHA_HI)) -
-             ratio(max(alpha - 0.02, 1e-3))) / 0.04
-    half = spread / max(abs(slope), 1e-9) + (hi - lo)
+             ratio(max(alpha - 0.02, ALPHA_LO))) / 0.04
+    half = spread / max(abs(slope), 1e-9) + ROOT_XTOL + ROOT_RTOL * alpha
     return {"alpha": alpha, "bracket": (alpha - half, alpha + half)}
 
 

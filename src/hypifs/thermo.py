@@ -11,7 +11,7 @@ from weakref import WeakSet
 import numpy as np
 
 from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
-                  regularity_audit)
+                  regularity_audit, solve_root)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
@@ -19,7 +19,6 @@ SPECTRUM_MAX_ITER = 10000
 PROB_AUDIT_GRID = 1024  # grid on which a log-probability potential audits its curves
 PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
 PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
-BOWEN_TOL = 1e-10  # bisection stops once |P(s)| <= BOWEN_TOL
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
 
 
@@ -337,36 +336,23 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
 
 
 def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
-    """Solve P(s) = 0 by bisection on the transfer-method pressure."""
+    """Solve P(s) = 0 by Brent's method on the transfer-method pressure."""
     aud = regularity_audit(fam)
 
+    @functools.cache  # brentq re-reads both ends and returns a point it read
     def P(t):
         return pressure(fam, t, lam, r=r)
 
-    p0 = P(0.0)
-    if p0 <= 0:
+    if P(0.0) <= 0:
         raise ValueError("P(0) <= 0: Bowen root is not positive")
     t_hi = math.log(fam.m) / max(-math.log(aud.gamma2), 1e-12)
-    p_hi = P(t_hi)
-    tries = 0
-    while p_hi > 0:
-        t_hi *= 2.0
-        p_hi = P(t_hi)
-        tries += 1
-        if tries > 10:
+    doublings = 0
+    while P(t_hi) > 0:
+        if doublings == 10:
             raise ValueError("pressure does not change sign on [0, t_max]")
-    lo, hi = 0.0, t_hi
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        pm = P(mid)
-        if abs(pm) <= BOWEN_TOL:
-            lo = hi = mid
-            break
-        if pm > 0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
+        t_hi *= 2.0
+        doublings += 1
+    s = solve_root(P, 0.0, t_hi)
     bracket = pressure_bracket(fam, s, lam, BOWEN_BRACKET_N)
     return {"s": s, "pressure_at_s": P(s),
             "partition_bracket": bracket,

@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ifs import (IfsFamily, ShiftedMap, cylinder_interval, poly, project_words,
-                  regularity_audit)
+                  regularity_audit, solve_root)
 
 LAMBDA_SWEEP_GRID = 1024
 NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
@@ -111,13 +110,9 @@ def _invert_base(tf: TranslationFamily, i: int, y: float) -> float:
         return float(mp.value(tf.base_lam, x)) - y
 
     glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
     if glo * ghi > 0:  # y outside the image; clamp to the nearer endpoint
         return lo if abs(glo) < abs(ghi) else hi
-    return brentq(g, lo, hi, xtol=1e-14)
+    return solve_root(g, lo, hi)
 
 
 def overlap_domain(tf: TranslationFamily, i: int, j: int):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypifs import apps
 from hypifs.apps import (BERNOULLI_TRANSVERSALITY_SUP,
@@ -13,7 +15,8 @@ from hypifs.apps import (BERNOULLI_TRANSVERSALITY_SUP,
                          blackwell_cell_value, blackwell_family,
                          blackwell_region_scan, cf_domain, cf_family,
                          cf_overlap, similarity_dimension)
-from hypifs.ifs import regularity_audit
+from hypifs.ifs import ROOT_RTOL, ROOT_XTOL, regularity_audit
+from hypifs.thermo import bowen_root
 
 
 def test_bernoulli_family_shape():
@@ -147,6 +150,25 @@ def test_cf_domain_fixed_points():
     # fixed points of x -> (x+c)/(x+c+1)
     assert lo == pytest.approx((lo + 0.2) / (lo + 0.2 + 1))
     assert hi == pytest.approx((hi + 0.8) / (hi + 0.8 + 1))
+
+
+@given(st.floats(1e-6, 2.0), st.sampled_from([0.5, 0.4142, 3.0]))
+@settings(max_examples=60, deadline=None)
+@example(1.607968974686162, 3.0)  # f_1(lo) - lo rounds to -1.1e-16 there
+def test_cf_tail_point_on_the_domain_endpoint(alpha, gap):
+    beta = alpha * 1.5 if gap == 0.5 else alpha + gap
+    fam = cf_family(alpha, beta)
+    exact = (math.sqrt(alpha ** 2 + 4 * alpha) - alpha) / 2
+    assert fam.domain[0] == exact  # cf_domain puts the fixed point on the boundary
+    slope = 1 / (exact + alpha + 1) ** 2
+    tol = (ROOT_XTOL + ROOT_RTOL * exact
+           + 4 * np.finfo(float).eps * exact / (1 - slope))
+    assert abs(fam.at(0.0).tail_point - exact) <= tol
+
+
+def test_cf_bowen_root_with_the_tail_on_the_boundary():
+    fam = cf_family(1.607968974686162, 4.6079689746861625)
+    assert bowen_root(fam, 0.0)["s"] == pytest.approx(0.2295064754, abs=1e-9)
 
 
 def test_cf_family_audit():

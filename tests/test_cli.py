@@ -67,6 +67,18 @@ def test_missing_key_exit_1_names_it(tmp_path, capsys):
     assert "'family.p'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, argv, shown", [
+    (CANTOR.replace("0.333333333333, 0.333333333333", "abc"), ["audit"],
+     "'family.ratios': cannot read 'abc'"),
+    (BERNOULLI + "run.samples = many\n", ["transversality", "probe"],
+     "'run.samples': cannot read 'many'")], ids=["ratios-audit", "samples-probe"])
+def test_non_numeric_value_exit_1_names_key_and_value(tmp_path, capsys, cfg, argv,
+                                                       shown):
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
+    assert code == 1
+    assert shown in capsys.readouterr().err
+
+
 def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
     def broken(cfg, args, out):
         raise KeyError("not a config key")
@@ -78,7 +90,7 @@ def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, cfg_depth", [
     (["--depth", "0", "spectrum"], 6), (["--depth", "-1", "spectrum"], 6),
-    (["transversality", "probe"], 0)])
+    (["transversality", "probe"], 0), (["region", "blackwell"], 0)])
 def test_nonpositive_depth_exit_2(tmp_path, capsys, argv, cfg_depth):
     cfg = CANTOR + f"potential.kind = constant\npotential.probs = 0.5, 0.5\n" \
         f"run.depth = {cfg_depth}\nrun.samples = 10\n"
@@ -162,6 +174,15 @@ def test_region_bernoulli(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "region_bernoulli.csv").exists()
     assert "supercritical:" in out
+
+
+def test_region_blackwell_honours_depth_flag(tmp_path, capsys):
+    cfg = "family.kind = blackwell\nrun.depth = 0\nrun.grid1 = 2\nrun.grid2 = 2\n"
+    code, _ = run(tmp_path, cfg, ["--depth", "4", "region", "blackwell"], capsys)
+    assert code == 0
+    rows = (tmp_path / "region_blackwell.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert not any("AUDIT-FAIL" in row for row in rows)
 
 
 def test_cf_overlap_command(tmp_path, capsys):

@@ -104,6 +104,42 @@ def test_tail_fixed_point(cantor_fam, bernoulli_fam):
     assert bernoulli_fam.at(0.6).tail_point == pytest.approx(-1.0, abs=1e-12)
 
 
+def tail_tolerance(exact, scale, slope):
+    """The root solver's tolerance plus the rounding of f_1(x) - x, a few
+    ulps of `scale`, magnified by 1 / (1 - f_1'(x*))."""
+    eps = np.finfo(float).eps
+    return (ifs.ROOT_XTOL + ifs.ROOT_RTOL * abs(exact)
+            + 4 * eps * scale / (1 - slope))
+
+
+@given(st.floats(-0.95, 0.95), st.floats(-2, 2), st.sampled_from([0.0, 0.5, 3.0]),
+       st.floats(1e-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_tail_point_affine_closed_form(a, b, below, above):
+    exact = b / (1 - a)
+    fam = IfsFamily((affine_map(a, b),), (exact - below, exact + above), (0.0, 0.0))
+    x = fam.at(0.0).tail_point
+    assert abs(x - exact) <= tail_tolerance(exact, abs(exact) + abs(b), a)
+
+
+@given(st.floats(-6, 1), st.sampled_from([0.0, 0.5]), st.floats(1e-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_tail_point_moebius_quadratic_root(log_c, below, above):
+    # (x + c) / (x + c + 1) = x  <=>  x^2 + c x - c = 0
+    c = 10.0 ** log_c
+    exact = 2 * c / (math.sqrt(c * c + 4 * c) + c)
+    fam = IfsFamily((moebius_shift(c),), (exact * (1 - below), exact + above),
+                    (0.0, 0.0))
+    x = fam.at(0.0).tail_point
+    assert abs(x - exact) <= tail_tolerance(exact, exact, 1 / (exact + c + 1) ** 2)
+
+
+def test_tail_point_without_sign_change_names_f1_and_domain():
+    fam = IfsFamily((affine_map(0.5, 2.0),), (0.0, 1.0), (0.0, 0.0))  # f_1(X) = [2, 2.5]
+    with pytest.raises(EvaluationError, match=r"f_1.*\[-1e-09, 1.000000001\]"):
+        fam.at(0.0).tail_point
+
+
 def test_natural_projection_error_bound(cantor_fam):
     x20, err20 = natural_projection(cantor_fam, 0.0, [2], 20)
     x30, _ = natural_projection(cantor_fam, 0.0, [2], 30)

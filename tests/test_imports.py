@@ -1,6 +1,6 @@
-"""Every top-level import of a hypifs module is used in that module, and
-every top-level name a module defines is read somewhere in the package
-or exported from `hypifs`."""
+"""Every top-level import of a hypifs module is used in that module, every
+top-level name a module defines is read somewhere in the package or
+exported from `hypifs`, and only `ifs` imports a root solver."""
 
 import ast
 import pathlib
@@ -91,3 +91,25 @@ def test_detects_an_unused_name():
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_top_level_names(module):
     assert [u for u in unused_names(SOURCES) if u[0] == module] == []
+
+
+def imports_scipy_optimize(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.optimize") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if (node.module.startswith("scipy.optimize") or
+                    (node.module == "scipy" and
+                     any(a.name == "optimize" for a in node.names))):
+                return True
+    return False
+
+
+def test_only_ifs_imports_scipy_optimize():
+    """Every scalar root goes through `ifs.solve_root`, at one tolerance."""
+    assert imports_scipy_optimize("from scipy import optimize\n")
+    assert imports_scipy_optimize("def f():\n    import scipy.optimize as so\n")
+    assert not imports_scipy_optimize("import scipy.sparse\n")
+    assert [mod for mod, src in SOURCES.items()
+            if mod != "ifs" and imports_scipy_optimize(src)] == []

@@ -9,8 +9,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypifs import ifs
-from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
+from hypifs import ifs, thermo
+from hypifs.apps import (bernoulli_family, bernoulli_potential, blackwell_family,
+                         similarity_dimension)
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, RationalMap,
                         affine_map, bernoulli_psi, compose_word, moebius_shift,
                         poly)
@@ -116,6 +117,52 @@ def test_bowen_root_exact(dyadic, cantor):
     assert bowen_root(dyadic, 0.0)["s"] == pytest.approx(1.0, abs=1e-8)
     assert bowen_root(cantor, 0.0)["s"] == pytest.approx(
         math.log(2) / math.log(3), abs=1e-8)
+
+
+E2_DIMENSION = 0.5312805062772051416  # Jenkinson & Pollicott, Adv. Math. 2018
+
+
+def test_bowen_root_oracles(cantor):
+    res = bowen_root(cantor, 0.0)
+    assert abs(res["s"] - math.log(2) / math.log(3)) <= 1e-12
+    assert abs(res["pressure_at_s"]) <= 1e-14
+    # continued fractions with digits {1, 2}: the depth-14 root is limited
+    # by the truncation, not by the solver
+    e2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
+                         for k in (1, 2)), (1 / 3, 1.0), (0.0, 1e-9))
+    assert abs(bowen_root(e2, 0.0, r=14)["s"] - E2_DIMENSION) <= 1.88e-9
+
+
+def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
+    seen = []
+
+    def recording(fam, t, lam, r=8):
+        seen.append(t)
+        return pressure(fam, t, lam, r)
+
+    monkeypatch.setattr(thermo, "pressure", recording)
+    bowen_root(cantor, 0.0)
+    assert len(seen) == len(set(seen))
+
+
+@st.composite
+def _separated_affine(draw):
+    """2-4 contraction ratios in [0.05, 0.24] placed left to right on [0, 1]
+    with positive gaps."""
+    ratios = draw(st.lists(st.floats(0.05, 0.24), min_size=2, max_size=4))
+    gap = (1.0 - sum(ratios)) / (len(ratios) - 1)
+    offsets = np.concatenate([[0.0], np.cumsum(np.add(ratios, gap))[:-1]])
+    return ratios, offsets
+
+
+@given(_separated_affine())
+@settings(max_examples=25, deadline=None)
+def test_bowen_root_of_affine_family_is_similarity_dimension(case):
+    ratios, offsets = case
+    fam = IfsFamily(tuple(affine_map(a, b) for a, b in zip(ratios, offsets)),
+                    (0.0, 1.0), (0.0, 1e-9))
+    s = bowen_root(fam, 0.0, r=4)["s"]
+    assert abs(s - similarity_dimension(ratios)) <= 1e-12
 
 
 def test_bowen_root_bracket_contains_zero(cantor):
