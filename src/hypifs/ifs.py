@@ -445,7 +445,16 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
     depth n and its parameter derivative, on `fam.at(lam)`.  The derivative
     follows the recursion of `projection_lambda_derivative` when every map
     has an exact dlam, and is a central difference at lam +- fd_step(lam)
-    otherwise."""
+    otherwise.
+
+    When every map is an `AffineMap`, one pass gathers each word's
+    coefficients by symbol (`_gathered_affine_pass`); any other family
+    (Moebius, `CustomMap`, `ShiftedMap` or mixed) takes a pass that masks
+    the batch by symbol and calls each frozen map on its share.  Both give
+    the same floats."""
+    maps = fam.at(lam).maps
+    if all(type(mp) is _FrozenAffine for mp in maps):
+        return _gathered_affine_pass(maps, words, fam.midpoint)
     k, n = words.shape
     exact = fam.dlam_exact
 
@@ -467,6 +476,24 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
     if not exact:
         h = fd_step(lam)
         d = (backward_pass(lam + h)[0] - backward_pass(lam - h)[0]) / (2 * h)
+    return x, d
+
+
+def _gathered_affine_pass(maps, words, x0):
+    """`project_words` for frozen affine maps: per position, the tables of
+    (a, b, a', b') indexed by the symbol column give x = a x + b and
+    d = (a' x + b') + a d, the floats of `mp.value` and of
+    `mp.dlam(x) + mp.dx(x) * d` (a * 1.0 = a).  Entry 0 of each table is
+    a NaN, so the 1-based symbols index it directly."""
+    a, b, da, db = (np.array((np.nan,) + c)
+                    for c in zip(*((mp.a, mp.b) + mp._dlam_coeffs for mp in maps)))
+    k, n = words.shape
+    x, d = np.full(k, x0), np.zeros(k)
+    for pos in range(n - 1, -1, -1):
+        col = words[:, pos]
+        a_col = a.take(col)
+        d = da.take(col) * x + db.take(col) + a_col * d
+        x = a_col * x + b.take(col)
     return x, d
 
 

@@ -195,8 +195,9 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3):
     fits the log-log slope over the upper two decades.  Decade-wide
     blocks suppress the log-periodic oscillation of
     self-similar spectra.  The estimate is evidence, not a rigorous
-    Sobolev dimension.  Raises ValueError when `xi_max` leaves fewer than
-    two blocks in the upper two decades.
+    Sobolev dimension.  The grid holds at least two blocks in the upper
+    two decades for every `xi_max` >= 100; below that, where the window
+    is the whole grid, an `xi_max` that leaves fewer raises ValueError.
     """
     pts = np.asarray(sample.points, dtype=float)
     n = len(pts)
@@ -206,7 +207,13 @@ def sobolev_estimate(sample: EmpiricalSample, xi_max: float = 1e3):
     if not np.all(np.isfinite(pts)):
         raise ValueError("sobolev_estimate needs finite sample points")
     decades = math.log10(xi_max) if 1.0 < xi_max < math.inf else 0.0
-    freqs = np.logspace(0.0, decades, int(round(SOBOLEV_PER_DECADE * decades)))
+    n_freqs = round(SOBOLEV_PER_DECADE * decades)
+    if decades >= 2:
+        # N points space log10 xi by decades / (N - 1), so the upper two
+        # decades hold floor(2 (N - 1) / decades) + 1 of them: raise N
+        # where rounding leaves fewer than two blocks there
+        n_freqs = max(n_freqs, math.ceil((2 * SOBOLEV_BLOCK - 1) * decades / 2) + 1)
+    freqs = np.logspace(0.0, decades, n_freqs)
     # slope fit restricted to the upper two decades
     sel = freqs >= xi_max / 100.0
     window = int(np.count_nonzero(sel))

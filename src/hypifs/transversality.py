@@ -286,6 +286,8 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
         raise ValueError("need at least one sample")
     if depth < 1:
         raise ValueError("need depth >= 1")
+    if lam_grid < 1:
+        raise ValueError(f"need lam_grid >= 1, got {lam_grid}")
     eta0 = NEAR_COLLISION_REL * fam.diam
     falsify_phi_tol = FALSIFY_PHI_REL * fam.diam
     rng = np.random.default_rng(seed)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.ifs import (AuditFailure, IfsFamily, affine_map, bernoulli_psi,
                         compose_word)
-from hypifs.mstats import (EmpiricalSample, _fourier_mean, chaos_game_sample,
+from hypifs.mstats import (SOBOLEV_BLOCK, SOBOLEV_PER_DECADE, EmpiricalSample,
+                           _fourier_mean, chaos_game_sample,
                            correlation_dimension, energy, energy_level_sums,
                            m_condition_probe, sobolev_estimate, tail_ratio)
 from hypifs.thermo import (constant_bernoulli_potential,
@@ -99,11 +100,26 @@ def test_sobolev_rejects_non_finite_points():
         sobolev_estimate(EmpiricalSample(pts, "", 0.0, 3, 0))
 
 
-@pytest.mark.parametrize("xi_max", [50.0, 98.0, 120.0, 200.0, 0.5])
+@pytest.mark.parametrize("xi_max", [50.0, 98.0, 0.5])
 def test_sobolev_rejects_windows_below_two_blocks(xi_max):
     sample = EmpiricalSample(np.random.default_rng(2).random(10000), "", 0.0, 2, 0)
     with pytest.raises(ValueError, match="xi_max"):
         sobolev_estimate(sample, xi_max)
+
+
+def test_sobolev_window_holds_two_blocks_from_100_to_2000():
+    """No integer xi_max in [100, 2000] leaves fewer than two blocks in
+    the upper two decades (a Dirac sample stops right after that check);
+    the default xi_max = 1000 keeps its grid of 64 frequencies per decade."""
+    dirac = EmpiricalSample(np.full(10000, 0.3), "", 0.0, 0, 0)
+    for xi_max in range(100, 2001):
+        sobolev_estimate(dirac, float(xi_max))
+    sample = EmpiricalSample(np.random.default_rng(2).random(10000), "", 0.0, 2, 0)
+    for xi_max in (100.0, 101.0, 150.0, 200.0, 250.0, 2000.0):
+        freqs = sobolev_estimate(sample, xi_max)["frequencies"]
+        assert np.count_nonzero(freqs >= xi_max / 100.0) >= 2 * SOBOLEV_BLOCK
+    default = sobolev_estimate(sample)["frequencies"]
+    assert default.tobytes() == np.logspace(0.0, 3.0, 3 * SOBOLEV_PER_DECADE).tobytes()
 
 
 def test_sobolev_warns_small_sample():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypifs import ifs, transversality
 from hypifs.apps import blackwell_family
 from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, affine_map,
                         bernoulli_psi, poly)
@@ -116,12 +117,60 @@ def test_probe_deterministic_and_inconclusive():
     assert a.n_events == b.n_events
 
 
-@pytest.mark.parametrize("samples, depth", [(0, 10), (10, 0), (10, -1)])
-def test_probe_rejects_empty_word_batches(samples, depth):
+@pytest.mark.parametrize("samples, depth, lam_grid, name", [
+    pytest.param(0, 10, 17, "sample", id="0-10"),
+    pytest.param(10, 0, 17, "depth", id="10-0"),
+    pytest.param(10, -1, 17, "depth", id="10--1"),
+    pytest.param(10, 10, 0, "lam_grid", id="10-10-0"),
+    pytest.param(10, 10, -1, "lam_grid", id="10-10--1"),
+])
+def test_probe_rejects_empty_word_batches(samples, depth, lam_grid, name):
     fam = IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
                     (-1.0, 1.0), (0.5, 0.66))
-    with pytest.raises(ValueError):
-        mc_transversality_probe(fam, samples=samples, depth=depth)
+    with pytest.raises(ValueError, match=name):
+        mc_transversality_probe(fam, samples=samples, depth=depth, lam_grid=lam_grid)
+
+
+def masked_project_words(fam, words, lam):
+    """`ifs.project_words` by the per-symbol masked pass: at each position
+    the rows that carry symbol j go through frozen map j's value, dx and
+    dlam, as for families that are not all affine."""
+    k, n = words.shape
+    maps = fam.at(lam).maps
+    x, d = np.full(k, fam.midpoint), np.zeros(k)
+    for pos in range(n - 1, -1, -1):
+        col = words[:, pos]
+        for j, mp in enumerate(maps, 1):
+            mask = col == j
+            xm = x[mask]
+            d[mask] = mp.dlam(xm) + mp.dx(xm) * d[mask]
+            x[mask] = mp.value(xm)
+    return x, d
+
+
+def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
+    """The Bernoulli family and a family of two identical maps, as in the
+    mc-probe benchmark: Pi and d/dlam Pi of 10,000 words of depth 40, and
+    the probe reports, are bit-identical to the masked pass."""
+    psi = bernoulli_psi(0)
+    families = [(IfsFamily((psi, bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)), 10000),
+                (IfsFamily((psi, psi), (-1.0, 1.0), (0.5, 0.66)), 2000)]
+    words = np.random.default_rng(7).integers(1, 3, size=(10000, 40))
+    for fam, _ in families:
+        for lam in (0.5, 0.58, 0.66):
+            got, ref = ifs.project_words(fam, words, lam), masked_project_words(fam, words, lam)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+    def reports():
+        return [(rep.verdict, rep.n_events, rep.empirical_eta, rep.witness)
+                for fam, samples in families for seed in (3, 11)
+                for rep in [mc_transversality_probe(fam, samples=samples, depth=40, seed=seed)]]
+
+    gathered = reports()
+    monkeypatch.setattr(transversality, "project_words", masked_project_words)
+    assert gathered == reports()
+    assert [r[0] for r in gathered] == ["INCONCLUSIVE"] * 2 + ["FALSIFIED"] * 2
 
 
 def test_probe_distinct_first_symbols_forced():
