@@ -162,6 +162,8 @@ def cmd_bowen(cfg, args, out):
     print(f"s: {res['s']:.12g}")
     print(f"pressure_at_s: {res['pressure_at_s']:.3g}")
     print(f"bracket_width: {res['bracket_width']:.6g}")
+    print(f"backend: {res['backend']}")
+    print(f"error_estimate: {res['error_estimate']:.3g}")
     return 0
 
 

@@ -304,26 +304,62 @@ def _freeze(mp, lam):
 
 
 def concat_images(fns, y) -> np.ndarray:
-    """concat_j fns[j](y), one level of the all-words tree: when y is indexed
-    by the codes of the length-k words v, entry (j-1) m^k + code(v) of the
-    result belongs to the word j.v."""
-    n = np.size(y)
-    out = np.empty(len(fns) * n)
+    """concat_j fns[j](y) along the last axis, one level of the all-words
+    tree: when that axis of y is indexed by the codes of the length-k words
+    v, entry (j-1) m^k + code(v) of the result belongs to the word j.v."""
+    n = y.shape[-1]
+    out = np.empty(y.shape[:-1] + (len(fns) * n,))
     for j, f in enumerate(fns):
-        out[j * n:(j + 1) * n] = f(y)
+        out[..., j * n:(j + 1) * n] = f(y)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Collocation:
+    """Chebyshev collocation data of a frozen family on n nodes: the
+    Chebyshev points of the second kind on the domain, one barycentric
+    interpolation matrix per map, taking values at the nodes to values of
+    the interpolant at f_j(nodes), and log|f_j'| at the nodes."""
+
+    nodes: np.ndarray  # (n,)
+    interp: np.ndarray  # (m, n, n)
+    log_dx: np.ndarray  # (m, n)
+
+
+def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
+    k = np.arange(n)
+    lo, hi = domain
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
+    weights = np.where(k % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+
+    def interp_matrix(y):
+        """Second barycentric formula; a point on a node gets its unit row."""
+        diff = y[:, None] - nodes
+        on_node = diff == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = weights / diff
+            mat = c / c.sum(axis=1, keepdims=True)
+        hit = on_node.any(axis=1)
+        mat[hit] = on_node[hit]
+        return mat
+
+    interp = np.array([interp_matrix(mp.value(nodes)) for mp in maps])
+    log_dx = np.array([np.log(np.abs(mp.dx(nodes))) for mp in maps])
+    return Collocation(nodes, interp, log_dx)
 
 
 @dataclass(eq=False)
 class FrozenFamily:
     """Maps of a family evaluated at one lambda, plus the natural projection
-    of every word, built on demand.  It holds no reference to the family,
+    of every word and Chebyshev collocation data, built on demand.  It holds no reference to the family,
     so the per-family memo in `IfsFamily.at` does not keep its key alive."""
 
     maps: tuple  # each with value(x), dx(x) and dlam(x)
     domain: tuple
     lam: float
     _levels: list = field(default_factory=list, init=False, repr=False)
+    _collocations: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -356,6 +392,14 @@ class FrozenFamily:
             y.flags.writeable = False
             levels.append(y)
         return levels[k]
+
+    def collocation(self, n: int) -> Collocation:
+        """Chebyshev collocation data on n nodes, built once per n."""
+        col = self._collocations.get(n)
+        if col is None:
+            col = self._collocations[n] = _chebyshev_collocation(
+                self.maps, self.domain, n)
+        return col
 
 
 _frozen_cache: WeakKeyDictionary = WeakKeyDictionary()

@@ -10,8 +10,8 @@ from weakref import WeakSet
 
 import numpy as np
 
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
-                  regularity_audit, solve_root)
+from .ifs import (AuditFailure, EvaluationError, IfsFamily, _FrozenAffine,
+                  _FrozenRational, concat_images, regularity_audit, solve_root)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
@@ -19,11 +19,19 @@ SPECTRUM_MAX_ITER = 10000
 PROB_AUDIT_GRID = 1024  # grid on which a log-probability potential audits its curves
 PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
 PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
+PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
+COLLOCATION_NODES = 24  # N of the collocation pressure P_N, checked against P_2N
+COLLOCATION_TOL = 1e-12  # largest |P_N - P_2N| a collocation Bowen root accepts
 
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+class _CollocationUnresolved(Exception):
+    """The collocation pressure failed its own check; the caller falls back
+    to the cylinder pressure."""
 
 
 @dataclass(eq=False)
@@ -305,17 +313,19 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
     maps = [frozen.maps[j - 1] for j in subset]
     values = [mp.value for mp in maps]
     abs_dx = [lambda y, mp=mp: np.abs(mp.dx(y)) for mp in maps]
+    rows = max(1, PARTITION_BLOCK // k ** n)
     lo = np.full(k ** n, np.inf)
     hi = np.full(k ** n, -np.inf)
-    for x in xs:
-        # the all-words tree of f_u(x) and |f_u'(x)|, u in subset^n
-        y = np.array([float(x)])
-        dy = np.ones(1)
+    for start in range(0, points, rows):
+        # the all-words tree of f_u(x) and |f_u'(x)|, u in subset^n, with
+        # one row per grid point x of the block
+        y = xs[start:start + rows, None]
+        dy = np.ones_like(y)
         for _ in range(n):
             dy = np.tile(dy, k) * concat_images(abs_dx, y)
             y = concat_images(values, y)
-        lo = np.minimum(lo, dy)
-        hi = np.maximum(hi, dy)
+        lo = np.minimum(lo, dy.min(axis=0))
+        hi = np.maximum(hi, dy.max(axis=0))
     return float(np.sum(lo ** t)), float(np.sum(hi ** t))
 
 
@@ -335,17 +345,26 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
     return math.log(z_inf) / n, math.log(z_sup) / n
 
 
-def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
-    """Solve P(s) = 0 by Brent's method on the transfer-method pressure."""
-    aud = regularity_audit(fam)
+def _collocation_pressure(frozen, t: float, n: int) -> float:
+    """P_n(t): the log of the Perron root of sum_j diag(|f_j'|^t) B_j, the
+    transfer operator of t log|f'| on the n Chebyshev nodes of the frozen
+    family, by a dense eigen-solve.  Raises _CollocationUnresolved unless
+    the eigenvalue of largest modulus is real and positive."""
+    col = frozen.collocation(n)
+    op = np.einsum("jk,jkl->kl", np.exp(t * col.log_dx), col.interp)
+    ev = np.linalg.eigvals(op)
+    lead = ev[np.argmax(np.abs(ev))]
+    if not (lead.imag == 0 and lead.real > 0):
+        raise _CollocationUnresolved(f"leading eigenvalue {lead} at t = {t}")
+    return math.log(lead.real)
 
-    @functools.cache  # brentq re-reads both ends and returns a point it read
-    def P(t):
-        return pressure(fam, t, lam, r=r)
 
-    if P(0.0) <= 0:
-        raise ValueError("P(0) <= 0: Bowen root is not positive")
-    t_hi = math.log(fam.m) / max(-math.log(aud.gamma2), 1e-12)
+def _bowen_solve(P, m: int, slope: float):
+    """(s, P(s)) for the root s of the decreasing pressure P on [0, t_hi],
+    t_hi doubled from log m / slope until P(t_hi) <= 0, evaluating P once
+    per point."""
+    P = functools.cache(P)  # brentq re-reads both ends and returns a point it read
+    t_hi = math.log(m) / max(slope, 1e-12)
     doublings = 0
     while P(t_hi) > 0:
         if doublings == 10:
@@ -353,10 +372,65 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
         t_hi *= 2.0
         doublings += 1
     s = solve_root(P, 0.0, t_hi)
+    return s, P(s)
+
+
+def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
+    """Solve P(s) = 0 for the pressure of t log|f'| by Brent's method,
+    evaluating P once per point.
+
+    When the frozen maps are all affine or all Moebius and the audit finds
+    the domain invariant, P is the collocation pressure P_N on
+    N = COLLOCATION_NODES Chebyshev nodes, checked against P_2N at every t
+    the solver reads.  Any other family, and a root at any of whose points
+    |P_N - P_2N| exceeds COLLOCATION_TOL or a leading eigenvalue is not
+    real and positive, is solved on the depth-r cylinder `pressure`: `r`
+    is used only by this fallback.
+
+    Returns the root `s`, `pressure_at_s`, the partition-sum bracket of
+    P(s) at word length BOWEN_BRACKET_N and its width, the `backend`
+    ("collocation" or "cylinder") and `error_estimate`: the pressure error
+    at s (|P_N - P_2N|, or the truncation bound at depth r) over
+    log(1/gamma2), the least slope |P'|, which estimates |s - s_true|.
+    """
+    aud = regularity_audit(fam)
+    if not aud.derivative_ok:
+        raise AuditFailure(f"|f'| must lie in (0, 1): the audit found gamma1 = "
+                           f"{aud.gamma1:.6g}, gamma2 = {aud.gamma2:.6g}")
+    if fam.m < 2:
+        raise ValueError("P(0) = log m <= 0: Bowen root is not positive")
+    slope = -math.log(aud.gamma2)
+    frozen = fam.at(lam)
+    if aud.invariant and {type(mp) for mp in frozen.maps} in (
+            {_FrozenAffine}, {_FrozenRational}):
+        gaps = {}
+
+        def P_coll(t):
+            p, p2 = (_collocation_pressure(frozen, t, n)
+                     for n in (COLLOCATION_NODES, 2 * COLLOCATION_NODES))
+            gaps[t] = abs(p - p2)
+            if not gaps[t] <= COLLOCATION_TOL:
+                raise _CollocationUnresolved(f"|P_N - P_2N| = {gaps[t]:.2e} at t = {t}")
+            return p
+
+        try:
+            s, p_s = _bowen_solve(P_coll, fam.m, slope)
+        except _CollocationUnresolved:
+            pass
+        else:
+            return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)
+
+    s, p_s = _bowen_solve(lambda t: pressure(fam, t, lam, r=r), fam.m, slope)
+    b, a = resolve_variation(t_log_derivative_potential(s), fam, lam)
+    return _bowen_result(fam, lam, s, p_s, "cylinder", b * a ** (r + 1) / slope)
+
+
+def _bowen_result(fam, lam, s, p_s, backend, error_estimate) -> dict:
     bracket = pressure_bracket(fam, s, lam, BOWEN_BRACKET_N)
-    return {"s": s, "pressure_at_s": P(s),
+    return {"s": s, "pressure_at_s": p_s,
             "partition_bracket": bracket,
-            "bracket_width": bracket[1] - bracket[0]}
+            "bracket_width": bracket[1] - bracket[0],
+            "backend": backend, "error_estimate": error_estimate}
 
 
 def pressure_drop_check(fam: IfsFamily, t: float, lam: float, n: int) -> dict:

@@ -113,6 +113,19 @@ def test_bowen_command(tmp_path, capsys):
     code, out = run(tmp_path, CANTOR, ["bowen"], capsys)
     assert code == 0
     assert "s: 0.6309" in out
+    assert "backend: collocation" in out
+    assert "error_estimate: " in out
+
+
+def test_bowen_non_contracting_map_exit_2_names_gamma2(tmp_path, capsys):
+    # 0.5^t underflows at the bracket end log 2 / log(1/gamma2) ~ 7e11, so
+    # without the derivative check the solver "finds" s = 693147180560
+    cfg = "family.kind = affine\nfamily.ratios = 0.5, 1.0\nfamily.offsets = 0.0, 0.5\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "bowen"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "s: " not in captured.out
+    assert "gamma2 = 1" in captured.err
 
 
 def test_spectrum_writes_csv(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+from hypothesis import settings
+
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PROPERTIES = '''
@@ -35,3 +37,7 @@ def test_failing_properties_do_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "2 failed, 1 passed" in run.stdout
     assert run.returncode == 1
+
+
+def test_ci_profile_draws_the_same_examples_every_run():
+    assert settings.get_profile("ci").derandomize

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hypifs import ifs, thermo
 from hypifs.apps import (bernoulli_family, bernoulli_potential, blackwell_family,
-                         similarity_dimension)
+                         cf_family, similarity_dimension)
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, RationalMap,
                         affine_map, bernoulli_psi, compose_word, moebius_shift,
                         poly)
@@ -114,35 +114,62 @@ def test_entropy_and_lyapunov_bernoulli(dyadic):
 
 
 def test_bowen_root_exact(dyadic, cantor):
-    assert bowen_root(dyadic, 0.0)["s"] == pytest.approx(1.0, abs=1e-8)
+    assert bowen_root(dyadic, 0.0)["s"] == pytest.approx(1.0, abs=1e-14)
     assert bowen_root(cantor, 0.0)["s"] == pytest.approx(
-        math.log(2) / math.log(3), abs=1e-8)
+        math.log(2) / math.log(3), abs=1e-14)
 
 
-E2_DIMENSION = 0.5312805062772051416  # Jenkinson & Pollicott, Adv. Math. 2018
+E2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
+                     for k in (1, 2)), (1 / 3, 1.0), (0.0, 1e-9))
+E2_DIMENSION = 0.5312805062772051  # Jenkinson & Pollicott, Adv. Math. 2018
 
 
 def test_bowen_root_oracles(cantor):
     res = bowen_root(cantor, 0.0)
-    assert abs(res["s"] - math.log(2) / math.log(3)) <= 1e-12
+    assert abs(res["s"] - math.log(2) / math.log(3)) <= 1e-14
     assert abs(res["pressure_at_s"]) <= 1e-14
-    # continued fractions with digits {1, 2}: the depth-14 root is limited
-    # by the truncation, not by the solver
-    e2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
-                         for k in (1, 2)), (1 / 3, 1.0), (0.0, 1e-9))
-    assert abs(bowen_root(e2, 0.0, r=14)["s"] - E2_DIMENSION) <= 1.88e-9
+    # continued fractions with digits {1, 2}: the collocation root is
+    # limited by rounding, not by a truncation depth
+    res = bowen_root(E2, 0.0, r=14)
+    assert res["backend"] == "collocation"
+    assert abs(res["s"] - E2_DIMENSION) <= 1e-13
+    assert res["error_estimate"] <= 1e-13
 
 
 def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
-    seen = []
+    coll, cyl = [], []
+    collocation_pressure = thermo._collocation_pressure
 
-    def recording(fam, t, lam, r=8):
-        seen.append(t)
+    def recording_collocation(frozen, t, n):
+        coll.append((t, n))
+        return collocation_pressure(frozen, t, n)
+
+    def recording_cylinder(fam, t, lam, r=8):
+        cyl.append(t)
         return pressure(fam, t, lam, r)
 
-    monkeypatch.setattr(thermo, "pressure", recording)
-    bowen_root(cantor, 0.0)
-    assert len(seen) == len(set(seen))
+    monkeypatch.setattr(thermo, "_collocation_pressure", recording_collocation)
+    monkeypatch.setattr(thermo, "pressure", recording_cylinder)
+    assert bowen_root(cantor, 0.0)["backend"] == "collocation"
+    assert cyl == [] and len(coll) == len(set(coll)) > 0
+    n = thermo.COLLOCATION_NODES
+    ts = [t for t, _ in coll]
+    assert sorted(coll) == sorted([(t, n) for t in set(ts)] + [(t, 2 * n) for t in set(ts)])
+
+    coll.clear()
+    custom = IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in cantor.maps),
+                       cantor.domain, cantor.param_interval)
+    assert bowen_root(custom, 0.0)["backend"] == "cylinder"
+    assert coll == [] and len(cyl) == len(set(cyl)) > 0
+
+
+def test_bowen_root_falls_back_where_collocation_is_unresolved():
+    # |f_1'| ~ 0.98 at the fixed point of f_1: P_24 and P_48 differ by ~1e-6
+    fam = cf_family(1e-4, 0.4142)
+    res = bowen_root(fam, 0.0, r=8)
+    assert res["backend"] == "cylinder"
+    lo, hi = res["partition_bracket"]
+    assert lo <= 0.0 <= hi
 
 
 @st.composite
@@ -165,6 +192,30 @@ def test_bowen_root_of_affine_family_is_similarity_dimension(case):
     assert abs(s - similarity_dimension(ratios)) <= 1e-12
 
 
+ROUNDING = 64 * np.finfo(float).eps  # two eigen-solves' rounding of a pressure
+
+
+@pytest.mark.parametrize("r", range(4, 11))
+def test_truncation_bound_holds_on_e2(r):
+    spec = transfer_spectrum(E2, t_log_derivative_potential(E2_DIMENSION), 0.0, r)
+    p_coll = thermo._collocation_pressure(E2.at(0.0), E2_DIMENSION,
+                                          thermo.COLLOCATION_NODES)
+    assert abs(p_coll) <= ROUNDING  # P(s*) = 0
+    assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
+
+
+@given(_separated_affine(), st.floats(0.0, 2.0), st.integers(1, 6))
+@settings(max_examples=25, deadline=None)
+def test_truncation_bound_holds_on_affine_families(case, t, r):
+    ratios, offsets = case
+    fam = IfsFamily(tuple(affine_map(a, b) for a, b in zip(ratios, offsets)),
+                    (0.0, 1.0), (0.0, 1e-9))
+    spec = transfer_spectrum(fam, t_log_derivative_potential(t), 0.0, r)
+    p_coll = thermo._collocation_pressure(fam.at(0.0), t, thermo.COLLOCATION_NODES)
+    assert abs(p_coll - math.log(sum(a ** t for a in ratios))) <= ROUNDING
+    assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
+
+
 def test_bowen_root_bracket_contains_zero(cantor):
     res = bowen_root(cantor, 0.0)
     lo, hi = res["partition_bracket"]
@@ -175,11 +226,6 @@ def test_partition_sum_modes(cantor):
     z_inf, z_sup = partition_sum(cantor, [1, 2], 1.0, 0.0, 4)
     assert z_inf == pytest.approx(z_sup)  # affine: derivative is constant
     assert z_inf == pytest.approx((2 / 3) ** 4)
-
-
-E2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
-                     for k in (1, 2)), (1 / 3, 1.0), (0.0, 1e-9))
-E2_DIMENSION = 0.5312805062772051  # Jenkinson & Pollicott, Adv. Math. 2018
 
 
 def test_partition_sum_moebius_one_pass():
@@ -411,3 +457,52 @@ def test_transfer_spectrum_matches_csr_reference(case, r):
     assert (spec.residual_right, spec.residual_left) == (res_r, res_l)
     assert spec.h.tobytes() == h.tobytes()
     assert spec.nu.tobytes() == nu.tobytes()
+
+
+def _partition_sum_per_point(fam, subset, t, lam, n):
+    """partition_sum as a loop over the grid points, one all-words tree per
+    x: the reference the one-pass sums must reproduce bit for bit."""
+    subset = list(subset)
+    k = len(subset)
+    monotone = all(ifs.regularity_audit(fam).monotone_increasing)
+    points = max(3, thermo.PARTITION_GRID // 8) if monotone else thermo.PARTITION_GRID
+    maps = [fam.at(lam).maps[j - 1] for j in subset]
+    lo = np.full(k ** n, np.inf)
+    hi = np.full(k ** n, -np.inf)
+    for x in np.linspace(*fam.domain, points):
+        y = np.array([float(x)])
+        dy = np.ones(1)
+        for _ in range(n):
+            dy = np.tile(dy, k) * np.concatenate([np.abs(mp.dx(y)) for mp in maps])
+            y = np.concatenate([mp.value(y) for mp in maps])
+        lo = np.minimum(lo, dy)
+        hi = np.maximum(hi, dy)
+    return float(np.sum(lo ** t)), float(np.sum(hi ** t))
+
+
+# |f'| is not constant, and f_1 decreases: the sums run on the full grid
+QUADRATIC = IfsFamily((CustomMap(lambda lam, x: 0.4 - 0.3 * x + 0.1 * x * x,
+                                 lambda lam, x: -0.3 + 0.2 * x),
+                       CustomMap(lambda lam, x: 0.6 + 0.2 * x + 0.1 * x * x,
+                                 lambda lam, x: 0.2 + 0.2 * x)),
+                      (0.0, 1.0), (0.0, 1e-9))
+
+
+PARTITION_CASES = {
+    "e2": (E2, [1, 2]),
+    "cantor": (IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
+                         (0.0, 1.0), (0.0, 1e-9)), [1, 2]),
+    "three-maps": (THREE_MAPS, [1, 2, 3]),
+    "three-maps-subset": (THREE_MAPS, [3, 1]),
+    "custom": (QUADRATIC, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("block", [thermo.PARTITION_BLOCK, 100])
+@pytest.mark.parametrize("fam, subset", PARTITION_CASES.values(), ids=PARTITION_CASES)
+def test_partition_sum_matches_per_point_loop(fam, subset, block, monkeypatch):
+    monkeypatch.setattr(thermo, "PARTITION_BLOCK", block)  # 100: many blocks
+    for n in range(1, 7):
+        for t in (0.0, E2_DIMENSION, 1.7):
+            assert partition_sum(fam, subset, t, 0.0, n) == \
+                _partition_sum_per_point(fam, subset, t, 0.0, n)
