@@ -17,10 +17,10 @@ from .thermo import (ConvergenceError, CylinderMeasure, Potential,
                      lyapunov_dimension, lyapunov_exponent, partition_sum,
                      pressure, pressure_bracket, pressure_drop_check,
                      t_log_derivative_potential, transfer_spectrum)
-from .transversality import (PartitionError, TranslationFamily,
-                             TransversalityReport, build_pm_translation,
-                             greedy_partition, mc_transversality_probe,
-                             overlap_domain, vertical_certificate)
+from .transversality import (PartitionError, TransversalityReport,
+                             build_pm_translation, greedy_partition,
+                             mc_transversality_probe, overlap_domain,
+                             vertical_certificate)
 from .mstats import (EmpiricalSample, chaos_game_sample,
                      correlation_dimension, energy, m_condition_probe,
                      sobolev_estimate)

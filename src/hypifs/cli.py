@@ -273,6 +273,9 @@ def _prob_fns(cfg, fam):
     kind = cfg.get("potential.kind", "constant")
     if kind in ("bernoulli", "blackwell"):
         return build_potential(cfg, fam).prob_fns
+    if kind != "constant":
+        raise ConfigError(f"potential kind {kind!r} has no probabilities: "
+                          f"use constant, bernoulli or blackwell")
     probs = cfg.read("potential.probs", as_floats, [1.0 / fam.m] * fam.m)
     return [(lambda p: (lambda lam, x: p * np.ones_like(
         np.asarray(x, dtype=float))))(p) for p in probs]

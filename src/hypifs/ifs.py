@@ -69,13 +69,13 @@ class AffineMap:
     dlam_exact = True
 
     def value(self, lam, x):
-        return self.slope(lam) * x + self.offset(lam)
+        return _freeze(self, lam).value(x)
 
     def dx(self, lam, x):
-        return self.slope(lam) * np.ones_like(np.asarray(x, dtype=float))
+        return _freeze(self, lam).dx(x)
 
     def dlam(self, lam, x):
-        return self.slope.deriv()(lam) * x + self.offset.deriv()(lam)
+        return _freeze(self, lam).dlam(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +89,13 @@ class RationalMap:
     dlam_exact = True
 
     def value(self, lam, x):
-        return (self.n0(lam) + self.n1(lam) * x) / (self.d0(lam) + self.d1(lam) * x)
+        return _freeze(self, lam).value(x)
 
     def dx(self, lam, x):
-        den = self.d0(lam) + self.d1(lam) * x
-        return (self.n1(lam) * self.d0(lam) - self.n0(lam) * self.d1(lam)) / (den * den)
+        return _freeze(self, lam).dx(x)
 
     def dlam(self, lam, x):
-        num = self.n0(lam) + self.n1(lam) * x
-        den = self.d0(lam) + self.d1(lam) * x
-        dnum = self.n0.deriv()(lam) + self.n1.deriv()(lam) * x
-        dden = self.d0.deriv()(lam) + self.d1.deriv()(lam) * x
-        return (dnum * den - num * dden) / (den * den)
+        return _freeze(self, lam).dlam(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +107,16 @@ class ShiftedMap:
     base_lam: float = 0.0
     dlam_exact = True
 
+    @functools.cached_property
+    def frozen_base(self):
+        """The base map at base_lam, frozen on first use."""
+        return _freeze(self.base, self.base_lam)
+
     def value(self, lam, x):
-        return self.base.value(self.base_lam, x) + self.shift(lam)
+        return self.frozen_base.value(x) + self.shift(lam)
 
     def dx(self, lam, x):
-        return self.base.dx(self.base_lam, x)
+        return self.frozen_base.dx(x)
 
     def dlam(self, lam, x):
         return self.shift.deriv()(lam) * np.ones_like(np.asarray(x, dtype=float))
@@ -225,6 +225,7 @@ class _FrozenAffine:
     lam: float
     a: float
     b: float
+    closed_form = "affine"
 
     def value(self, x):
         return self.a * x + self.b
@@ -251,6 +252,7 @@ class _FrozenRational:
     d0: float
     d1: float
     det: float  # n1 d0 - n0 d1
+    closed_form = "moebius"
 
     def value(self, x):
         return (self.n0 + self.n1 * x) / (self.d0 + self.d1 * x)
@@ -280,6 +282,7 @@ class _BoundMap:
 
     inner: object
     lam: float
+    closed_form = None
 
     def value(self, x):
         return self.inner.value(self.lam, x)
@@ -292,9 +295,9 @@ class _BoundMap:
 
 
 def _freeze(mp, lam):
-    """`mp` at `lam` as a map of x alone.  Coefficients come from the same
-    polyval calls as `mp.value` and `mp.dlam`, so the results are the same
-    floats."""
+    """`mp` at `lam`, a parameter or an array of them, as a map of x alone:
+    the one evaluator of the affine and Moebius formulas, to which
+    `AffineMap` and `RationalMap` delegate their own value, dx and dlam."""
     if type(mp) is AffineMap:
         return _FrozenAffine(mp, lam, mp.slope(lam), mp.offset(lam))
     if type(mp) is RationalMap:
@@ -364,6 +367,13 @@ class FrozenFamily:
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    @property
+    def closed_form(self):
+        """"affine" when every map is affine, "moebius" when every map is
+        Moebius, else None."""
+        forms = {mp.closed_form for mp in self.maps}
+        return forms.pop() if len(forms) == 1 else None
 
     @functools.cached_property
     def tail_point(self) -> float:
@@ -444,9 +454,10 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     pad = INVARIANCE_PAD * fam.diam
     step = xs[1] - xs[0]
     for mp in fam.maps:
-        v = np.broadcast_to(np.asarray(mp.value(lams, xs[None, :]),
+        frozen = _freeze(mp, lams)
+        v = np.broadcast_to(np.asarray(frozen.value(xs[None, :]),
                                        dtype=float), (len(lams), len(xs)))
-        d = np.broadcast_to(np.asarray(mp.dx(lams, xs[None, :]),
+        d = np.broadcast_to(np.asarray(frozen.dx(xs[None, :]),
                                        dtype=float), (len(lams), len(xs)))
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise EvaluationError("non-finite map evaluation in audit")
@@ -474,12 +485,14 @@ def compose_word(fam: IfsFamily, u, lam: float, x):
     iterable of symbols u; the empty word is the identity.
     """
     fam.check_lam(lam)
+    maps = fam.at(lam).maps
     y = np.asarray(x, dtype=float)
     dy = np.ones_like(y)
     for s in reversed(tuple(u)):
-        mp = fam.map(s)
-        dy = mp.dx(lam, y) * dy
-        y = mp.value(lam, y)
+        fam.map(s)  # a symbol outside 1..m raises ValueError
+        mp = maps[s - 1]
+        dy = mp.dx(y) * dy
+        y = mp.value(y)
     return y, dy
 
 
@@ -491,14 +504,14 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
     has an exact dlam, and is a central difference at lam +- fd_step(lam)
     otherwise.
 
-    When every map is an `AffineMap`, one pass gathers each word's
+    When the frozen family is all affine, one pass gathers each word's
     coefficients by symbol (`_gathered_affine_pass`); any other family
     (Moebius, `CustomMap`, `ShiftedMap` or mixed) takes a pass that masks
     the batch by symbol and calls each frozen map on its share.  Both give
     the same floats."""
-    maps = fam.at(lam).maps
-    if all(type(mp) is _FrozenAffine for mp in maps):
-        return _gathered_affine_pass(maps, words, fam.midpoint)
+    frozen = fam.at(lam)
+    if frozen.closed_form == "affine":
+        return _gathered_affine_pass(frozen.maps, words, fam.midpoint)
     k, n = words.shape
     exact = fam.dlam_exact
 
@@ -558,30 +571,20 @@ def natural_projection(fam: IfsFamily, lam: float, u, depth: int):
     return float(v), aud.gamma2 ** depth * fam.diam
 
 
-def projection_lambda_derivative(fam: IfsFamily, lam: float, u, depth: int,
-                                 method: str = "auto") -> float:
+def projection_lambda_derivative(fam: IfsFamily, lam: float, u, depth: int) -> float:
     """d/dlam Pi^lam(u) truncated at `depth`.
 
-    The recursion path peels one symbol at a time,
-    d = a' + f' * d_next, and needs exact lambda-derivatives of the
-    maps; the finite-difference path differentiates the truncated
-    projection directly.
+    When every map has an exact lambda-derivative, the recursion peels
+    one symbol at a time on the frozen maps, d = a' + f' * d_next;
+    otherwise a central difference at lam +- fd_step(lam) differentiates
+    the truncated projection, and raises EvaluationError when that step
+    leaves the parameter interval.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     fam.check_lam(lam)
-    if method == "auto":
-        method = "recursion" if fam.dlam_exact else "fd"
     syms = _pad_word(fam, u, depth)
-    if method == "recursion":
-        x = fam.midpoint
-        d = 0.0
-        for s in reversed(syms):
-            mp = fam.map(s)
-            d = float(mp.dlam(lam, x)) + float(mp.dx(lam, x)) * d
-            x = float(mp.value(lam, x))
-        return d
-    if method == "fd":
+    if not fam.dlam_exact:
         h = fd_step(lam)
         lo, hi = fam.param_interval
         if lam - h < lo or lam + h > hi:
@@ -589,7 +592,15 @@ def projection_lambda_derivative(fam: IfsFamily, lam: float, u, depth: int,
         vp, _ = compose_word(fam, syms, lam + h, fam.midpoint)
         vm, _ = compose_word(fam, syms, lam - h, fam.midpoint)
         return float(vp - vm) / (2 * h)
-    raise ValueError(f"unknown method {method!r}")
+    maps = fam.at(lam).maps
+    x = fam.midpoint
+    d = 0.0
+    for s in reversed(syms):
+        fam.map(s)  # a symbol outside 1..m raises ValueError
+        mp = maps[s - 1]
+        d = float(mp.dlam(x)) + float(mp.dx(x)) * d
+        x = float(mp.value(x))
+    return d
 
 
 def cylinder_interval(fam: IfsFamily, lam: float, u):
@@ -607,8 +618,8 @@ def cylinder_interval(fam: IfsFamily, lam: float, u):
 
 def _strictly_monotone(fam, lam) -> bool:
     xs = np.linspace(*fam.domain, 33)
-    for mp in fam.maps:
-        d = np.asarray(mp.dx(lam, xs))
+    for mp in fam.at(lam).maps:
+        d = np.asarray(mp.dx(xs))
         if not (np.all(d > 0) or np.all(d < 0)):
             return False
     return True

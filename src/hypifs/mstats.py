@@ -119,7 +119,7 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     if count < 1 or burn_in < 0:
         raise ValueError("need count >= 1 and burn_in >= 0")
     frozen = fam.at(lam)
-    audit_prob_fns(prob_fns, frozen, grid=257)
+    audit_prob_fns(prob_fns, frozen)
     rng = np.random.default_rng(seed)
     uni = rng.random(count + burn_in)
     x = fam.midpoint

@@ -10,13 +10,13 @@ from weakref import WeakSet
 
 import numpy as np
 
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, _FrozenAffine,
-                  _FrozenRational, concat_images, regularity_audit, solve_root)
+from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
+                  regularity_audit, solve_root)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
 SPECTRUM_MAX_ITER = 10000
-PROB_AUDIT_GRID = 1024  # grid on which a log-probability potential audits its curves
+PROB_AUDIT_GRID = 1024  # grid on which probability curves are audited
 PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
 PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
 PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
@@ -79,12 +79,12 @@ def constant_bernoulli_potential(probs) -> Potential:
                      variation=lambda fam, lam: (0.0, 0.5))
 
 
-def audit_prob_fns(prob_fns, frozen, grid: int):
+def audit_prob_fns(prob_fns, frozen):
     """Check that the curves p_j(lam, .) of the family frozen at lam are one
-    per map, positive and sum to 1 on a `grid`-point grid over the domain."""
+    per map, positive and sum to 1 on PROB_AUDIT_GRID points of the domain."""
     if len(prob_fns) != frozen.m:
         raise ValueError("need one probability curve per map")
-    xs = np.linspace(*frozen.domain, grid)
+    xs = np.linspace(*frozen.domain, PROB_AUDIT_GRID)
     vals = np.array([np.asarray(f(frozen.lam, xs), dtype=float) for f in prob_fns])
     if np.any(vals <= 0):
         raise AuditFailure("probability curve non-positive on domain")
@@ -104,7 +104,7 @@ def log_probability_potential(prob_fns) -> Potential:
     def table_fn(fam, lam, depth):
         frozen = fam.at(lam)
         if frozen not in audited:
-            audit_prob_fns(prob_fns, frozen, PROB_AUDIT_GRID)
+            audit_prob_fns(prob_fns, frozen)
             audited.add(frozen)
         return _first_symbol_table(frozen, depth,
                                    lambda j, y: np.log(prob_fns[j](lam, y)))
@@ -401,8 +401,7 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
         raise ValueError("P(0) = log m <= 0: Bowen root is not positive")
     slope = -math.log(aud.gamma2)
     frozen = fam.at(lam)
-    if aud.invariant and {type(mp) for mp in frozen.maps} in (
-            {_FrozenAffine}, {_FrozenRational}):
+    if aud.invariant and frozen.closed_form is not None:
         gaps = {}
 
         def P_coll(t):

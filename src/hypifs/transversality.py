@@ -3,6 +3,7 @@ Monte-Carlo probing of the transversality condition for general families."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,28 +22,6 @@ class PartitionError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True, eq=False)
-class TranslationFamily:
-    """f_j^lam(x) = f_j(x) + a_j(lam); the base maps are evaluated at
-    base_lam only."""
-
-    base_maps: tuple
-    translations: tuple  # Poly per map
-    domain: tuple
-    param_interval: tuple
-    base_lam: float = 0.0
-    gamma2_warning: bool = False
-
-    @property
-    def m(self):
-        return len(self.base_maps)
-
-    def to_ifs(self) -> IfsFamily:
-        maps = tuple(ShiftedMap(b, a, self.base_lam)
-                     for b, a in zip(self.base_maps, self.translations))
-        return IfsFamily(maps, self.domain, self.param_interval)
 
 
 @dataclass
@@ -96,18 +75,26 @@ def _sweep(fn, interval):
     return float(vals.min()) - pad, float(vals.max()) + pad
 
 
-def _base_image(tf: TranslationFamily, i: int):
+def _shifted(tf: IfsFamily, i: int) -> ShiftedMap:
+    """Map i of the translation family `tf`, which must be a ShiftedMap."""
+    mp = tf.map(i)
+    if not isinstance(mp, ShiftedMap):
+        raise ValueError(f"map {i} ({type(mp).__name__}) is not a ShiftedMap")
+    return mp
+
+
+def _base_image(tf: IfsFamily, i: int):
     xs = np.linspace(*tf.domain, 257)
-    v = np.asarray(tf.base_maps[i - 1].value(tf.base_lam, xs), dtype=float)
+    v = np.asarray(_shifted(tf, i).frozen_base.value(xs), dtype=float)
     return float(v.min()), float(v.max())
 
 
-def _invert_base(tf: TranslationFamily, i: int, y: float) -> float:
-    mp = tf.base_maps[i - 1]
+def _invert_base(tf: IfsFamily, i: int, y: float) -> float:
+    base = _shifted(tf, i).frozen_base
     lo, hi = tf.domain
 
     def g(x):
-        return float(mp.value(tf.base_lam, x)) - y
+        return float(base.value(x)) - y
 
     glo, ghi = g(lo), g(hi)
     if glo * ghi > 0:  # y outside the image; clamp to the nearer endpoint
@@ -115,12 +102,12 @@ def _invert_base(tf: TranslationFamily, i: int, y: float) -> float:
     return solve_root(g, lo, hi)
 
 
-def overlap_domain(tf: TranslationFamily, i: int, j: int):
+def overlap_domain(tf: IfsFamily, i: int, j: int):
     """X_ij = {x : exists lam, y with f_i(x) + a_i(lam) = f_j(y) + a_j(lam)},
     or None when the cylinders never overlap across the sweep."""
     if i == j:
         raise ValueError("need i != j")
-    ai, aj = tf.translations[i - 1], tf.translations[j - 1]
+    ai, aj = _shifted(tf, i).shift, _shifted(tf, j).shift
     dlo, dhi = _sweep(lambda l: aj(l) - ai(l), tf.param_interval)
     fj_lo, fj_hi = _base_image(tf, j)
     fi_lo, fi_hi = _base_image(tf, i)
@@ -133,35 +120,33 @@ def overlap_domain(tf: TranslationFamily, i: int, j: int):
     return (min(a, b), max(a, b))
 
 
-def _sup_abs_dx(tf: TranslationFamily, i: int, interval) -> float:
+def _sup_abs_dx(tf: IfsFamily, i: int, interval) -> float:
     xs = np.linspace(interval[0], interval[1], 513)
-    d = np.abs(np.asarray(tf.base_maps[i - 1].dx(tf.base_lam, xs), dtype=float))
+    d = np.abs(np.asarray(_shifted(tf, i).frozen_base.dx(xs), dtype=float))
     return float(d.max())
 
 
-def d_max(tf: TranslationFamily) -> float:
+def d_max(tf: IfsFamily) -> float:
     out = 0.0
     for i in range(1, tf.m + 1):
         sup_ap = max(abs(v) for v in
-                     _sweep(tf.translations[i - 1].deriv(), tf.param_interval))
+                     _sweep(_shifted(tf, i).shift.deriv(), tf.param_interval))
         sup_f = _sup_abs_dx(tf, i, tf.domain)
         out = max(out, sup_ap / (1.0 - sup_f))
     return out
 
 
-def vertical_certificate(tf: TranslationFamily) -> TransversalityReport:
-    """Sufficient-condition certificate: cond1 needs positive margin
-    eta_ij - (|f_i'|_{X_ij} + |f_j'|_{X_ji}) D_max on every overlapping
-    pair; cond2 applies when all maps and translations are monotone
-    increasing.  Failure of both is INCONCLUSIVE, never FALSIFIED."""
+def vertical_certificate(tf: IfsFamily) -> TransversalityReport:
+    """Sufficient-condition certificate for a translation family, an
+    IfsFamily of ShiftedMaps (a ValueError for any other map): cond1 needs
+    positive margin eta_ij - (|f_i'|_{X_ij} + |f_j'|_{X_ji}) D_max on every
+    overlapping pair; cond2 applies when all maps and translations are
+    monotone increasing.  Failure of both is INCONCLUSIVE, never FALSIFIED."""
     dmax = d_max(tf)
-    aud = regularity_audit(tf.to_ifs())
+    aud = regularity_audit(tf)
     monotone_ok = all(aud.monotone_increasing)
-    incr_translations = True
-    for a in tf.translations:
-        lo, _ = _sweep(a.deriv(), tf.param_interval)
-        if lo < 0:
-            incr_translations = False
+    shifts = [mp.shift for mp in tf.maps]
+    incr_translations = not any(_sweep(a.deriv(), tf.param_interval)[0] < 0 for a in shifts)
     pairs = []
     all1 = True
     all2 = True
@@ -173,8 +158,8 @@ def vertical_certificate(tf: TranslationFamily) -> TransversalityReport:
             if xij is None and xji is None:
                 continue
             any_pair = True
-            ai = tf.translations[i - 1].deriv()
-            aj = tf.translations[j - 1].deriv()
+            ai = shifts[i - 1].deriv()
+            aj = shifts[j - 1].deriv()
             lo, _ = _sweep(lambda l: np.abs(ai(l) - aj(l)),
                                tf.param_interval)
             eta = max(lo, 0.0)
@@ -194,6 +179,18 @@ def vertical_certificate(tf: TranslationFamily) -> TransversalityReport:
     else:
         verdict = "INCONCLUSIVE"
     return TransversalityReport(verdict=verdict, d_max=dmax, pairs=pairs)
+
+
+def _class_overlap(ivs, classes):
+    """The left end of the first overlap of two intervals `ivs[k]` whose
+    indices k lie in one of `classes`, or None when every class is
+    pairwise disjoint."""
+    for cls in classes:
+        for ka, kb in itertools.combinations(cls, 2):
+            ia, ib = ivs[ka], ivs[kb]
+            if max(ia[0], ib[0]) <= min(ia[1], ib[1]):
+                return max(ia[0], ib[0])
+    return None
 
 
 def greedy_partition(intervals):
@@ -221,56 +218,39 @@ def greedy_partition(intervals):
             class_plus.append(k)
             cur_b = ivs[k][1]
     class_minus = [k for k in range(len(ivs)) if k not in class_plus]
-    for cls in (class_plus, class_minus):
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                ia, ib = ivs[cls[a]], ivs[cls[b]]
-                if max(ia[0], ib[0]) <= min(ia[1], ib[1]):
-                    raise PartitionError(
-                        "partition classes not disjoint",
-                        witness=max(ia[0], ib[0]))
+    witness = _class_overlap(ivs, (class_plus, class_minus))
+    if witness is not None:
+        raise PartitionError("partition classes not disjoint", witness=witness)
     return class_plus, class_minus
 
 
 def build_pm_translation(base: IfsFamily, lam0: float,
-                         halfwidth: float) -> TranslationFamily:
-    """Translation family f_j + kappa(j) * lam with kappa in {-1, +1}
-    from the greedy partition of the level-1 cylinder intervals; the
-    halfwidth is shrunk until invariance and within-class disjointness
-    hold at the sweep endpoints."""
-    aud = regularity_audit(base)
-    warn = aud.gamma2 >= 0.5
+                         halfwidth: float) -> IfsFamily:
+    """Translation family of ShiftedMaps f_j + kappa(j) * lam, the base
+    maps frozen at lam0, with kappa in {-1, +1} from the greedy partition
+    of the level-1 cylinder intervals; the halfwidth is shrunk until
+    invariance and within-class disjointness hold at the sweep
+    endpoints."""
     intervals = [cylinder_interval(base, lam0, [j]) for j in range(1, base.m + 1)]
     if base.m == 1:
         plus, minus = [0], []
     else:
         plus, minus = greedy_partition(intervals)
     kappa = [1 if k in plus else -1 for k in range(base.m)]
-    translations = tuple(poly(0.0, float(k)) for k in kappa)
     lo, hi = base.domain
     h = float(halfwidth)
     for _ in range(60):
-        ok = True
-        for lam in (-h, h):
-            shifted = [(iv[0] + kp * lam, iv[1] + kp * lam)
-                       for iv, kp in zip(intervals, kappa)]
-            for a, b in shifted:
-                if a < lo or b > hi:
-                    ok = False
-            for cls in (plus, minus):
-                for x in range(len(cls)):
-                    for y in range(x + 1, len(cls)):
-                        ia, ib = shifted[cls[x]], shifted[cls[y]]
-                        if max(ia[0], ib[0]) <= min(ia[1], ib[1]):
-                            ok = False
-        if ok:
+        ends = [[(a + kp * lam, b + kp * lam) for (a, b), kp in zip(intervals, kappa)]
+                for lam in (-h, h)]
+        if not any(a < lo or b > hi for ivs in ends for a, b in ivs) and \
+                all(_class_overlap(ivs, (plus, minus)) is None for ivs in ends):
             break
         h *= 0.5
         if h < 1e-15:
             raise ValueError("no positive halfwidth achieves invariance")
-    return TranslationFamily(base_maps=base.maps, translations=translations,
-                             domain=base.domain, param_interval=(-h, h),
-                             base_lam=lam0, gamma2_warning=warn)
+    maps = tuple(ShiftedMap(mp, poly(0.0, float(k)), lam0)
+                 for mp, k in zip(base.maps, kappa))
+    return IfsFamily(maps, base.domain, (-h, h))
 
 
 def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,

@@ -244,3 +244,15 @@ def test_sample_needs_one_probability_per_map_exit_2(tmp_path, capsys, probs):
     code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "sample"])
     assert code == 2
     assert "one probability curve per map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["bernouli", "tlog"])
+@pytest.mark.parametrize("command", ["sample", "sobolev"])
+def test_sample_rejects_a_potential_without_probabilities_exit_1(tmp_path, capsys,
+                                                                 command, kind):
+    cfg = BERNOULLI.replace("potential.kind = bernoulli",
+                            f"potential.kind = {kind}") + "run.samples = 100\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), command])
+    assert code == 1
+    assert f"potential kind {kind!r}" in capsys.readouterr().err
+    assert not (tmp_path / "sample.csv").exists()

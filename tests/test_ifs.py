@@ -1,5 +1,6 @@
 """Map families, audits, composition, and projections."""
 
+import collections
 import gc
 import math
 import weakref
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs
-from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, ShiftedMap,
-                        affine_map, bernoulli_psi, compose_word,
-                        cylinder_interval, moebius_shift, natural_projection,
-                        poly, projection_lambda_derivative, regularity_audit)
+from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, Poly,
+                        RationalMap, ShiftedMap, affine_map, bernoulli_psi,
+                        compose_word, cylinder_interval, moebius_shift,
+                        natural_projection, poly, projection_lambda_derivative,
+                        regularity_audit)
 
 
 @pytest.fixture
@@ -49,6 +51,70 @@ def test_moebius_shift_values():
     h = 1e-7
     fd = (mp.value(0.0, x + h) - mp.value(0.0, x - h)) / (2 * h)
     assert mp.dx(0.0, x) == pytest.approx(fd, rel=1e-6)
+
+
+def _coeff_poly(draw, lo, hi):
+    return poly(*draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3)))
+
+
+@st.composite
+def _closed_form_maps(draw):
+    """An AffineMap or a RationalMap with random Poly coefficients, or a
+    moebius_shift, with a denominator of at least 1 for lam and x in
+    [-1, 1]."""
+    kind = draw(st.sampled_from(["affine", "rational", "moebius"]))
+    if kind == "affine":
+        return AffineMap(_coeff_poly(draw, -2, 2), _coeff_poly(draw, -2, 2))
+    if kind == "moebius":
+        return moebius_shift(poly(draw(st.floats(0.5, 3.0)), draw(st.floats(-0.2, 0.2))))
+    d0 = poly(draw(st.floats(2.0, 4.0)), draw(st.floats(-0.5, 0.5)))
+    d1 = poly(draw(st.floats(-0.25, 0.25)), draw(st.floats(-0.25, 0.25)))
+    return RationalMap(_coeff_poly(draw, -2, 2), _coeff_poly(draw, -2, 2), d0, d1)
+
+
+@given(_closed_form_maps(), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_derivatives_match_central_differences(mp, lam, x):
+    h = 1e-5
+    fd_x = (mp.value(lam, x + h) - mp.value(lam, x - h)) / (2 * h)
+    fd_lam = (mp.value(lam + h, x) - mp.value(lam - h, x)) / (2 * h)
+    dx, dlam = mp.dx(lam, x), mp.dlam(lam, x)
+    assert abs(dx - fd_x) <= 1e-6 * (1 + abs(dx))
+    assert abs(dlam - fd_lam) <= 1e-6 * (1 + abs(dlam))
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    """Calls of each Poly, by id, while the test runs."""
+    counts = collections.Counter()
+    call = Poly.__call__
+
+    def counted(self, lam):
+        counts[id(self)] += 1
+        return call(self, lam)
+
+    monkeypatch.setattr(Poly, "__call__", counted)
+    return counts
+
+
+def test_audit_evaluates_each_coefficient_once(poly_calls):
+    aff = AffineMap(poly(0.3, 0.1), poly(0.1, 0.2))
+    rat = RationalMap(poly(0.5, 0.1), poly(1.0), poly(3.0, 0.2), poly(1.0, -0.1))
+    regularity_audit(IfsFamily((aff, rat), (0.0, 1.0), (0.0, 1.0)))
+    coeffs = (aff.slope, aff.offset, rat.n0, rat.n1, rat.d0, rat.d1)
+    assert [poly_calls[id(c)] for c in coeffs] == [1] * 6
+    assert sum(poly_calls.values()) == 6
+
+
+def test_shifted_map_evaluates_its_base_once(poly_calls):
+    base = AffineMap(poly(0.3, 0.1), poly(0.1, 0.2))
+    mp = ShiftedMap(base, poly(0.0, 1.0), 0.4)
+    for lam in (0.0, 0.1, 0.2):
+        mp.value(lam, 0.5)
+        mp.dx(lam, 0.5)
+        mp.dlam(lam, 0.5)
+    assert poly_calls[id(base.slope)] == poly_calls[id(base.offset)] == 1
+    assert mp.value(0.1, 0.5) == base.value(0.4, 0.5) + 0.1
 
 
 def test_custom_map_fd_fallback():
@@ -147,16 +213,32 @@ def test_natural_projection_error_bound(cantor_fam):
     assert x30 == pytest.approx(2 / 3, abs=1e-12)  # 21^infty -> f_2(0)
 
 
+def without_dlam(fam):
+    """`fam` with every map a CustomMap of its value and dx, so that
+    lambda-derivatives fall back to central differences."""
+    return IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in fam.maps),
+                     fam.domain, fam.param_interval)
+
+
 def test_projection_derivative_recursion_vs_fd(bernoulli_fam):
     u = [2, 1, 2, 2, 1, 1, 2, 1]
-    d_rec = projection_lambda_derivative(bernoulli_fam, 0.6, u, 30, "recursion")
-    d_fd = projection_lambda_derivative(bernoulli_fam, 0.6, u, 30, "fd")
+    d_rec = projection_lambda_derivative(bernoulli_fam, 0.6, u, 30)
+    d_fd = projection_lambda_derivative(without_dlam(bernoulli_fam), 0.6, u, 30)
     assert d_rec == pytest.approx(d_fd, rel=1e-5)
 
 
 def test_projection_derivative_fd_interval_guard(bernoulli_fam):
     with pytest.raises(EvaluationError):
-        projection_lambda_derivative(bernoulli_fam, 0.5, [1, 2], 10, "fd")
+        projection_lambda_derivative(without_dlam(bernoulli_fam), 0.5, [1, 2], 10)
+
+
+@pytest.mark.parametrize("symbol", [0, 3])
+def test_symbols_outside_the_alphabet_raise(bernoulli_fam, symbol):
+    for fam in (bernoulli_fam, without_dlam(bernoulli_fam)):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            projection_lambda_derivative(fam, 0.6, [1, symbol, 2], 10)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            compose_word(fam, [1, symbol], 0.6, 0.0)
 
 
 def test_cylinder_interval_nested(cantor_fam):
@@ -231,9 +313,7 @@ def test_project_words_matches_per_word_references(case):
     fam, words, lam = case
     x, d = ifs.project_words(fam, words, lam)
     ref_x = np.array([float(compose_word(fam, w, lam, fam.midpoint)[0]) for w in words])
-    method = "recursion" if fam.dlam_exact else "fd"
-    ref_d = np.array([projection_lambda_derivative(fam, lam, w, len(w), method)
-                      for w in words])
+    ref_d = np.array([projection_lambda_derivative(fam, lam, w, len(w)) for w in words])
     assert x.tobytes() == ref_x.tobytes()
     assert d.tobytes() == ref_d.tobytes()
 

@@ -1,6 +1,7 @@
 """Every top-level import of a hypifs module is used in that module, every
 top-level name a module defines is read somewhere in the package or
-exported from `hypifs`, and only `ifs` imports a root solver."""
+exported from `hypifs`, no module imports another's private names, and
+only `ifs` imports a root solver."""
 
 import ast
 import pathlib
@@ -113,3 +114,26 @@ def test_only_ifs_imports_scipy_optimize():
     assert not imports_scipy_optimize("import scipy.sparse\n")
     assert [mod for mod, src in SOURCES.items()
             if mod != "ifs" and imports_scipy_optimize(src)] == []
+
+
+def private_imports(source: str) -> list:
+    """Names with one leading underscore that `source` imports from a
+    hypifs module; dunders such as `__version__` are public."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "hypifs"):
+            out += [a.name for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")]
+    return out
+
+
+def test_detects_a_private_import():
+    assert private_imports("from .ifs import _freeze, poly\n") == ["_freeze"]
+    assert private_imports("def f():\n    from hypifs.ifs import _a as b\n") == ["_a"]
+    assert private_imports("from . import __version__\nfrom numpy import _x\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_private_imports_across_modules(module):
+    assert private_imports(SOURCES[module]) == []

@@ -7,7 +7,7 @@ import pytest
 
 from hypifs import ifs, transversality
 from hypifs.apps import blackwell_family
-from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, affine_map,
+from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, ShiftedMap, affine_map,
                         bernoulli_psi, poly)
 from hypifs.transversality import (PartitionError, build_pm_translation,
                                    d_max, greedy_partition,
@@ -50,9 +50,8 @@ def test_build_pm_translation_shrinks_halfwidth():
     lo, hi = tf.param_interval
     assert hi <= 0.5 and hi > 0
     assert lo == -hi
-    assert not tf.gamma2_warning
-    tf6 = build_pm_translation(sep_base(0.6, 0.1, 0.3), 0.0, 0.05)
-    assert tf6.gamma2_warning
+    assert [type(mp) for mp in tf.maps] == [ShiftedMap, ShiftedMap]
+    assert [mp.base for mp in tf.maps] == list(base.maps)
 
 
 def test_overlap_domain_detects_overlap():
@@ -89,6 +88,15 @@ def test_certificate_inconclusive_ratio_06():
     rep = vertical_certificate(tf)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.pairs[0].margin1 < 0
+
+
+def test_certificate_needs_a_translation_family():
+    tf = build_pm_translation(sep_base(0.3, 0.2, 0.4), 0.0, 0.05)
+    mixed = IfsFamily((tf.maps[0], affine_map(0.3, 0.4)), tf.domain, tf.param_interval)
+    with pytest.raises(ValueError, match=r"map 2 \(AffineMap\) is not a ShiftedMap"):
+        vertical_certificate(mixed)
+    with pytest.raises(ValueError, match="not a ShiftedMap"):
+        overlap_domain(sep_base(0.3, 0.2, 0.4), 1, 2)
 
 
 def test_certificate_vacuous_when_no_overlap():
