@@ -110,15 +110,19 @@ def bernoulli_entropy_bounds(lam: float, rho: float, n_terms: int):
     return upper - tail, upper
 
 
-def region_scan(axes, axis_names, cell_fn, critical: float) -> RegionGrid:
-    """Evaluate `cell_fn(a, b)` at every point of the grid axes[0] x axes[1].
+def region_scan(ranges, shape, axis_names, cell_fn, critical: float) -> RegionGrid:
+    """Evaluate `cell_fn(a, b)` at every point of the grid axis1 x axis2,
+    axis k being shape[k] evenly spaced points of ranges[k].
 
-    A cell is SUPERCRITICAL when its value exceeds `critical` and
-    SUBCRITICAL otherwise.  A cell whose `cell_fn` raises `DegenerateCell`
-    is DEGENERATE and one that raises any other of NUMERICAL_ERRORS is
-    AUDIT-FAIL, both with value NaN; every other exception propagates.
+    Raises ValueError on a shape below 1 x 1.  A cell is SUPERCRITICAL when
+    its value exceeds `critical` and SUBCRITICAL otherwise.  A cell whose
+    `cell_fn` raises `DegenerateCell` is DEGENERATE and one that raises any
+    other of NUMERICAL_ERRORS is AUDIT-FAIL, both with value NaN; every
+    other exception propagates.
     """
-    axis1, axis2 = axes
+    if min(shape) < 1:
+        raise ValueError(f"region grid shape {shape[0]} x {shape[1]} is below 1 x 1")
+    axis1, axis2 = (np.linspace(*rng, n) for rng, n in zip(ranges, shape))
     values = np.full((len(axis1), len(axis2)), math.nan)
     verdicts = np.empty(values.shape, dtype=object)
     for i, a in enumerate(axis1):
@@ -141,8 +145,7 @@ def bernoulli_region_scan(rho_range, lam_range, shape, n_terms: int = 12) -> Reg
         lower, _ = bernoulli_entropy_bounds(lam, rho, n_terms)
         return lower + log(lam)
 
-    axes = (np.linspace(*rho_range, shape[0]), np.linspace(*lam_range, shape[1]))
-    return region_scan(axes, ("rho", "lambda"), cell, 0.0)
+    return region_scan((rho_range, lam_range), shape, ("rho", "lambda"), cell, 0.0)
 
 
 def _blackwell_coeffs(eps: float, sign: int):
@@ -175,13 +178,12 @@ def blackwell_family(eps: float, p: float):
     """
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
-    maps = tuple(RationalMap(*_blackwell_coeffs(eps, s)) for s in (0, 1))
+    coeffs = [_blackwell_coeffs(eps, s) for s in (0, 1)]
     lo = max(p - BLACKWELL_HALFWIDTH, 1e-6)
     hi = min(p + BLACKWELL_HALFWIDTH, 1 - 1e-6)
-    fam = IfsFamily(maps, domain=(0.0, 1.0), param_interval=(lo, hi))
-
-    B = poly(1 - eps, 2 * eps - 1)
-    AmB = poly(2 * eps - 1, 2 - 4 * eps)
+    fam = IfsFamily(tuple(RationalMap(*c) for c in coeffs), domain=(0.0, 1.0),
+                    param_interval=(lo, hi))
+    B, AmB = coeffs[0][2:]  # p_0(x) = B + (A-B) x, the denominator of S_0
 
     def p0(lam, x):
         return B(lam) + AmB(lam) * np.asarray(x, dtype=float)
@@ -208,9 +210,8 @@ def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
     """value = h/chi; supercritical iff > 1."""
     if r < 1:
         raise ValueError("depth must be positive")
-    axes = (np.linspace(*eps_range, shape[0]), np.linspace(*p_range, shape[1]))
     # the name is resolved per cell, so a traced or patched one is called
-    return region_scan(axes, ("eps", "p"),
+    return region_scan((eps_range, p_range), shape, ("eps", "p"),
                        lambda eps, p: blackwell_cell_value(eps, p, r), 1.0)
 
 

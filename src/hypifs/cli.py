@@ -277,8 +277,7 @@ def _prob_fns(cfg, fam):
         raise ConfigError(f"potential kind {kind!r} has no probabilities: "
                           f"use constant, bernoulli or blackwell")
     probs = cfg.read("potential.probs", as_floats, [1.0 / fam.m] * fam.m)
-    return [(lambda p: (lambda lam, x: p * np.ones_like(
-        np.asarray(x, dtype=float))))(p) for p in probs]
+    return constant_bernoulli_potential(probs).prob_fns
 
 
 def _chaos_sample(cfg, args):

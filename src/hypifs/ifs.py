@@ -320,13 +320,12 @@ def concat_images(fns, y) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Collocation:
     """Chebyshev collocation data of a frozen family on n nodes: the
-    Chebyshev points of the second kind on the domain, one barycentric
+    Chebyshev points of the second kind on the domain, and one barycentric
     interpolation matrix per map, taking values at the nodes to values of
-    the interpolant at f_j(nodes), and log|f_j'| at the nodes."""
+    the interpolant at f_j(nodes)."""
 
     nodes: np.ndarray  # (n,)
     interp: np.ndarray  # (m, n, n)
-    log_dx: np.ndarray  # (m, n)
 
 
 def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
@@ -348,8 +347,7 @@ def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
         return mat
 
     interp = np.array([interp_matrix(mp.value(nodes)) for mp in maps])
-    log_dx = np.array([np.log(np.abs(mp.dx(nodes))) for mp in maps])
-    return Collocation(nodes, interp, log_dx)
+    return Collocation(nodes, interp)
 
 
 @dataclass(eq=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from weakref import WeakSet
 
 import numpy as np
@@ -36,47 +36,40 @@ class _CollocationUnresolved(Exception):
 
 @dataclass(eq=False)
 class Potential:
-    """Function on symbol sequences, evaluated at w . 1^infty truncations.
+    """Function on symbol sequences of the form phi(j.v) = g_j(Pi(v . 1^infty)).
 
-    `table_fn(fam, lam, depth)` returns phi for every depth-`depth` word
-    (indexed by word code).  `variation(fam, lam) -> (b, alpha)` bounds
+    `weights(frozen)` returns the m functions g_j of y, vectorised, for the
+    family frozen at one lambda.  `variation(fam, lam) -> (b, alpha)` bounds
     the variations, var_k <= b * alpha^k, or is None when the potential
     declares no bound.  A log-probability potential also carries its
     probability curves `prob_fns`.
     """
 
     kind: str
-    table_fn: object
+    weights: object
     variation: object = None
     prob_fns: tuple = None
 
     def table(self, fam, lam, depth):
-        vals = np.asarray(self.table_fn(fam, lam, depth), dtype=float)
+        """phi for every depth-`depth` word, by code: concat_j g_j(Y_{depth-1}).
+        A log of zero is reported by the finiteness check, not by numpy."""
+        frozen = fam.at(lam)
+        with np.errstate(divide="ignore"):
+            vals = concat_images(self.weights(frozen), frozen.level(depth - 1))
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("potential evaluated to a non-finite value")
         return vals
 
 
-def _first_symbol_table(frozen, depth, g):
-    """g(j, Pi(sigma w . 1^infty)) with j = w_1 - 1, for every depth-`depth`
-    word w, by code: concat_j g(j, Y_{depth-1})."""
-    return concat_images([functools.partial(g, j) for j in range(frozen.m)],
-                         frozen.level(depth - 1))
-
-
 def constant_bernoulli_potential(probs) -> Potential:
+    """The log-probability potential of the constant curves p_j = probs[j-1]."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must be positive and sum to 1")
-    logp = np.log(probs)
-
-    def table_fn(fam, lam, depth):
-        if len(logp) != fam.m:
-            raise ValueError("need one probability per map")
-        return np.repeat(logp, fam.m ** (depth - 1))
-
-    return Potential(kind="constant-bernoulli", table_fn=table_fn,
-                     variation=lambda fam, lam: (0.0, 0.5))
+    curves = [lambda lam, x, p=p: p * np.ones_like(np.asarray(x, dtype=float))
+              for p in probs]
+    return replace(log_probability_potential(curves), kind="constant-bernoulli",
+                   variation=lambda fam, lam: (0.0, 0.5))
 
 
 def audit_prob_fns(prob_fns, frozen):
@@ -93,7 +86,7 @@ def audit_prob_fns(prob_fns, frozen):
 
 
 def log_probability_potential(prob_fns) -> Potential:
-    """phi(w) = log p_{w_1}(Pi(sigma w . 1^infty)).
+    """phi(w) = log p_{w_1}(Pi(sigma w . 1^infty)): g_j = log p_j(lam, .).
 
     `prob_fns[j-1](lam, x)` must be vectorized in x, positive, and sum
     to 1 over j (audited on a grid at first use per family and lambda).
@@ -101,13 +94,11 @@ def log_probability_potential(prob_fns) -> Potential:
     prob_fns = tuple(prob_fns)
     audited = WeakSet()  # FrozenFamily records whose curves passed
 
-    def table_fn(fam, lam, depth):
-        frozen = fam.at(lam)
+    def weights(frozen):
         if frozen not in audited:
             audit_prob_fns(prob_fns, frozen)
             audited.add(frozen)
-        return _first_symbol_table(frozen, depth,
-                                   lambda j, y: np.log(prob_fns[j](lam, y)))
+        return [lambda y, f=f: np.log(f(frozen.lam, y)) for f in prob_fns]
 
     def variation(fam, lam):
         aud = regularity_audit(fam)
@@ -120,34 +111,31 @@ def log_probability_potential(prob_fns) -> Potential:
             lip = max(lip, float(dp.max() / p.min()) if p.min() > 0 else math.inf)
         return lip * fam.diam, aud.gamma2
 
-    return Potential(kind="log-probability", table_fn=table_fn,
+    return Potential(kind="log-probability", weights=weights,
                      variation=variation, prob_fns=prob_fns)
 
 
 def t_log_derivative_potential(t: float) -> Potential:
-    """phi(w) = t * log |f'_{w_1}(Pi(sigma w . 1^infty))|."""
+    """phi(w) = t * log |f'_{w_1}(Pi(sigma w . 1^infty))|: g_j = t log|f_j'|."""
 
-    def table_fn(fam, lam, depth):
-        frozen = fam.at(lam)
-        with np.errstate(divide="ignore"):
-            return _first_symbol_table(
-                frozen, depth,
-                lambda j, y: t * np.log(np.abs(frozen.maps[j].dx(y))))
+    def weights(frozen):
+        return [lambda y, mp=mp: t * np.log(np.abs(mp.dx(y))) for mp in frozen.maps]
 
     def variation(fam, lam):
         aud = regularity_audit(fam)
         return abs(t) * aud.log_dx_lipschitz * fam.diam, aud.gamma2
 
-    return Potential(kind="t-log-derivative", table_fn=table_fn,
+    return Potential(kind="t-log-derivative", weights=weights,
                      variation=variation)
 
 
-def resolve_variation(pot: Potential, fam, lam):
-    """(b, alpha) of `pot.variation`, alpha clamped into (0, 1)."""
+def variation_tail(pot: Potential, fam, lam, depth: int) -> float:
+    """b * alpha^(depth+1), the variation tail of `pot` truncated to depth-
+    `depth` cylinders, from `pot.variation` with alpha clamped into (0, 1)."""
     if pot.variation is None:
         raise ValueError(f"{pot.kind} potential declares no variation bound")
     b, a = pot.variation(fam, lam)
-    return b, min(max(a, 1e-12), 1 - 1e-12)
+    return b * min(max(a, 1e-12), 1 - 1e-12) ** (depth + 1)
 
 
 @dataclass(eq=False)
@@ -172,8 +160,7 @@ class TransferSpectrum:
     def truncation_bound(self) -> float:
         """Variation tail of the truncated potential.  Computed when first
         read, because it may need a fresh regularity audit of the family."""
-        b, a = resolve_variation(self.potential, self.family, self.lam)
-        return b * a ** (self.depth + 1)
+        return variation_tail(self.potential, self.family, self.lam, self.depth)
 
 
 @dataclass(eq=False)
@@ -345,17 +332,19 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
     return math.log(z_inf) / n, math.log(z_sup) / n
 
 
-def _collocation_pressure(frozen, t: float, n: int) -> float:
-    """P_n(t): the log of the Perron root of sum_j diag(|f_j'|^t) B_j, the
-    transfer operator of t log|f'| on the n Chebyshev nodes of the frozen
-    family, by a dense eigen-solve.  Raises _CollocationUnresolved unless
-    the eigenvalue of largest modulus is real and positive."""
+def _collocation_pressure(frozen, pot: Potential, n: int) -> float:
+    """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
+    transfer operator of `pot` on the n Chebyshev nodes of the frozen
+    family, with its weights g_j evaluated at the nodes, by a dense
+    eigen-solve.  Raises _CollocationUnresolved unless the eigenvalue of
+    largest modulus is real and positive."""
     col = frozen.collocation(n)
-    op = np.einsum("jk,jkl->kl", np.exp(t * col.log_dx), col.interp)
+    g = concat_images(pot.weights(frozen), col.nodes).reshape(frozen.m, n)
+    op = np.einsum("jk,jkl->kl", np.exp(g), col.interp)
     ev = np.linalg.eigvals(op)
     lead = ev[np.argmax(np.abs(ev))]
     if not (lead.imag == 0 and lead.real > 0):
-        raise _CollocationUnresolved(f"leading eigenvalue {lead} at t = {t}")
+        raise _CollocationUnresolved(f"leading eigenvalue {lead}")
     return math.log(lead.real)
 
 
@@ -405,7 +394,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
         gaps = {}
 
         def P_coll(t):
-            p, p2 = (_collocation_pressure(frozen, t, n)
+            pot = t_log_derivative_potential(t)
+            p, p2 = (_collocation_pressure(frozen, pot, n)
                      for n in (COLLOCATION_NODES, 2 * COLLOCATION_NODES))
             gaps[t] = abs(p - p2)
             if not gaps[t] <= COLLOCATION_TOL:
@@ -420,8 +410,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
             return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)
 
     s, p_s = _bowen_solve(lambda t: pressure(fam, t, lam, r=r), fam.m, slope)
-    b, a = resolve_variation(t_log_derivative_potential(s), fam, lam)
-    return _bowen_result(fam, lam, s, p_s, "cylinder", b * a ** (r + 1) / slope)
+    bound = variation_tail(t_log_derivative_potential(s), fam, lam, r)
+    return _bowen_result(fam, lam, s, p_s, "cylinder", bound / slope)
 
 
 def _bowen_result(fam, lam, s, p_s, backend, error_estimate) -> dict:

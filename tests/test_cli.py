@@ -198,6 +198,17 @@ def test_region_blackwell_honours_depth_flag(tmp_path, capsys):
     assert not any("AUDIT-FAIL" in row for row in rows)
 
 
+@pytest.mark.parametrize("size", [-1, 0])
+@pytest.mark.parametrize("which", ["bernoulli", "blackwell"])
+def test_region_rejects_a_grid_below_one_by_one_exit_2(tmp_path, capsys, which, size):
+    cfg = f"family.kind = {which}\nrun.grid1 = {size}\nrun.grid2 = 3\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path),
+                 "region", which])
+    assert code == 2
+    assert f"region grid shape {size} x 3 is below 1 x 1" in capsys.readouterr().err
+    assert not (tmp_path / f"region_{which}.csv").exists()
+
+
 def test_cf_overlap_command(tmp_path, capsys):
     cfg = "family.kind = cf\nfamily.alpha = 1e-4\nfamily.beta = 0.4142\n"
     code, out = run(tmp_path, cfg, ["cf", "overlap"], capsys)

@@ -20,8 +20,8 @@ from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
                            gibbs_cylinder_measure, log_probability_potential,
                            lyapunov_dimension, lyapunov_exponent,
                            partition_sum, pressure, pressure_bracket,
-                           pressure_drop_check, resolve_variation,
-                           t_log_derivative_potential, transfer_spectrum)
+                           pressure_drop_check, t_log_derivative_potential,
+                           transfer_spectrum)
 from hypifs.words import enumerate_words
 
 
@@ -139,15 +139,23 @@ def test_bowen_root_oracles(cantor):
 def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
     coll, cyl = [], []
     collocation_pressure = thermo._collocation_pressure
+    make_potential = thermo.t_log_derivative_potential
+    t_of = {}  # potential -> its t
 
-    def recording_collocation(frozen, t, n):
-        coll.append((t, n))
-        return collocation_pressure(frozen, t, n)
+    def recording_potential(t):
+        pot = make_potential(t)
+        t_of[pot] = t
+        return pot
+
+    def recording_collocation(frozen, pot, n):
+        coll.append((t_of[pot], n))
+        return collocation_pressure(frozen, pot, n)
 
     def recording_cylinder(fam, t, lam, r=8):
         cyl.append(t)
         return pressure(fam, t, lam, r)
 
+    monkeypatch.setattr(thermo, "t_log_derivative_potential", recording_potential)
     monkeypatch.setattr(thermo, "_collocation_pressure", recording_collocation)
     monkeypatch.setattr(thermo, "pressure", recording_cylinder)
     assert bowen_root(cantor, 0.0)["backend"] == "collocation"
@@ -198,8 +206,8 @@ ROUNDING = 64 * np.finfo(float).eps  # two eigen-solves' rounding of a pressure
 @pytest.mark.parametrize("r", range(4, 11))
 def test_truncation_bound_holds_on_e2(r):
     spec = transfer_spectrum(E2, t_log_derivative_potential(E2_DIMENSION), 0.0, r)
-    p_coll = thermo._collocation_pressure(E2.at(0.0), E2_DIMENSION,
-                                          thermo.COLLOCATION_NODES)
+    p_coll = thermo._collocation_pressure(
+        E2.at(0.0), t_log_derivative_potential(E2_DIMENSION), thermo.COLLOCATION_NODES)
     assert abs(p_coll) <= ROUNDING  # P(s*) = 0
     assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
 
@@ -211,7 +219,8 @@ def test_truncation_bound_holds_on_affine_families(case, t, r):
     fam = IfsFamily(tuple(affine_map(a, b) for a, b in zip(ratios, offsets)),
                     (0.0, 1.0), (0.0, 1e-9))
     spec = transfer_spectrum(fam, t_log_derivative_potential(t), 0.0, r)
-    p_coll = thermo._collocation_pressure(fam.at(0.0), t, thermo.COLLOCATION_NODES)
+    p_coll = thermo._collocation_pressure(fam.at(0.0), t_log_derivative_potential(t),
+                                          thermo.COLLOCATION_NODES)
     assert abs(p_coll - math.log(sum(a ** t for a in ratios))) <= ROUNDING
     assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
 
@@ -306,6 +315,10 @@ def test_builtin_tables_match_per_word_composition(case):
     fam, depth, lams, rho, t = case
     probs = _tilted_probs(fam.m, rho)
     logp, tlog = log_probability_potential(probs), t_log_derivative_potential(t)
+    const_probs = np.arange(1, fam.m + 1) / (fam.m * (fam.m + 1) // 2)
+    const = constant_bernoulli_potential(const_probs)
+    # the table of constant probabilities, written out: log p_{w_1}
+    ref_const = np.repeat(np.log(const_probs), fam.m ** (depth - 1))
     words = enumerate_words(fam.m, depth)
     for lam in lams:
         # one-element arrays, not scalars: numpy squares an array with a
@@ -318,13 +331,14 @@ def test_builtin_tables_match_per_word_composition(case):
                                    for w, y in zip(words, ys)])
         assert logp.table(fam, lam, depth).tobytes() == ref_logp.tobytes()
         assert tlog.table(fam, lam, depth).tobytes() == ref_tlog.tobytes()
+        assert const.table(fam, lam, depth).tobytes() == ref_const.tobytes()
 
 
 def test_transfer_spectrum_checks_size_before_tables():
-    def table_fn(fam, lam, depth):
+    def weights(frozen):
         raise AssertionError("a table was built")
 
-    pot = Potential(kind="probe", table_fn=table_fn)
+    pot = Potential(kind="probe", weights=weights)
     with pytest.raises(ValueError, match="exceeds cap"):
         transfer_spectrum(THREE_MAPS, pot, 0.0, 40)
     with pytest.raises(ValueError, match="depth must be positive"):
@@ -338,12 +352,13 @@ def test_truncation_bound_computed_on_read():
     assert fam not in ifs._audit_cache  # no audit until the bound is read
     bound = spec.truncation_bound
     assert fam in ifs._audit_cache
-    b, alpha = resolve_variation(pot, fam, 0.6)
+    b, alpha = pot.variation(fam, 0.6)
+    assert 0 < alpha < 1  # the clamp into (0, 1) leaves alpha as it is
     assert bound == b * alpha ** 7
 
 
 def test_user_potential_without_default_variation(dyadic):
-    pot = Potential("user", lambda fam, lam, depth: np.zeros(fam.m ** depth))
+    pot = Potential("user", lambda frozen: [np.zeros_like] * frozen.m)
     spec = transfer_spectrum(dyadic, pot, 0.0, 4)
     assert spec.pressure == pytest.approx(math.log(2), abs=1e-12)
     with pytest.raises(ValueError, match="no variation bound"):
@@ -506,3 +521,27 @@ def test_partition_sum_matches_per_point_loop(fam, subset, block, monkeypatch):
         for t in (0.0, E2_DIMENSION, 1.7):
             assert partition_sum(fam, subset, t, 0.0, n) == \
                 _partition_sum_per_point(fam, subset, t, 0.0, n)
+
+
+COLLOCATION_CASES = {
+    "e2": E2,
+    "cantor": PARTITION_CASES["cantor"][0],
+    "three-maps": THREE_MAPS,
+    "cf": cf_family(0.05, 1.0),
+}
+
+
+@pytest.mark.parametrize("fam", COLLOCATION_CASES.values(), ids=COLLOCATION_CASES)
+def test_collocation_pressure_of_log_derivative_is_exact(fam):
+    # the weights g_j = t log|f_j'| at the nodes give the floats of
+    # |f_j'|^t written out: eigvals(sum_j diag(exp(t log|f_j'|)) B_j)
+    frozen = fam.at(0.0)
+    for n in (thermo.COLLOCATION_NODES, 2 * thermo.COLLOCATION_NODES):
+        col = frozen.collocation(n)
+        log_dx = np.array([np.log(np.abs(mp.dx(col.nodes))) for mp in frozen.maps])
+        for t in (0.0, 0.25, E2_DIMENSION, 1.0, 1.9):
+            ev = np.linalg.eigvals(np.einsum("jk,jkl->kl", np.exp(t * log_dx), col.interp))
+            lead = ev[np.argmax(np.abs(ev))]
+            assert lead.imag == 0 and lead.real > 0
+            assert thermo._collocation_pressure(
+                frozen, t_log_derivative_potential(t), n) == math.log(lead.real)
