@@ -141,6 +141,9 @@ def region_scan(ranges, shape, axis_names, cell_fn, critical: float) -> RegionGr
 def bernoulli_region_scan(rho_range, lam_range, shape, n_terms: int = 12) -> RegionGrid:
     """value = entropy lower bound + log(lam); supercritical iff > 0
     (the Lyapunov exponent is -log lam)."""
+    if n_terms < 1:
+        raise ValueError("moment terms must be positive")
+
     def cell(rho, lam):
         lower, _ = bernoulli_entropy_bounds(lam, rho, n_terms)
         return lower + log(lam)

@@ -19,7 +19,7 @@ from .apps import (BERNOULLI_TRANSVERSALITY_SUP, NUMERICAL_ERRORS,
                    bernoulli_region_scan, blackwell_family,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
-from .config import ConfigError, as_floats, load_config
+from .config import ConfigError, as_floats, as_pair, as_pairs, load_config
 from .ifs import IfsFamily, affine_map, natural_projection, regularity_audit
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
                      m_condition_probe, sobolev_estimate)
@@ -40,14 +40,13 @@ def build_family(cfg) -> IfsFamily:
         offsets = cfg.read("family.offsets", as_floats)
         if len(ratios) != len(offsets):
             raise ConfigError("ratios and offsets must have equal length")
-        dom = cfg.read("family.domain", as_floats, [0.0, 1.0])
-        interval = cfg.read("family.param_interval", as_floats, [0.0, 1e-9])
+        dom = cfg.read("family.domain", as_pair, [0.0, 1.0])
+        interval = cfg.read("family.param_interval", as_pair, [0.0, 1e-9])
         maps = tuple(affine_map(a, b) for a, b in zip(ratios, offsets))
-        return IfsFamily(maps, tuple(dom), tuple(interval))
+        return IfsFamily(maps, dom, interval)
     if kind == "bernoulli":
-        interval = cfg.read("family.param_interval", as_floats,
-                            [0.5, BERNOULLI_TRANSVERSALITY_SUP])
-        return bernoulli_family(tuple(interval))
+        return bernoulli_family(cfg.read("family.param_interval", as_pair,
+                                         [0.5, BERNOULLI_TRANSVERSALITY_SUP]))
     if kind == "blackwell":
         fam, _ = blackwell_family(cfg.read("family.eps", float),
                                   cfg.read("family.p", float))
@@ -187,14 +186,14 @@ def cmd_region(cfg, args, out):
     shape = (cfg.read("run.grid1", int, 50), cfg.read("run.grid2", int, 50))
     if which == "bernoulli":
         grid = bernoulli_region_scan(
-            cfg.read("region.rho_range", as_floats, [0.0, 0.45]),
-            cfg.read("region.lambda_range", as_floats, [0.51, 0.668]),
+            cfg.read("region.rho_range", as_pair, [0.0, 0.45]),
+            cfg.read("region.lambda_range", as_pair, [0.51, 0.668]),
             shape, cfg.read("run.moment_terms", int, 12))
         path = os.path.join(out, "region_bernoulli.csv")
     elif which == "blackwell":
         grid = blackwell_region_scan(
-            cfg.read("region.eps_range", as_floats, [0.05, 0.95]),
-            cfg.read("region.p_range", as_floats, [0.05, 0.95]),
+            cfg.read("region.eps_range", as_pair, [0.05, 0.95]),
+            cfg.read("region.p_range", as_pair, [0.05, 0.95]),
             shape, get_depth(cfg, args, 8))
         path = os.path.join(out, "region_blackwell.csv")
     else:
@@ -233,9 +232,7 @@ def cmd_probe(cfg, args, out):
 
 
 def cmd_partition(cfg, args, out):
-    ivs = cfg.read("partition.intervals", as_floats)
-    pairs = [(ivs[k], ivs[k + 1]) for k in range(0, len(ivs), 2)]
-    plus, minus = greedy_partition(pairs)
+    plus, minus = greedy_partition(cfg.read("partition.intervals", as_pairs))
     print(f"I_plus: {' '.join(str(k + 1) for k in plus)}")
     print(f"I_minus: {' '.join(str(k + 1) for k in minus)}")
     return 0

@@ -18,13 +18,15 @@ class Config(dict):
     def read(self, key, convert, default=None):
         """`convert` of the numeric value at `key`, or of `default` when it
         is given and the key is absent; a value `convert` rejects raises
-        ConfigError naming the key and the raw value."""
+        ConfigError naming the key, the raw value and what was needed: a
+        number, or the text of a ConfigError that `convert` raised."""
         raw = self[key] if default is None else self.get(key, default)
         try:
             return convert(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError) as exc:
+            need = exc if isinstance(exc, ConfigError) else "a number"
             raise ConfigError(
-                f"config key {key!r}: cannot read {raw!r} as a number") from None
+                f"config key {key!r}: cannot read {raw!r} as {need}") from None
 
 
 def _parse_value(raw: str):
@@ -70,3 +72,20 @@ def as_floats(value) -> list:
     if isinstance(value, (int, float, str)):
         return [float(value)]
     return [float(v) for v in value]
+
+
+def as_pairs(value) -> list:
+    """The numbers of `value` as consecutive (a, b) pairs; an odd count is
+    rejected."""
+    v = as_floats(value)
+    if len(v) % 2:
+        raise ConfigError("pairs of numbers")
+    return list(zip(v[::2], v[1::2]))
+
+
+def as_pair(value) -> tuple:
+    """The two numbers of a two-value key such as an interval."""
+    v = as_floats(value)
+    if len(v) != 2:
+        raise ConfigError("two numbers")
+    return tuple(v)

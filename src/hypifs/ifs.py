@@ -1,8 +1,8 @@
 """Parametrized IFS families on a compact interval.
 
-Maps carry closed-form x- and lambda-derivatives where available;
-custom evaluators can fall back to central finite differences in
-lambda (flagged).  All evaluators accept numpy arrays in x.
+Maps carry closed-form x- and lambda-derivatives where available; a
+`CustomMap` without a lambda-derivative differentiates its own value by
+a central difference.  All evaluators accept numpy arrays in x.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class AffineMap:
 
     slope: Poly
     offset: Poly
-    dlam_exact = True
 
     def value(self, lam, x):
         return _freeze(self, lam).value(x)
@@ -86,7 +85,6 @@ class RationalMap:
     n1: Poly
     d0: Poly
     d1: Poly
-    dlam_exact = True
 
     def value(self, lam, x):
         return _freeze(self, lam).value(x)
@@ -105,7 +103,6 @@ class ShiftedMap:
     base: object
     shift: Poly
     base_lam: float = 0.0
-    dlam_exact = True
 
     @functools.cached_property
     def frozen_base(self):
@@ -129,10 +126,6 @@ class CustomMap:
     value_fn: object
     dx_fn: object
     dlam_fn: object = None
-
-    @property
-    def dlam_exact(self):
-        return self.dlam_fn is not None
 
     def value(self, lam, x):
         return self.value_fn(lam, x)
@@ -205,10 +198,6 @@ class IfsFamily:
         if not lo - 1e-12 <= lam <= hi + 1e-12:
             raise EvaluationError(f"lambda {lam} outside parameter interval")
 
-    @property
-    def dlam_exact(self) -> bool:
-        return all(mp.dlam_exact for mp in self.maps)
-
     def at(self, lam) -> "FrozenFamily":
         """The family frozen at `lam`, memoised for the most recent `lam` only."""
         frozen = _frozen_cache.get(self)
@@ -225,7 +214,6 @@ class _FrozenAffine:
     lam: float
     a: float
     b: float
-    closed_form = "affine"
 
     def value(self, x):
         return self.a * x + self.b
@@ -252,7 +240,6 @@ class _FrozenRational:
     d0: float
     d1: float
     det: float  # n1 d0 - n0 d1
-    closed_form = "moebius"
 
     def value(self, x):
         return (self.n0 + self.n1 * x) / (self.d0 + self.d1 * x)
@@ -282,7 +269,6 @@ class _BoundMap:
 
     inner: object
     lam: float
-    closed_form = None
 
     def value(self, x):
         return self.inner.value(self.lam, x)
@@ -365,13 +351,6 @@ class FrozenFamily:
     @property
     def m(self) -> int:
         return len(self.maps)
-
-    @property
-    def closed_form(self):
-        """"affine" when every map is affine, "moebius" when every map is
-        Moebius, else None."""
-        forms = {mp.closed_form for mp in self.maps}
-        return forms.pop() if len(forms) == 1 else None
 
     @functools.cached_property
     def tail_point(self) -> float:
@@ -497,40 +476,26 @@ def compose_word(fam: IfsFamily, u, lam: float, x):
 def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
     """(f_w(x0), d/dlam f_w(x0)) for every row w of the (k, n) symbol array
     `words`, x0 the domain midpoint: the natural projection truncated at
-    depth n and its parameter derivative, on `fam.at(lam)`.  The derivative
-    follows the recursion of `projection_lambda_derivative` when every map
-    has an exact dlam, and is a central difference at lam +- fd_step(lam)
-    otherwise.
+    depth n and its parameter derivative by the recursion of
+    `projection_lambda_derivative`, d = dlam f + f' d, on `fam.at(lam)`.
 
-    When the frozen family is all affine, one pass gathers each word's
+    When every frozen map is affine, one pass gathers each word's
     coefficients by symbol (`_gathered_affine_pass`); any other family
-    (Moebius, `CustomMap`, `ShiftedMap` or mixed) takes a pass that masks
-    the batch by symbol and calls each frozen map on its share.  Both give
-    the same floats."""
-    frozen = fam.at(lam)
-    if frozen.closed_form == "affine":
-        return _gathered_affine_pass(frozen.maps, words, fam.midpoint)
+    takes a pass that masks the batch by symbol and calls each frozen map
+    on its share.  Both give the same floats."""
+    maps = fam.at(lam).maps
+    if all(type(mp) is _FrozenAffine for mp in maps):
+        return _gathered_affine_pass(maps, words, fam.midpoint)
     k, n = words.shape
-    exact = fam.dlam_exact
-
-    def backward_pass(at):
-        maps = fam.at(at).maps
-        x, d = np.full(k, fam.midpoint), np.zeros(k)
-        for pos in range(n - 1, -1, -1):
-            col = words[:, pos]
-            for j, mp in enumerate(maps, 1):
-                mask = col == j
-                if mask.any():
-                    xm = x[mask]
-                    if exact:
-                        d[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * d[mask]
-                    x[mask] = mp.value(xm)
-        return x, d
-
-    x, d = backward_pass(lam)
-    if not exact:
-        h = fd_step(lam)
-        d = (backward_pass(lam + h)[0] - backward_pass(lam - h)[0]) / (2 * h)
+    x, d = np.full(k, fam.midpoint), np.zeros(k)
+    for pos in range(n - 1, -1, -1):
+        col = words[:, pos]
+        for j, mp in enumerate(maps, 1):
+            mask = col == j
+            if mask.any():
+                xm = x[mask]
+                d[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * d[mask]
+                x[mask] = mp.value(xm)
     return x, d
 
 
@@ -570,30 +535,15 @@ def natural_projection(fam: IfsFamily, lam: float, u, depth: int):
 
 
 def projection_lambda_derivative(fam: IfsFamily, lam: float, u, depth: int) -> float:
-    """d/dlam Pi^lam(u) truncated at `depth`.
-
-    When every map has an exact lambda-derivative, the recursion peels
-    one symbol at a time on the frozen maps, d = a' + f' * d_next;
-    otherwise a central difference at lam +- fd_step(lam) differentiates
-    the truncated projection, and raises EvaluationError when that step
-    leaves the parameter interval.
-    """
+    """d/dlam Pi^lam(u) truncated at `depth`, by the recursion that peels
+    one symbol at a time on the frozen maps, d = dlam f + f' * d_next."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     fam.check_lam(lam)
-    syms = _pad_word(fam, u, depth)
-    if not fam.dlam_exact:
-        h = fd_step(lam)
-        lo, hi = fam.param_interval
-        if lam - h < lo or lam + h > hi:
-            raise EvaluationError("finite-difference step leaves parameter interval")
-        vp, _ = compose_word(fam, syms, lam + h, fam.midpoint)
-        vm, _ = compose_word(fam, syms, lam - h, fam.midpoint)
-        return float(vp - vm) / (2 * h)
     maps = fam.at(lam).maps
     x = fam.midpoint
     d = 0.0
-    for s in reversed(syms):
+    for s in reversed(_pad_word(fam, u, depth)):
         fam.map(s)  # a symbol outside 1..m raises ValueError
         mp = maps[s - 1]
         d = float(mp.dlam(x)) + float(mp.dx(x)) * d

@@ -368,13 +368,13 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     """Solve P(s) = 0 for the pressure of t log|f'| by Brent's method,
     evaluating P once per point.
 
-    When the frozen maps are all affine or all Moebius and the audit finds
-    the domain invariant, P is the collocation pressure P_N on
-    N = COLLOCATION_NODES Chebyshev nodes, checked against P_2N at every t
-    the solver reads.  Any other family, and a root at any of whose points
-    |P_N - P_2N| exceeds COLLOCATION_TOL or a leading eigenvalue is not
-    real and positive, is solved on the depth-r cylinder `pressure`: `r`
-    is used only by this fallback.
+    When the audit finds the domain invariant, P is the collocation
+    pressure P_N on N = COLLOCATION_NODES Chebyshev nodes, checked against
+    P_2N at every t the solver reads.  A family without an invariant
+    domain, and a root at any of whose points |P_N - P_2N| exceeds
+    COLLOCATION_TOL or a leading eigenvalue is not real and positive, is
+    solved on the depth-r cylinder `pressure`: `r` is used only by this
+    fallback.
 
     Returns the root `s`, `pressure_at_s`, the partition-sum bracket of
     P(s) at word length BOWEN_BRACKET_N and its width, the `backend`
@@ -389,8 +389,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     if fam.m < 2:
         raise ValueError("P(0) = log m <= 0: Bowen root is not positive")
     slope = -math.log(aud.gamma2)
-    frozen = fam.at(lam)
-    if aud.invariant and frozen.closed_form is not None:
+    if aud.invariant:
+        frozen = fam.at(lam)
         gaps = {}
 
         def P_coll(t):

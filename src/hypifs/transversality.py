@@ -230,7 +230,9 @@ def build_pm_translation(base: IfsFamily, lam0: float,
     maps frozen at lam0, with kappa in {-1, +1} from the greedy partition
     of the level-1 cylinder intervals; the halfwidth is shrunk until
     invariance and within-class disjointness hold at the sweep
-    endpoints."""
+    endpoints.  A halfwidth that is not positive raises ValueError."""
+    if not halfwidth > 0:
+        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     intervals = [cylinder_interval(base, lam0, [j]) for j in range(1, base.m + 1)]
     if base.m == 1:
         plus, minus = [0], []

@@ -67,11 +67,31 @@ def test_missing_key_exit_1_names_it(tmp_path, capsys):
     assert "'family.p'" in capsys.readouterr().err
 
 
+GRID_2X2 = "run.grid1 = 2\nrun.grid2 = 2\n"
+
+
 @pytest.mark.parametrize("cfg, argv, shown", [
     (CANTOR.replace("0.333333333333, 0.333333333333", "abc"), ["audit"],
      "'family.ratios': cannot read 'abc'"),
     (BERNOULLI + "run.samples = many\n", ["transversality", "probe"],
-     "'run.samples': cannot read 'many'")], ids=["ratios-audit", "samples-probe"])
+     "'run.samples': cannot read 'many'"),
+    (GRID_2X2 + "region.eps_range = 0.1\n", ["region", "blackwell"],
+     "'region.eps_range': cannot read 0.1 as two numbers"),
+    (GRID_2X2 + "region.p_range = 0.1, 0.2, 0.3\n", ["region", "blackwell"],
+     "'region.p_range': cannot read [0.1, 0.2, 0.3] as two numbers"),
+    (GRID_2X2 + "region.rho_range = 0.1\n", ["region", "bernoulli"],
+     "'region.rho_range': cannot read 0.1 as two numbers"),
+    (CANTOR + "family.domain = 0\n", ["audit"],
+     "'family.domain': cannot read 0 as two numbers"),
+    (CANTOR + "family.param_interval = 0.5\n", ["audit"],
+     "'family.param_interval': cannot read 0.5 as two numbers"),
+    (BERNOULLI + "family.param_interval = 0.5, 0.6, 0.7\n", ["audit"],
+     "'family.param_interval': cannot read [0.5, 0.6, 0.7] as two numbers"),
+    ("partition.intervals = 0.0, 0.3, 0.2\n", ["partition"],
+     "'partition.intervals': cannot read [0.0, 0.3, 0.2] as pairs of numbers")],
+    ids=["ratios-audit", "samples-probe", "eps-range-one", "p-range-three",
+         "rho-range-one", "domain-one", "interval-one", "interval-three",
+         "intervals-odd"])
 def test_non_numeric_value_exit_1_names_key_and_value(tmp_path, capsys, cfg, argv,
                                                        shown):
     code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
@@ -143,13 +163,15 @@ def test_entropy_command(tmp_path, capsys):
     assert "entropy:" in out and "lyapunov:" in out
 
 
-def test_transversality_certify(tmp_path, capsys):
-    cfg = """
+SEPARATED = """
 family.kind = affine
 family.ratios = 0.3, 0.3
 family.offsets = 0.2, 0.4
 """
-    code, out = run(tmp_path, cfg, ["transversality", "certify"], capsys)
+
+
+def test_transversality_certify(tmp_path, capsys):
+    code, out = run(tmp_path, SEPARATED, ["transversality", "certify"], capsys)
     assert code == 0
     assert "CERTIFIED-cond1" in out
     assert (tmp_path / "certificate.csv").exists()
@@ -207,6 +229,28 @@ def test_region_rejects_a_grid_below_one_by_one_exit_2(tmp_path, capsys, which, 
     assert code == 2
     assert f"region grid shape {size} x 3 is below 1 x 1" in capsys.readouterr().err
     assert not (tmp_path / f"region_{which}.csv").exists()
+
+
+def test_region_bernoulli_without_moment_terms_exit_2(tmp_path, capsys):
+    cfg = "family.kind = bernoulli\nrun.moment_terms = 0\n" + GRID_2X2
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path),
+                 "region", "bernoulli"])
+    assert code == 2
+    assert "moment terms must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "region_bernoulli.csv").exists()
+
+
+@pytest.mark.parametrize("halfwidth", ["0", "-0.05"])
+def test_certify_rejects_a_halfwidth_that_is_not_positive_exit_2(tmp_path, capsys,
+                                                                 halfwidth):
+    cfg = SEPARATED + f"run.halfwidth = {halfwidth}\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path),
+                 "transversality", "certify"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "CERTIFIED" not in captured.out
+    assert f"halfwidth must be positive, got {float(halfwidth)}" in captured.err
+    assert not (tmp_path / "certificate.csv").exists()
 
 
 def test_cf_overlap_command(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs
+from hypifs.apps import blackwell_family, cf_family
 from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, Poly,
                         RationalMap, ShiftedMap, affine_map, bernoulli_psi,
                         compose_word, cylinder_interval, moebius_shift,
@@ -120,7 +121,6 @@ def test_shifted_map_evaluates_its_base_once(poly_calls):
 def test_custom_map_fd_fallback():
     mp = CustomMap(value_fn=lambda lam, x: lam * x,
                    dx_fn=lambda lam, x: lam * np.ones_like(np.asarray(x)))
-    assert not mp.dlam_exact
     assert mp.dlam(0.4, 0.7) == pytest.approx(0.7, rel=1e-6)
 
 
@@ -214,22 +214,19 @@ def test_natural_projection_error_bound(cantor_fam):
 
 
 def without_dlam(fam):
-    """`fam` with every map a CustomMap of its value and dx, so that
-    lambda-derivatives fall back to central differences."""
+    """`fam` with every map a CustomMap of its value and dx, so that each
+    map's lambda-derivative is its own central difference."""
     return IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in fam.maps),
                      fam.domain, fam.param_interval)
 
 
 def test_projection_derivative_recursion_vs_fd(bernoulli_fam):
     u = [2, 1, 2, 2, 1, 1, 2, 1]
-    d_rec = projection_lambda_derivative(bernoulli_fam, 0.6, u, 30)
-    d_fd = projection_lambda_derivative(without_dlam(bernoulli_fam), 0.6, u, 30)
-    assert d_rec == pytest.approx(d_fd, rel=1e-5)
-
-
-def test_projection_derivative_fd_interval_guard(bernoulli_fam):
-    with pytest.raises(EvaluationError):
-        projection_lambda_derivative(without_dlam(bernoulli_fam), 0.5, [1, 2], 10)
+    for fam, lam in [(bernoulli_fam, 0.6), (blackwell_family(0.2, 0.3)[0], 0.3),
+                     (cf_family(0.5, 2.0, 0.1), 0.05)]:
+        d_rec = projection_lambda_derivative(fam, lam, u, 30)
+        d_fd = projection_lambda_derivative(without_dlam(fam), lam, u, 30)
+        assert d_rec == pytest.approx(d_fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("symbol", [0, 3])

@@ -136,6 +136,12 @@ def test_bowen_root_oracles(cantor):
     assert res["error_estimate"] <= 1e-13
 
 
+def as_custom_maps(fam):
+    """`fam` with every map a CustomMap of its value and dx."""
+    return IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in fam.maps),
+                     fam.domain, fam.param_interval)
+
+
 def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
     coll, cyl = [], []
     collocation_pressure = thermo._collocation_pressure
@@ -158,16 +164,18 @@ def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
     monkeypatch.setattr(thermo, "t_log_derivative_potential", recording_potential)
     monkeypatch.setattr(thermo, "_collocation_pressure", recording_collocation)
     monkeypatch.setattr(thermo, "pressure", recording_cylinder)
-    assert bowen_root(cantor, 0.0)["backend"] == "collocation"
-    assert cyl == [] and len(coll) == len(set(coll)) > 0
     n = thermo.COLLOCATION_NODES
-    ts = [t for t, _ in coll]
-    assert sorted(coll) == sorted([(t, n) for t in set(ts)] + [(t, 2 * n) for t in set(ts)])
+    for fam in (cantor, as_custom_maps(cantor)):
+        coll.clear()
+        assert bowen_root(fam, 0.0)["backend"] == "collocation"
+        assert cyl == [] and len(coll) == len(set(coll)) > 0
+        ts = [t for t, _ in coll]
+        assert sorted(coll) == sorted([(t, n) for t in set(ts)] + [(t, 2 * n) for t in set(ts)])
 
     coll.clear()
-    custom = IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in cantor.maps),
-                       cantor.domain, cantor.param_interval)
-    assert bowen_root(custom, 0.0)["backend"] == "cylinder"
+    # f_2([0, 0.9]) = [2/3, 29/30] leaves the domain: no collocation
+    escaping = IfsFamily(cantor.maps, (0.0, 0.9), cantor.param_interval)
+    assert bowen_root(escaping, 0.0)["backend"] == "cylinder"
     assert coll == [] and len(cyl) == len(set(cyl)) > 0
 
 
@@ -545,3 +553,22 @@ def test_collocation_pressure_of_log_derivative_is_exact(fam):
             assert lead.imag == 0 and lead.real > 0
             assert thermo._collocation_pressure(
                 frozen, t_log_derivative_potential(t), n) == math.log(lead.real)
+
+
+def test_bowen_root_of_custom_map_copies_is_the_closed_form_result(cantor):
+    # the collocation operator reads only value and dx, so a CustomMap copy
+    # of a family gives the floats of the family itself
+    for fam in (E2, cantor):
+        assert bowen_root(as_custom_maps(fam), 0.0) == bowen_root(fam, 0.0)
+
+
+MIXED = IfsFamily((affine_map(0.3, 0.0), moebius_shift(2.0)), (0.0, 1.0), (0.0, 1e-9))
+
+
+@pytest.mark.parametrize("fam", [MIXED, QUADRATIC], ids=["mixed", "quadratic"])
+def test_bowen_root_collocation_of_general_families_matches_deep_cylinders(fam):
+    res = bowen_root(fam, 0.0)
+    assert res["backend"] == "collocation"
+    slope = -math.log(ifs.regularity_audit(fam).gamma2)
+    s16, _ = thermo._bowen_solve(lambda t: pressure(fam, t, 0.0, r=16), fam.m, slope)
+    assert abs(res["s"] - s16) <= 1e-11
