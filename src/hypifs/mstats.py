@@ -14,7 +14,8 @@ from .ifs import (ROOT_RTOL, ROOT_XTOL, AuditFailure, IfsFamily, concat_images,
 from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
                      transfer_spectrum)
 
-CHAOS_BLOCK = 4096  # uniforms converted to Python floats per step of the chaos game
+CHAOS_BLOCK = 2 ** 14  # chain steps evaluated per array pass of a chaos-game sweep
+CHAOS_BUDGET = 128  # step evaluations per chain step before the scalar loop finishes the chain
 FOURIER_BLOCK = 2 ** 14  # elements of a (frequency x cell) temporary in _fourier_mean
 TAIL_LEVELS = 5  # level sums in the geometric tail fit
 ALPHA_LO, ALPHA_HI = 1e-3, 2.0  # the correlation-dimension search interval
@@ -113,23 +114,37 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure):
     return {"alpha": alpha, "bracket": (alpha - half, alpha + half)}
 
 
-def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
-                      burn_in: int, seed: int, family_id: str = "") -> EmpiricalSample:
-    """Random iteration x <- f_j(x), j ~ p_.(x); deterministic per seed."""
-    if count < 1 or burn_in < 0:
-        raise ValueError("need count >= 1 and burn_in >= 0")
-    frozen = fam.at(lam)
-    audit_prob_fns(prob_fns, frozen)
-    rng = np.random.default_rng(seed)
-    uni = rng.random(count + burn_in)
-    x = fam.midpoint
-    out = np.empty(count)
-    values = [mp.value for mp in frozen.maps]
-    last = len(prob_fns) - 1
-    # the last curve is never evaluated: its symbol is the default
-    curves = list(enumerate(prob_fns[:last]))
-    for s in range(0, len(uni), CHAOS_BLOCK):
-        for k, u in enumerate(uni[s:s + CHAOS_BLOCK].tolist(), s):
+def _chaos_steps(values, curves, lam, u, x):
+    """f_j(x) for every entry, j the first symbol with u < p_1(x) + ... +
+    p_j(x), else the last: the scalar loop's float operations, as arrays.
+    A curve is evaluated only on the points still undecided when the loop
+    reaches it, and a map only on the points that chose it."""
+    todo = np.arange(len(x))  # the undecided entries, aligned with xs, us, acc
+    xs, us, acc, keep = x, u, 0.0, slice(None)
+    chosen = [todo[:0]] * len(values)
+    for jj, f in curves:
+        if jj:
+            todo, xs, us, acc = todo[keep], xs[keep], us[keep], acc[keep]
+        acc = np.broadcast_to(acc + np.asarray(f(lam, xs), dtype=float), us.shape)
+        hit = us < acc
+        keep = np.flatnonzero(~hit)
+        chosen[jj] = todo[np.flatnonzero(hit)]
+        if not len(keep):
+            break
+    chosen[-1] = todo[keep]
+    out = np.empty(len(x))
+    for value, sel in zip(values, chosen):
+        if len(sel):
+            out[sel] = value(x[sel])
+    return out
+
+
+def _scalar_finish(values, curves, last, lam, uni, chain, start):
+    """Run the chain one Python step at a time from its exact state
+    chain[start], writing chain[start + 1:]."""
+    x = float(chain[start])
+    for s in range(start, len(uni), CHAOS_BLOCK):
+        for k, u in enumerate(uni[s:s + CHAOS_BLOCK].tolist(), s + 1):
             acc = 0.0
             j = last
             for jj, f in curves:
@@ -138,9 +153,73 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
                     j = jj
                     break
             x = float(values[j](x))
-            if k >= burn_in:
-                out[k - burn_in] = x
-    return EmpiricalSample(points=out, family_id=family_id, lam=lam,
+            chain[k] = x
+
+
+def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
+                      burn_in: int, seed: int, family_id: str = "") -> EmpiricalSample:
+    """Random iteration x <- f_j(x), j ~ p_.(x); deterministic per seed.
+
+    The chain x_0 = fam.midpoint, x_{k+1} = f_{j_k}(x_k), j_k the first j
+    with u_k < p_1(x_k) + ... + p_j(x_k), over count + burn_in uniforms u_k,
+    is solved by Jacobi fixed-point sweeps.  Every x_k starts at the
+    midpoint, and a sweep re-evaluates, in array passes of CHAOS_BLOCK
+    steps, each step whose input changed in the sweep before (all the steps
+    from the first to the last of them, by slices, while they are at least
+    half of that range).  When a sweep
+    changes no bit, every x_{k+1} is the step applied to x_k, and x_0 is
+    exact, so by induction the array is the sequential chain bit for bit:
+    the stopping rule is a certificate, not a tolerance.  Each state a sweep
+    steps from is a state of the same chain begun at the midpoint at a later
+    time, and each curve and map is evaluated only on the states where the
+    scalar loop would evaluate it.  Once CHAOS_BUDGET step evaluations per
+    chain step are spent (a weak contraction couples slowly), the scalar
+    loop finishes the chain from its first state not yet certified.
+
+    Bit-identity with the scalar loop needs every curve and map to give,
+    elementwise on an array, what it gives on one float.  The built-in maps
+    and curves are plain ufunc arithmetic and do; a user curve must too.
+    x ** 2 need not: numpy squares an array by a multiplication, while a
+    float is raised by pow(), which can differ by an ulp."""
+    if count < 1 or burn_in < 0:
+        raise ValueError("need count >= 1 and burn_in >= 0")
+    frozen = fam.at(lam)
+    audit_prob_fns(prob_fns, frozen)
+    n = count + burn_in
+    uni = np.random.default_rng(seed).random(n)
+    values = [mp.value for mp in frozen.maps]
+    last = len(prob_fns) - 1
+    # the last curve is never evaluated: its symbol is the default
+    curves = list(enumerate(prob_fns[:last]))
+    chain = np.full(n + 1, fam.midpoint)
+    bits = chain.view(np.int64)
+    active = np.arange(n)  # the steps k whose input chain[k] may have changed
+    budget = CHAOS_BUDGET * n
+    while len(active):
+        lo, hi = int(active[0]), int(active[-1]) + 1
+        # at least half the steps in [lo, hi) active: evaluate them all, by slices
+        dense = 2 * len(active) >= hi - lo
+        cost = hi - lo if dense else len(active)
+        if cost > budget:
+            _scalar_finish(values, curves, last, lam, uni, chain, lo)
+            break
+        budget -= cost
+        moved = []
+        for s in range(0, cost, CHAOS_BLOCK):
+            if dense:
+                ks = slice(lo + s, min(lo + s + CHAOS_BLOCK, hi))
+                nxt = slice(ks.start + 1, ks.stop + 1)
+            else:
+                ks = active[s:s + CHAOS_BLOCK]
+                nxt = ks + 1
+            new = _chaos_steps(values, curves, lam, uni[ks], chain[ks])
+            changed = np.flatnonzero(new.view(np.int64) != bits[nxt])
+            chain[nxt] = new
+            moved.append(changed + nxt.start if dense else nxt[changed])
+        active = np.concatenate(moved)
+        if len(active) and active[-1] == n:  # x_n is the input of no step
+            active = active[:-1]
+    return EmpiricalSample(points=chain[burn_in + 1:], family_id=family_id, lam=lam,
                            seed=seed, burn_in=burn_in)
 
 

@@ -230,7 +230,8 @@ def build_pm_translation(base: IfsFamily, lam0: float,
     maps frozen at lam0, with kappa in {-1, +1} from the greedy partition
     of the level-1 cylinder intervals; the halfwidth is shrunk until
     invariance and within-class disjointness hold at the sweep
-    endpoints.  A halfwidth that is not positive raises ValueError."""
+    endpoints.  A halfwidth that is not positive, or one that 60 halvings
+    do not bring to a valid one, raises ValueError."""
     if not halfwidth > 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     intervals = [cylinder_interval(base, lam0, [j]) for j in range(1, base.m + 1)]
@@ -250,6 +251,9 @@ def build_pm_translation(base: IfsFamily, lam0: float,
         h *= 0.5
         if h < 1e-15:
             raise ValueError("no positive halfwidth achieves invariance")
+    else:
+        raise ValueError(f"no halfwidth within 60 halvings of {halfwidth} "
+                         f"achieves invariance")
     maps = tuple(ShiftedMap(mp, poly(0.0, float(k)), lam0)
                  for mp, k in zip(base.maps, kappa))
     return IfsFamily(maps, base.domain, (-h, h))

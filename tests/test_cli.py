@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, stanzas, CSV outputs."""
 
 import pytest
+from test_mstats import _chaos_reference
 
 from hypifs import cli
+from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.cli import main
 from hypifs.config import ConfigError, as_floats, load_config
+from hypifs.ifs import IfsFamily, affine_map
+from hypifs.thermo import constant_bernoulli_potential
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -253,6 +257,16 @@ def test_certify_rejects_a_halfwidth_that_is_not_positive_exit_2(tmp_path, capsy
     assert not (tmp_path / "certificate.csv").exists()
 
 
+def test_certify_rejects_a_halfwidth_no_halving_makes_valid_exit_2(tmp_path, capsys):
+    cfg = CANTOR + "run.halfwidth = 1e4\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path),
+                 "transversality", "certify"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "within 60 halvings of 10000.0" in captured.err
+    assert not (tmp_path / "certificate.csv").exists()
+
+
 def test_cf_overlap_command(tmp_path, capsys):
     cfg = "family.kind = cf\nfamily.alpha = 1e-4\nfamily.beta = 0.4142\n"
     code, out = run(tmp_path, cfg, ["cf", "overlap"], capsys)
@@ -275,6 +289,33 @@ def test_sample_seed_flag(tmp_path, capsys):
     first = (tmp_path / "sample.csv").read_text()
     run(tmp_path, cfg, ["--seed", "11", "sample"], capsys)
     assert (tmp_path / "sample.csv").read_text() == first
+
+
+def _sample_case(kind):
+    """(config, family, curves, lambda) of a `sample` run, the family and
+    curves built without the CLI."""
+    if kind == "constant":
+        fam = IfsFamily((affine_map(0.333333333333, 0.0),
+                         affine_map(0.333333333333, 0.666666666667)), (0.0, 1.0), (0.0, 1e-9))
+        return (CANTOR + "potential.kind = constant\npotential.probs = 0.3, 0.7\n", fam,
+                constant_bernoulli_potential([0.3, 0.7]).prob_fns, 0.5e-9)
+    if kind == "bernoulli":
+        return BERNOULLI, bernoulli_family(), bernoulli_potential(0.2).prob_fns, 0.6
+    fam, probs = blackwell_family(0.3, 0.8)
+    cfg = "family.kind = blackwell\nfamily.eps = 0.3\nfamily.p = 0.8\nfamily.lambda = 0.8\n"
+    return cfg + "potential.kind = blackwell\n", fam, probs, 0.8
+
+
+@pytest.mark.parametrize("kind", ["constant", "bernoulli", "blackwell"])
+def test_sample_csv_is_the_scalar_chain(tmp_path, capsys, kind):
+    cfg, fam, probs, lam = _sample_case(kind)
+    code, _ = run(tmp_path, cfg + "run.samples = 3000\nrun.burn_in = 50\n",
+                  ["--seed", "7", "sample"], capsys)
+    assert code == 0
+    ref = tmp_path / "reference.csv"
+    cli._write_rows(ref, ["x"], [(float(x),) for x in
+                                 _chaos_reference(fam, probs, lam, 3000, 50, 7)])
+    assert (tmp_path / "sample.csv").read_bytes() == ref.read_bytes()
 
 
 def test_sobolev_window_too_small_exit_2(tmp_path, capsys):

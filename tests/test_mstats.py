@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypifs import mstats
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
-from hypifs.ifs import (AuditFailure, IfsFamily, affine_map, bernoulli_psi,
-                        compose_word)
+from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
+                        bernoulli_psi, compose_word, moebius_shift)
 from hypifs.mstats import (SOBOLEV_BLOCK, SOBOLEV_PER_DECADE, EmpiricalSample,
                            _fourier_mean, chaos_game_sample,
                            correlation_dimension, energy, energy_level_sums,
@@ -253,4 +254,86 @@ def test_chaos_game_matches_scalar_reference(name):
     fam, probs, lam, count, burn_in = _chaos_cases()[name]
     sample = chaos_game_sample(fam, probs, lam, count, burn_in, seed=17)
     ref = _chaos_reference(fam, probs, lam, count, burn_in, seed=17)
+    assert sample.points.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _chaos_families(draw):
+    """2-4 affine maps (either orientation) or Moebius maps x -> (x + c) /
+    (x + c + 1) on [0, 1], some behind CustomMap, with constant curves or
+    the curves p_1, p_2 tilted by rho (x - 1/2)."""
+    m = draw(st.integers(2, 4))
+    maps = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            mp = moebius_shift(draw(st.floats(0.05, 3.0)))
+        else:
+            a = draw(st.floats(0.05, 0.7)) * draw(st.sampled_from([1.0, -1.0]))
+            b = max(-a, 0.0) + draw(st.floats(0.0, 1.0)) * (1.0 - abs(a))
+            mp = affine_map(a, b)
+        if draw(st.booleans()):
+            mp = CustomMap(mp.value, mp.dx)
+        maps.append(mp)
+    fam = IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1e-9))
+    if draw(st.booleans()):
+        rho = draw(st.floats(-0.9, 0.9))
+        sign = [1.0, -1.0] + [0.0] * (m - 2)
+        probs = [lambda lam, x, s=s: (1.0 + s * rho * (np.asarray(x, dtype=float) - 0.5)) / m
+                 for s in sign]
+    else:
+        w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+        probs = _constant_curves(w / w.sum())
+    return fam, probs
+
+
+@given(_chaos_families(), st.integers(1, 1500), st.integers(0, 50),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+@example((IfsFamily((affine_map(0.5, 0.0), affine_map(0.5, 0.5)), (0.0, 1.0), (0.0, 1e-9)),
+          _constant_curves([0.5, 0.5])), 1, 0, 0)
+@example((IfsFamily((affine_map(0.5, 0.25),), (0.0, 1.0), (0.0, 1e-9)),
+          _constant_curves([1.0])), 40, 0, 3)
+@example((IfsFamily((affine_map(0.3, 0.0), affine_map(0.3, 0.35), affine_map(0.3, 0.7)),
+                   (0.0, 1.0), (0.0, 1e-9)),
+          [lambda lam, x: 0.3, lambda lam, x: 0.3, lambda lam, x: 0.4]), 200, 5, 1)
+def test_chaos_game_is_the_scalar_chain(case, count, burn_in, seed):
+    fam, probs = case
+    sample = chaos_game_sample(fam, probs, 0.0, count, burn_in, seed)
+    ref = _chaos_reference(fam, probs, 0.0, count, burn_in, seed)
+    assert sample.points.tobytes() == ref.tobytes()
+
+
+def _recording_finish(monkeypatch):
+    """Record the first uncertified step of every scalar finish."""
+    starts = []
+    finish = mstats._scalar_finish
+
+    def recorded(*args):
+        starts.append(args[-1])
+        finish(*args)
+
+    monkeypatch.setattr(mstats, "_scalar_finish", recorded)
+    return starts
+
+
+def test_chaos_game_hands_a_slowly_coupling_chain_to_the_scalar_loop(monkeypatch):
+    # contraction 0.99: two starts agree to the last bit only after about
+    # 3700 steps, far beyond CHAOS_BUDGET sweeps
+    starts = _recording_finish(monkeypatch)
+    fam = IfsFamily((affine_map(0.99, 0.0), affine_map(0.99, 0.01)), (0.0, 1.0), (0.0, 1e-9))
+    probs = _constant_curves([0.5, 0.5])
+    sample = chaos_game_sample(fam, probs, 0.0, 3000, 100, seed=5)
+    assert len(starts) == 1 and 0 < starts[0] < 3100
+    assert sample.points.tobytes() == _chaos_reference(fam, probs, 0.0, 3000, 100, 5).tobytes()
+
+
+@pytest.mark.parametrize("name", ["uniform", "bernoulli", "blackwell", "three-map"])
+@pytest.mark.parametrize("budget", [1, 20])
+def test_chaos_game_budget_path_matches_scalar_reference(monkeypatch, name, budget):
+    starts = _recording_finish(monkeypatch)
+    monkeypatch.setattr(mstats, "CHAOS_BUDGET", budget)
+    fam, probs, lam, count, burn_in = _chaos_cases()[name]
+    sample = chaos_game_sample(fam, probs, lam, count, burn_in, seed=23)
+    assert len(starts) == 1
+    ref = _chaos_reference(fam, probs, lam, count, burn_in, seed=23)
     assert sample.points.tobytes() == ref.tobytes()

@@ -342,6 +342,41 @@ def test_builtin_tables_match_per_word_composition(case):
         assert const.table(fam, lam, depth).tobytes() == ref_const.tobytes()
 
 
+@given(_family_cases(), st.sampled_from(["log-probability", "tlog", "constant"]))
+@settings(max_examples=25, deadline=None)
+def test_gibbs_measure_has_mass_one_and_consistent_coarsenings(case, kind):
+    fam, depth, lams, rho, t = case
+    const_probs = np.arange(1, fam.m + 1) / (fam.m * (fam.m + 1) // 2)
+    pot = {"log-probability": log_probability_potential(_tilted_probs(fam.m, rho)),
+           "tlog": t_log_derivative_potential(t),
+           "constant": constant_bernoulli_potential(const_probs)}[kind]
+    for lam in lams:
+        mu = gibbs_cylinder_measure(transfer_spectrum(fam, pot, lam, depth))
+        assert np.all(mu.weights > 0)
+        assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert mu.coarsen(depth).weights.tobytes() == mu.weights.tobytes()
+        for d in range(1, depth):
+            coarse = mu.coarsen(d)
+            # each depth-d cylinder weighs what its depth-(d+1) children weigh
+            children = mu.coarsen(d + 1).weights.reshape(-1, fam.m).sum(axis=1)
+            assert np.allclose(coarse.weights, children, rtol=1e-13, atol=0.0)
+            assert coarse.total_mass == pytest.approx(1.0, abs=1e-12)
+        if kind == "constant":
+            assert mu.coarsen(1).weights == pytest.approx(const_probs, abs=1e-10)
+
+
+@given(_family_cases())
+@settings(max_examples=25, deadline=None)
+def test_pressure_of_log_probability_potentials_is_zero(case):
+    # sum_j p_j = 1 makes the transfer operator fix the constant 1
+    fam, depth, lams, rho, _ = case
+    pot = log_probability_potential(_tilted_probs(fam.m, rho))
+    for lam in lams:
+        assert abs(transfer_spectrum(fam, pot, lam, depth).pressure) <= ROUNDING
+        p_coll = thermo._collocation_pressure(fam.at(lam), pot, thermo.COLLOCATION_NODES)
+        assert abs(p_coll) <= ROUNDING
+
+
 def test_transfer_spectrum_checks_size_before_tables():
     def weights(frozen):
         raise AssertionError("a table was built")

@@ -54,6 +54,20 @@ def test_build_pm_translation_shrinks_halfwidth():
     assert [mp.base for mp in tf.maps] == list(base.maps)
 
 
+@pytest.mark.parametrize("halfwidth", [0.05, 1e4])
+def test_build_pm_translation_raises_where_no_halfwidth_is_valid(halfwidth):
+    # the Cantor cylinders touch the domain ends: no shift keeps them inside;
+    # 60 halvings of 1e4 stop at 8.7e-15, which was never checked
+    cantor = sep_base(1 / 3, 0.0, 2 / 3)
+    with pytest.raises(ValueError, match="achieves invariance"):
+        build_pm_translation(cantor, 0.0, halfwidth)
+
+
+def test_build_pm_translation_halves_a_large_halfwidth():
+    tf = build_pm_translation(sep_base(0.3, 0.2, 0.4), 0.0, 1e4)
+    assert tf.param_interval == (-1e4 / 2 ** 16, 1e4 / 2 ** 16)
+
+
 def test_overlap_domain_detects_overlap():
     base = sep_base(0.3, 0.2, 0.4)
     tf = build_pm_translation(base, 0.0, 0.05)
