@@ -7,14 +7,13 @@ __version__ = "0.1.0"
 
 from .ifs import (AffineMap, AuditFailure, CustomMap, EvaluationError,
                   IfsFamily, Poly, RationalMap, ShiftedMap, affine_map,
-                  bernoulli_psi, compose_word, cylinder_interval,
-                  moebius_shift, natural_projection, poly,
-                  projection_lambda_derivative, regularity_audit)
+                  bernoulli_psi, cylinder_interval, moebius_shift,
+                  natural_projection, poly, regularity_audit)
 from .thermo import (ConvergenceError, CylinderMeasure, Potential,
                      TransferSpectrum, bowen_root,
                      constant_bernoulli_potential, entropy,
                      gibbs_cylinder_measure, log_probability_potential,
-                     lyapunov_dimension, lyapunov_exponent, partition_sum,
+                     lyapunov_exponent, partition_sum,
                      pressure, pressure_bracket, pressure_drop_check,
                      t_log_derivative_potential, transfer_spectrum)
 from .transversality import (PartitionError, TransversalityReport,

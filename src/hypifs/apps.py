@@ -231,16 +231,17 @@ def cf_family(alpha: float, beta: float, lam_halfwidth: float = 0.0) -> IfsFamil
 
     With lam_halfwidth = 0 the family is constant in the parameter; a
     positive halfwidth shifts the second offset for transversality probes.
+    A negative one raises ValueError: the second map would leave the domain.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive (parabolic case out of scope)")
     if beta <= alpha:
         raise ValueError("need alpha < beta")
+    if not lam_halfwidth >= 0:
+        raise ValueError(f"lam_halfwidth must be >= 0, got {lam_halfwidth}")
     dom = cf_domain(alpha, beta + lam_halfwidth)
     c2 = poly(beta, 1.0) if lam_halfwidth > 0 else poly(beta)
-    interval = (0.0, lam_halfwidth) if lam_halfwidth > 0 else (0.0, 0.0)
-    if interval[0] == interval[1]:
-        interval = (-1e-9, 1e-9)
+    interval = (0.0, lam_halfwidth) if lam_halfwidth > 0 else (-1e-9, 1e-9)
     return IfsFamily((moebius_shift(alpha), moebius_shift(c2)),
                      domain=dom, param_interval=interval)
 

@@ -1,7 +1,7 @@
 """Configuration-driven command-line front end.
 
 Exit codes: 0 success, 1 invalid config, 2 numerical failure or audit
-FAIL, 3 falsified transversality.
+FAIL (and argparse's usage errors), 3 falsified transversality.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def get_depth(cfg, args, default):
     if args.depth is not None:
         return args.depth
     return cfg.read("run.depth", int, default)
+
+
+def get_seed(cfg, args) -> int:
+    """--seed when given, else run.seed, else 0: the seed of every seeded
+    command and of its stanza line."""
+    if args.seed is not None:
+        return args.seed
+    return cfg.read("run.seed", int, 0)
 
 
 def stanza(cfg, seed=None):
@@ -222,10 +230,9 @@ def cmd_certify(cfg, args, out):
 
 def cmd_probe(cfg, args, out):
     fam = build_family(cfg)
-    seed = args.seed if args.seed is not None else cfg.read("run.seed", int, 0)
     rep = mc_transversality_probe(
         fam, samples=cfg.read("run.samples", int, 10000),
-        depth=get_depth(cfg, args, 40), seed=seed)
+        depth=get_depth(cfg, args, 40), seed=get_seed(cfg, args))
     for line in rep.lines():
         print(line)
     return 3 if rep.verdict == "FALSIFIED" else 0
@@ -280,10 +287,9 @@ def _prob_fns(cfg, fam):
 def _chaos_sample(cfg, args):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
-    seed = args.seed if args.seed is not None else cfg.read("run.seed", int, 0)
     return chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
                              cfg.read("run.samples", int, 100000),
-                             cfg.read("run.burn_in", int, 100), seed)
+                             cfg.read("run.burn_in", int, 100), get_seed(cfg, args))
 
 
 def cmd_sample(cfg, args, out):
@@ -388,8 +394,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.get("run.seed")
-    print(stanza(cfg, seed))
     try:
         if args.command == "transversality":
             handler = cmd_certify if args.mode == "certify" else cmd_probe
@@ -397,6 +401,8 @@ def main(argv=None) -> int:
             handler = cmd_cf
         else:
             handler = COMMANDS[args.command]
+        seeded = handler in (cmd_probe, cmd_sample, cmd_sobolev)
+        print(stanza(cfg, get_seed(cfg, args) if seeded else None))
         return handler(cfg, args, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

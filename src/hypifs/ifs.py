@@ -18,6 +18,7 @@ FD_STEP_SCALE = np.finfo(float).eps ** (1.0 / 3.0)  # central-difference optimum
 ROOT_XTOL = 1e-15  # absolute term of the root tolerance
 ROOT_RTOL = 4 * np.finfo(float).eps  # relative term, the least brentq accepts
 INVARIANCE_PAD = 1e-9  # slack of the invariance check, relative to |X|
+CYLINDER_GRID = 65  # points of X on which cylinder_interval composes a word
 
 
 class EvaluationError(ValueError):
@@ -457,37 +458,21 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     return report
 
 
-def compose_word(fam: IfsFamily, u, lam: float, x):
-    """f_u(x) and its x-derivative by the chain-rule product, for any
-    iterable of symbols u; the empty word is the identity.
-    """
-    fam.check_lam(lam)
-    maps = fam.at(lam).maps
-    y = np.asarray(x, dtype=float)
-    dy = np.ones_like(y)
-    for s in reversed(tuple(u)):
-        fam.map(s)  # a symbol outside 1..m raises ValueError
-        mp = maps[s - 1]
-        dy = mp.dx(y) * dy
-        y = mp.value(y)
-    return y, dy
-
-
-def project_words(fam: IfsFamily, words: np.ndarray, lam: float):
+def project_words(fam: IfsFamily, words: np.ndarray, lam: float, x0):
     """(f_w(x0), d/dlam f_w(x0)) for every row w of the (k, n) symbol array
-    `words`, x0 the domain midpoint: the natural projection truncated at
-    depth n and its parameter derivative by the recursion of
-    `projection_lambda_derivative`, d = dlam f + f' d, on `fam.at(lam)`.
+    `words`, x0 one point or one point per row: the one composition of
+    maps over words, by the recursion d = dlam f + f' d on `fam.at(lam)`,
+    one symbol at a time from the right.
 
     When every frozen map is affine, one pass gathers each word's
     coefficients by symbol (`_gathered_affine_pass`); any other family
     takes a pass that masks the batch by symbol and calls each frozen map
-    on its share.  Both give the same floats."""
+    on its share.  Both give the same floats.  Symbols are not checked."""
     maps = fam.at(lam).maps
     if all(type(mp) is _FrozenAffine for mp in maps):
-        return _gathered_affine_pass(maps, words, fam.midpoint)
+        return _gathered_affine_pass(maps, words, x0)
     k, n = words.shape
-    x, d = np.full(k, fam.midpoint), np.zeros(k)
+    x, d = np.full(k, x0, dtype=float), np.zeros(k)
     for pos in range(n - 1, -1, -1):
         col = words[:, pos]
         for j, mp in enumerate(maps, 1):
@@ -508,7 +493,7 @@ def _gathered_affine_pass(maps, words, x0):
     a, b, da, db = (np.array((np.nan,) + c)
                     for c in zip(*((mp.a, mp.b) + mp._dlam_coeffs for mp in maps)))
     k, n = words.shape
-    x, d = np.full(k, x0), np.zeros(k)
+    x, d = np.full(k, x0, dtype=float), np.zeros(k)
     for pos in range(n - 1, -1, -1):
         col = words[:, pos]
         a_col = a.take(col)
@@ -517,57 +502,30 @@ def _gathered_affine_pass(maps, words, x0):
     return x, d
 
 
-def _pad_word(fam, u, depth):
-    syms = list(u)
-    if len(syms) < depth:
-        syms += [1] * (depth - len(syms))  # 1^infty tail convention
-    return syms[:depth]
+def _word(fam: IfsFamily, lam: float, u, depth: int) -> np.ndarray:
+    """The first `depth` symbols of u . 1^infty as a one-row symbol array,
+    once lambda and every symbol are checked (ValueError for a symbol
+    outside 1..m)."""
+    fam.check_lam(lam)
+    syms = list(u)[:depth]
+    for s in syms:
+        fam.map(s)
+    return np.array([syms + [1] * (depth - len(syms))], dtype=int)
 
 
 def natural_projection(fam: IfsFamily, lam: float, u, depth: int):
     """f_{u|depth}(x0) with x0 the domain midpoint, plus the tail bound."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    syms = _pad_word(fam, u, depth)
-    v, _ = compose_word(fam, syms, lam, fam.midpoint)
-    aud = regularity_audit(fam)
-    return float(v), aud.gamma2 ** depth * fam.diam
-
-
-def projection_lambda_derivative(fam: IfsFamily, lam: float, u, depth: int) -> float:
-    """d/dlam Pi^lam(u) truncated at `depth`, by the recursion that peels
-    one symbol at a time on the frozen maps, d = dlam f + f' * d_next."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    fam.check_lam(lam)
-    maps = fam.at(lam).maps
-    x = fam.midpoint
-    d = 0.0
-    for s in reversed(_pad_word(fam, u, depth)):
-        fam.map(s)  # a symbol outside 1..m raises ValueError
-        mp = maps[s - 1]
-        d = float(mp.dlam(x)) + float(mp.dx(x)) * d
-        x = float(mp.value(x))
-    return d
+    x, _ = project_words(fam, _word(fam, lam, u, depth), lam, fam.midpoint)
+    return float(x[0]), regularity_audit(fam).gamma2 ** depth * fam.diam
 
 
 def cylinder_interval(fam: IfsFamily, lam: float, u):
-    """Image interval f_u(X); endpoints via the domain endpoints for
-    monotone maps, min/max over a small grid otherwise."""
-    fam.check_lam(lam)
-    aud = regularity_audit(fam)
-    if all(aud.monotone_increasing) or _strictly_monotone(fam, lam):
-        pts = np.array(fam.domain)
-    else:
-        pts = np.linspace(*fam.domain, 65)
-    v, _ = compose_word(fam, u, lam, pts)
-    return float(np.min(v)), float(np.max(v))
-
-
-def _strictly_monotone(fam, lam) -> bool:
-    xs = np.linspace(*fam.domain, 33)
-    for mp in fam.at(lam).maps:
-        d = np.asarray(mp.dx(xs))
-        if not (np.all(d > 0) or np.all(d < 0)):
-            return False
-    return True
+    """Image interval f_u(X): min and max of f_u over CYLINDER_GRID points
+    of X, the endpoints included, so a monotone f_u gives its values at
+    the endpoints."""
+    u = list(u)
+    words = np.repeat(_word(fam, lam, u, len(u)), CYLINDER_GRID, axis=0)
+    x, _ = project_words(fam, words, lam, np.linspace(*fam.domain, CYLINDER_GRID))
+    return float(np.min(x)), float(np.max(x))

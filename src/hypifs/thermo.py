@@ -272,14 +272,6 @@ def lyapunov_exponent(fam: IfsFamily, lam: float, measure: CylinderMeasure) -> f
     return -float(tab @ measure.weights) / measure.total_mass
 
 
-def lyapunov_dimension(h: float, chi: float):
-    """(clipped, raw) ratio h/chi."""
-    if chi <= 0:
-        raise ValueError("Lyapunov exponent must be positive")
-    raw = h / chi
-    return min(1.0, raw), raw
-
-
 def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
     """(Z_inf, Z_sup): the sums over subset^n of the inf and of the sup
     over x of |f'_u(x)|^t, from one pass over the all-words tree."""
@@ -332,15 +324,20 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
     return math.log(z_inf) / n, math.log(z_sup) / n
 
 
-def _collocation_pressure(frozen, pot: Potential, n: int) -> float:
+def _node_weights(frozen, pot: Potential, n: int) -> np.ndarray:
+    """The weights g_j of `pot` at the n Chebyshev nodes of the frozen
+    family, as an (m, n) array."""
+    nodes = frozen.collocation(n).nodes
+    return concat_images(pot.weights(frozen), nodes).reshape(frozen.m, n)
+
+
+def _collocation_pressure(frozen, g: np.ndarray) -> float:
     """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
-    transfer operator of `pot` on the n Chebyshev nodes of the frozen
-    family, with its weights g_j evaluated at the nodes, by a dense
+    transfer operator with the weights g of `_node_weights` on the
+    n = g.shape[1] Chebyshev nodes of the frozen family, by a dense
     eigen-solve.  Raises _CollocationUnresolved unless the eigenvalue of
     largest modulus is real and positive."""
-    col = frozen.collocation(n)
-    g = concat_images(pot.weights(frozen), col.nodes).reshape(frozen.m, n)
-    op = np.einsum("jk,jkl->kl", np.exp(g), col.interp)
+    op = np.einsum("jk,jkl->kl", np.exp(g), frozen.collocation(g.shape[1]).interp)
     ev = np.linalg.eigvals(op)
     lead = ev[np.argmax(np.abs(ev))]
     if not (lead.imag == 0 and lead.real > 0):
@@ -391,12 +388,13 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     slope = -math.log(aud.gamma2)
     if aud.invariant:
         frozen = fam.at(lam)
+        # log|f_j'| at the N and the 2N nodes, once; P_N(t) reads t log|f_j'|
+        log_dx = [_node_weights(frozen, t_log_derivative_potential(1.0), n)
+                  for n in (COLLOCATION_NODES, 2 * COLLOCATION_NODES)]
         gaps = {}
 
         def P_coll(t):
-            pot = t_log_derivative_potential(t)
-            p, p2 = (_collocation_pressure(frozen, pot, n)
-                     for n in (COLLOCATION_NODES, 2 * COLLOCATION_NODES))
+            p, p2 = (_collocation_pressure(frozen, t * g) for g in log_dx)
             gaps[t] = abs(p - p2)
             if not gaps[t] <= COLLOCATION_TOL:
                 raise _CollocationUnresolved(f"|P_N - P_2N| = {gaps[t]:.2e} at t = {t}")

@@ -286,8 +286,8 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     events = 0
     witness = None
     for lam in lams:
-        pu, du = project_words(fam, u, lam)
-        pv, dv = project_words(fam, v, lam)
+        pu, du = project_words(fam, u, lam, fam.midpoint)
+        pv, dv = project_words(fam, v, lam, fam.midpoint)
         phi = pu - pv
         dphi = du - dv
         near = np.abs(phi) < eta0

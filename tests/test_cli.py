@@ -291,6 +291,38 @@ def test_sample_seed_flag(tmp_path, capsys):
     assert (tmp_path / "sample.csv").read_text() == first
 
 
+@pytest.mark.parametrize("config, argv, shown", [
+    ("", ["transversality", "probe"], ["seed: 0"]),
+    ("run.seed = 5\n", ["transversality", "probe"], ["seed: 5"]),
+    ("run.seed = 5\n", ["--seed", "9", "transversality", "probe"], ["seed: 9"]),
+    ("run.seed = 5\n", ["--seed", "9", "audit"], []),  # audit uses no seed
+])
+def test_stanza_prints_the_seed_it_used(tmp_path, capsys, config, argv, shown):
+    cfg = BERNOULLI + "run.samples = 20\nrun.depth = 10\n" + config
+    code, out = run(tmp_path, cfg, argv, capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("seed:")] == shown
+
+
+@pytest.mark.parametrize("command", [["transversality", "probe"], ["sample"]])
+def test_non_numeric_seed_exit_1_is_not_printed(tmp_path, capsys, command):
+    cfg = CANTOR + "run.seed = abc\nrun.samples = 20\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "'run.seed'" in captured.err and "'abc'" in captured.err
+    assert "seed:" not in captured.out
+
+
+@pytest.mark.parametrize("command", [["audit"], ["bowen"]])
+def test_cf_negative_lam_halfwidth_exit_2(tmp_path, capsys, command):
+    cfg = ("family.kind = cf\nfamily.alpha = 0.5\nfamily.beta = 2\n"
+           "family.lam_halfwidth = -0.1\n")
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + command)
+    assert code == 2
+    assert "lam_halfwidth must be >= 0, got -0.1" in capsys.readouterr().err
+
+
 def _sample_case(kind):
     """(config, family, curves, lambda) of a `sample` run, the family and
     curves built without the CLI."""

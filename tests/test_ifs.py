@@ -14,9 +14,9 @@ from hypifs import ifs
 from hypifs.apps import blackwell_family, cf_family
 from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, Poly,
                         RationalMap, ShiftedMap, affine_map, bernoulli_psi,
-                        compose_word, cylinder_interval, moebius_shift,
-                        natural_projection, poly, projection_lambda_derivative,
-                        regularity_audit)
+                        cylinder_interval, moebius_shift, natural_projection,
+                        poly, project_words, regularity_audit)
+from word_refs import compose_word, lambda_derivative
 
 
 @pytest.fixture
@@ -144,24 +144,30 @@ def test_audit_flags_escape():
     assert not rep.invariant
 
 
-def test_compose_word_chain_rule(cantor_fam):
-    v, dv = compose_word(cantor_fam, [2, 1, 2], 0.0, 0.5)
+def test_project_words_composes_from_the_right(cantor_fam):
+    x, d = project_words(cantor_fam, np.array([[2, 1, 2]]), 0.0, 0.5)
     direct = (((0.5 / 3 + 2 / 3) / 3) / 3 + 2 / 3)
-    assert v == pytest.approx(direct)
-    assert dv == pytest.approx((1 / 3) ** 3)
+    assert x[0] == pytest.approx(direct)
+    assert d[0] == 0.0  # no map depends on lambda
+    v, dv = compose_word(cantor_fam, [2, 1, 2], 0.0, 0.5)  # the test reference
+    assert v == x[0] and dv == pytest.approx((1 / 3) ** 3)
+
+
+def _row(word):
+    return np.array([word], dtype=int).reshape(1, -1)
 
 
 @given(st.lists(st.integers(1, 2), min_size=0, max_size=6),
        st.lists(st.integers(1, 2), min_size=0, max_size=6))
 @settings(max_examples=40, deadline=None)
-def test_compose_word_splits(u, v):
+def test_project_words_splits(u, v):
     fam = IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
                     (0.0, 1.0), (0.0, 1e-9))
     x = 0.37
-    whole, _ = compose_word(fam, u + v, 0.0, x)
-    inner, _ = compose_word(fam, v, 0.0, x)
-    outer, _ = compose_word(fam, u, 0.0, inner)
-    assert whole == pytest.approx(outer, abs=1e-14)
+    whole, _ = project_words(fam, _row(u + v), 0.0, x)
+    inner, _ = project_words(fam, _row(v), 0.0, x)
+    outer, _ = project_words(fam, _row(u), 0.0, inner)  # x0 one point per row
+    assert whole[0] == pytest.approx(outer[0], abs=1e-14)
 
 
 def test_tail_fixed_point(cantor_fam, bernoulli_fam):
@@ -221,21 +227,21 @@ def without_dlam(fam):
 
 
 def test_projection_derivative_recursion_vs_fd(bernoulli_fam):
-    u = [2, 1, 2, 2, 1, 1, 2, 1]
+    u = _row([2, 1, 2, 2, 1, 1, 2, 1] + [1] * 22)  # padded to depth 30
     for fam, lam in [(bernoulli_fam, 0.6), (blackwell_family(0.2, 0.3)[0], 0.3),
                      (cf_family(0.5, 2.0, 0.1), 0.05)]:
-        d_rec = projection_lambda_derivative(fam, lam, u, 30)
-        d_fd = projection_lambda_derivative(without_dlam(fam), lam, u, 30)
-        assert d_rec == pytest.approx(d_fd, rel=1e-5)
+        _, d_rec = project_words(fam, u, lam, fam.midpoint)
+        _, d_fd = project_words(without_dlam(fam), u, lam, fam.midpoint)
+        assert d_rec[0] == pytest.approx(d_fd[0], rel=1e-5)
 
 
 @pytest.mark.parametrize("symbol", [0, 3])
 def test_symbols_outside_the_alphabet_raise(bernoulli_fam, symbol):
     for fam in (bernoulli_fam, without_dlam(bernoulli_fam)):
         with pytest.raises(ValueError, match="outside 1..2"):
-            projection_lambda_derivative(fam, 0.6, [1, symbol, 2], 10)
+            natural_projection(fam, 0.6, [1, symbol, 2], 10)
         with pytest.raises(ValueError, match="outside 1..2"):
-            compose_word(fam, [1, symbol], 0.6, 0.0)
+            cylinder_interval(fam, 0.6, [1, symbol])
 
 
 def test_cylinder_interval_nested(cantor_fam):
@@ -247,7 +253,9 @@ def test_cylinder_interval_nested(cantor_fam):
 
 def test_check_lam_guard(bernoulli_fam):
     with pytest.raises(EvaluationError):
-        compose_word(bernoulli_fam, [1], 0.9, 0.0)
+        natural_projection(bernoulli_fam, 0.9, [1], 5)
+    with pytest.raises(EvaluationError):
+        cylinder_interval(bernoulli_fam, 0.9, [1])
 
 
 def test_frozen_family_keeps_the_latest_lambda(bernoulli_fam):
@@ -301,16 +309,44 @@ def _word_batch_cases(draw):
     rows = draw(st.integers(1, 16))
     words = np.array(draw(st.lists(st.lists(st.integers(1, m), min_size=depth, max_size=depth),
                                    min_size=rows, max_size=rows)))
-    return fam, words, draw(st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        x0 = fam.midpoint
+    else:
+        x0 = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    return fam, words, draw(st.floats(0.01, 0.99)), x0
 
 
 @given(_word_batch_cases())
 @settings(max_examples=40, deadline=None)
 def test_project_words_matches_per_word_references(case):
-    fam, words, lam = case
-    x, d = ifs.project_words(fam, words, lam)
-    ref_x = np.array([float(compose_word(fam, w, lam, fam.midpoint)[0]) for w in words])
-    ref_d = np.array([projection_lambda_derivative(fam, lam, w, len(w)) for w in words])
+    fam, words, lam, x0 = case
+    x, d = ifs.project_words(fam, words, lam, x0)
+    starts = np.broadcast_to(x0, len(words))
+    ref_x = np.array([float(compose_word(fam, w, lam, s)[0]) for w, s in zip(words, starts)])
+    ref_d = np.array([lambda_derivative(fam, lam, w, s) for w, s in zip(words, starts)])
     assert x.tobytes() == ref_x.tobytes()
     assert d.tobytes() == ref_d.tobytes()
 
+
+MONOTONE_CASES = {
+    "bernoulli": (IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)), 0.6),
+    "blackwell": (blackwell_family(0.3, 0.8)[0], 0.8),
+    "cf": (cf_family(0.5, 2.0, 0.1), 0.05),
+    "mixed": (IfsFamily((affine_map(-0.3, 0.6), moebius_shift(poly(2.0, 0.5))),
+                        (0.0, 1.0), (0.0, 0.2)), 0.1),
+}
+
+
+@pytest.mark.parametrize("fam, lam", MONOTONE_CASES.values(), ids=MONOTONE_CASES)
+def test_natural_projection_and_cylinder_interval_match_per_word_references(fam, lam):
+    rng = np.random.default_rng(3)
+    for n in range(12):
+        u = [int(s) for s in rng.integers(1, fam.m + 1, size=n)]
+        ends = compose_word(fam, u, lam, np.array(fam.domain))[0]
+        # every f_u is monotone: the 65-point grid gives the endpoint images
+        assert cylinder_interval(fam, lam, u) == (float(ends.min()), float(ends.max()))
+        x = compose_word(fam, u + [1] * 3, lam, fam.midpoint)[0]
+        assert natural_projection(fam, lam, u, n + 3)[0] == float(x)  # the 1^infty tail
+        if n:
+            x = compose_word(fam, u, lam, fam.midpoint)[0]
+            assert natural_projection(fam, lam, u + [2, 2], n)[0] == float(x)  # cut at n

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypifs import mstats
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, affine_map,
-                        bernoulli_psi, compose_word, moebius_shift)
+                        bernoulli_psi, moebius_shift)
 from hypifs.mstats import (SOBOLEV_BLOCK, SOBOLEV_PER_DECADE, EmpiricalSample,
                            _fourier_mean, chaos_game_sample,
                            correlation_dimension, energy, energy_level_sums,
@@ -19,6 +19,7 @@ from hypifs.thermo import (constant_bernoulli_potential,
                            gibbs_cylinder_measure, log_probability_potential,
                            transfer_spectrum)
 from hypifs.words import enumerate_words
+from word_refs import compose_word
 
 
 @pytest.fixture(scope="module")

@@ -13,16 +13,16 @@ from hypifs import ifs, thermo
 from hypifs.apps import (bernoulli_family, bernoulli_potential, blackwell_family,
                          cf_family, similarity_dimension)
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, RationalMap,
-                        affine_map, bernoulli_psi, compose_word, moebius_shift,
-                        poly)
+                        affine_map, bernoulli_psi, moebius_shift, poly)
 from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
                            constant_bernoulli_potential, entropy,
                            gibbs_cylinder_measure, log_probability_potential,
-                           lyapunov_dimension, lyapunov_exponent,
+                           lyapunov_exponent,
                            partition_sum, pressure, pressure_bracket,
                            pressure_drop_check, t_log_derivative_potential,
                            transfer_spectrum)
 from hypifs.words import enumerate_words
+from word_refs import compose_word
 
 
 @pytest.fixture
@@ -107,10 +107,6 @@ def test_entropy_and_lyapunov_bernoulli(dyadic):
     assert shannon == pytest.approx(expect, rel=0.2)
     chi = lyapunov_exponent(dyadic, 0.0, gibbs_cylinder_measure(spec))
     assert chi == pytest.approx(math.log(2), abs=1e-10)
-    clipped, raw = lyapunov_dimension(h, chi)
-    assert raw == pytest.approx(expect / math.log(2), abs=1e-9)
-    assert clipped == raw
-    assert lyapunov_dimension(1.0, 0.5) == (1.0, 2.0)
 
 
 def test_bowen_root_exact(dyadic, cantor):
@@ -143,34 +139,37 @@ def as_custom_maps(fam):
 
 
 def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
-    coll, cyl = [], []
-    collocation_pressure = thermo._collocation_pressure
-    make_potential = thermo.t_log_derivative_potential
-    t_of = {}  # potential -> its t
+    coll, cyl, ts = [], [], []
+    eigen_step = thermo._collocation_pressure
+    bowen_solve = thermo._bowen_solve
 
-    def recording_potential(t):
-        pot = make_potential(t)
-        t_of[pot] = t
-        return pot
+    def recording_solve(P, m, slope):
+        def recorded(t):  # `_bowen_solve` memoises this, so once per t
+            ts.append(t)
+            return P(t)
+        return bowen_solve(recorded, m, slope)
 
-    def recording_collocation(frozen, pot, n):
-        coll.append((t_of[pot], n))
-        return collocation_pressure(frozen, pot, n)
+    def recording_collocation(frozen, g):
+        coll.append((g.shape[1], g.tobytes()))
+        return eigen_step(frozen, g)
 
     def recording_cylinder(fam, t, lam, r=8):
         cyl.append(t)
         return pressure(fam, t, lam, r)
 
-    monkeypatch.setattr(thermo, "t_log_derivative_potential", recording_potential)
+    monkeypatch.setattr(thermo, "_bowen_solve", recording_solve)
     monkeypatch.setattr(thermo, "_collocation_pressure", recording_collocation)
     monkeypatch.setattr(thermo, "pressure", recording_cylinder)
     n = thermo.COLLOCATION_NODES
     for fam in (cantor, as_custom_maps(cantor)):
         coll.clear()
+        ts.clear()
         assert bowen_root(fam, 0.0)["backend"] == "collocation"
-        assert cyl == [] and len(coll) == len(set(coll)) > 0
-        ts = [t for t, _ in coll]
-        assert sorted(coll) == sorted([(t, n) for t in set(ts)] + [(t, 2 * n) for t in set(ts)])
+        assert cyl == [] and len(ts) == len(set(ts)) > 0
+        # each t is one eigen-solve at N and one at 2N, on t log|f_j'| at the nodes
+        log_dx = {k: thermo._node_weights(fam.at(0.0), t_log_derivative_potential(1.0), k)
+                  for k in (n, 2 * n)}
+        assert coll == [(k, (t * log_dx[k]).tobytes()) for t in ts for k in (n, 2 * n)]
 
     coll.clear()
     # f_2([0, 0.9]) = [2/3, 29/30] leaves the domain: no collocation
@@ -211,11 +210,15 @@ def test_bowen_root_of_affine_family_is_similarity_dimension(case):
 ROUNDING = 64 * np.finfo(float).eps  # two eigen-solves' rounding of a pressure
 
 
+def collocation_pressure(frozen, pot, n=thermo.COLLOCATION_NODES):
+    """P_n of `pot` on the frozen family's n Chebyshev nodes."""
+    return thermo._collocation_pressure(frozen, thermo._node_weights(frozen, pot, n))
+
+
 @pytest.mark.parametrize("r", range(4, 11))
 def test_truncation_bound_holds_on_e2(r):
     spec = transfer_spectrum(E2, t_log_derivative_potential(E2_DIMENSION), 0.0, r)
-    p_coll = thermo._collocation_pressure(
-        E2.at(0.0), t_log_derivative_potential(E2_DIMENSION), thermo.COLLOCATION_NODES)
+    p_coll = collocation_pressure(E2.at(0.0), t_log_derivative_potential(E2_DIMENSION))
     assert abs(p_coll) <= ROUNDING  # P(s*) = 0
     assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
 
@@ -227,8 +230,7 @@ def test_truncation_bound_holds_on_affine_families(case, t, r):
     fam = IfsFamily(tuple(affine_map(a, b) for a, b in zip(ratios, offsets)),
                     (0.0, 1.0), (0.0, 1e-9))
     spec = transfer_spectrum(fam, t_log_derivative_potential(t), 0.0, r)
-    p_coll = thermo._collocation_pressure(fam.at(0.0), t_log_derivative_potential(t),
-                                          thermo.COLLOCATION_NODES)
+    p_coll = collocation_pressure(fam.at(0.0), t_log_derivative_potential(t))
     assert abs(p_coll - math.log(sum(a ** t for a in ratios))) <= ROUNDING
     assert abs(spec.pressure - p_coll) <= spec.truncation_bound + ROUNDING
 
@@ -373,7 +375,7 @@ def test_pressure_of_log_probability_potentials_is_zero(case):
     pot = log_probability_potential(_tilted_probs(fam.m, rho))
     for lam in lams:
         assert abs(transfer_spectrum(fam, pot, lam, depth).pressure) <= ROUNDING
-        p_coll = thermo._collocation_pressure(fam.at(lam), pot, thermo.COLLOCATION_NODES)
+        p_coll = collocation_pressure(fam.at(lam), pot)
         assert abs(p_coll) <= ROUNDING
 
 
@@ -586,7 +588,7 @@ def test_collocation_pressure_of_log_derivative_is_exact(fam):
             ev = np.linalg.eigvals(np.einsum("jk,jkl->kl", np.exp(t * log_dx), col.interp))
             lead = ev[np.argmax(np.abs(ev))]
             assert lead.imag == 0 and lead.real > 0
-            assert thermo._collocation_pressure(
+            assert collocation_pressure(
                 frozen, t_log_derivative_potential(t), n) == math.log(lead.real)
 
 

@@ -153,13 +153,13 @@ def test_probe_rejects_empty_word_batches(samples, depth, lam_grid, name):
         mc_transversality_probe(fam, samples=samples, depth=depth, lam_grid=lam_grid)
 
 
-def masked_project_words(fam, words, lam):
+def masked_project_words(fam, words, lam, x0):
     """`ifs.project_words` by the per-symbol masked pass: at each position
     the rows that carry symbol j go through frozen map j's value, dx and
     dlam, as for families that are not all affine."""
     k, n = words.shape
     maps = fam.at(lam).maps
-    x, d = np.full(k, fam.midpoint), np.zeros(k)
+    x, d = np.full(k, x0, dtype=float), np.zeros(k)
     for pos in range(n - 1, -1, -1):
         col = words[:, pos]
         for j, mp in enumerate(maps, 1):
@@ -178,11 +178,14 @@ def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
     families = [(IfsFamily((psi, bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)), 10000),
                 (IfsFamily((psi, psi), (-1.0, 1.0), (0.5, 0.66)), 2000)]
     words = np.random.default_rng(7).integers(1, 3, size=(10000, 40))
+    starts = np.random.default_rng(8).uniform(-1.0, 1.0, size=len(words))
     for fam, _ in families:
         for lam in (0.5, 0.58, 0.66):
-            got, ref = ifs.project_words(fam, words, lam), masked_project_words(fam, words, lam)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
+            for x0 in (fam.midpoint, starts):
+                got = ifs.project_words(fam, words, lam, x0)
+                ref = masked_project_words(fam, words, lam, x0)
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
 
     def reports():
         return [(rep.verdict, rep.n_events, rep.empirical_eta, rep.witness)
