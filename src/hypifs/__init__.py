@@ -9,9 +9,9 @@ from .ifs import (AffineMap, AuditFailure, CustomMap, EvaluationError,
                   IfsFamily, Poly, RationalMap, ShiftedMap, affine_map,
                   bernoulli_psi, cylinder_interval, moebius_shift,
                   natural_projection, poly, regularity_audit)
-from .thermo import (ConvergenceError, CylinderMeasure, Potential,
-                     TransferSpectrum, bowen_root,
-                     constant_bernoulli_potential, entropy,
+from .thermo import (CollocationUnresolved, ConvergenceError,
+                     CylinderMeasure, Potential, TransferSpectrum, bowen_root,
+                     collocation_h_chi, constant_bernoulli_potential, entropy,
                      gibbs_cylinder_measure, log_probability_potential,
                      lyapunov_exponent, partition_sum,
                      pressure, pressure_bracket, pressure_drop_check,

@@ -12,7 +12,8 @@ import numpy as np
 
 from .ifs import (AuditFailure, EvaluationError, IfsFamily, RationalMap,
                   bernoulli_psi, moebius_shift, poly, solve_root)
-from .thermo import (ConvergenceError, entropy, gibbs_cylinder_measure,
+from .thermo import (CollocationUnresolved, ConvergenceError,
+                     collocation_h_chi, entropy, gibbs_cylinder_measure,
                      log_probability_potential, lyapunov_exponent,
                      transfer_spectrum)
 
@@ -198,14 +199,23 @@ def blackwell_family(eps: float, p: float):
 
 
 def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
-    """h/chi for the Blackwell Gibbs measure at (eps, p); raises
-    `DegenerateCell` at eps = 1/2 or p = 1/2, before any range check."""
+    """h/chi for the Blackwell Gibbs measure at (eps, p): from
+    `collocation_h_chi`, or, when its node ladder does not settle, from the
+    depth-r cylinder spectrum, so `r` is used only by that fallback.
+    Raises `DegenerateCell` at eps = 1/2 or p = 1/2, before any range or
+    depth check."""
     if abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9:
         raise DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
+    if r < 1:
+        raise ValueError("depth must be positive")
     fam, prob_fns = blackwell_family(eps, p)
-    spec = transfer_spectrum(fam, log_probability_potential(prob_fns), p, r)
-    h, _ = entropy(spec)
-    chi = lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
+    pot = log_probability_potential(prob_fns)
+    try:
+        h, chi = collocation_h_chi(fam, pot, p)
+    except CollocationUnresolved:
+        spec = transfer_spectrum(fam, pot, p, r)
+        h, _ = entropy(spec)
+        chi = lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
     return h / chi
 
 

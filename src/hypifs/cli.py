@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -19,7 +20,8 @@ from .apps import (BERNOULLI_TRANSVERSALITY_SUP, NUMERICAL_ERRORS,
                    bernoulli_region_scan, blackwell_family,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
-from .config import ConfigError, as_floats, as_pair, as_pairs, load_config
+from .config import (ConfigError, as_floats, as_int, as_pair, as_pairs,
+                     load_config)
 from .ifs import IfsFamily, affine_map, natural_projection, regularity_audit
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
                      m_condition_probe, sobolev_estimate)
@@ -82,7 +84,7 @@ def get_depth(cfg, args, default):
     """--depth when given (0 included), else run.depth, else `default`."""
     if args.depth is not None:
         return args.depth
-    return cfg.read("run.depth", int, default)
+    return cfg.read("run.depth", as_int, default)
 
 
 def get_seed(cfg, args) -> int:
@@ -90,7 +92,7 @@ def get_seed(cfg, args) -> int:
     command and of its stanza line."""
     if args.seed is not None:
         return args.seed
-    return cfg.read("run.seed", int, 0)
+    return cfg.read("run.seed", as_int, 0)
 
 
 def stanza(cfg, seed=None):
@@ -110,7 +112,7 @@ def _write_rows(path, header, rows):
 
 def cmd_audit(cfg, args, out):
     fam = build_family(cfg)
-    rep = regularity_audit(fam, cfg.read("run.grid", int, 1024))
+    rep = regularity_audit(fam, cfg.read("run.grid", as_int, 1024))
     print(f"gamma1_est: {rep.gamma1:.12g}")
     print(f"gamma2_est: {rep.gamma2:.12g}")
     print(f"verdict: {'PASS' if rep.passed else 'FAIL'}")
@@ -155,7 +157,7 @@ def cmd_pressure(cfg, args, out):
     t = cfg.read("potential.t", float, 1.0)
     r = get_depth(cfg, args, 8)
     p_tr = pressure(fam, t, lam, r=r)
-    bracket = pressure_bracket(fam, t, lam, n=cfg.read("run.partition_n", int, 8))
+    bracket = pressure_bracket(fam, t, lam, n=cfg.read("run.partition_n", as_int, 8))
     print(f"pressure_transfer: {p_tr:.12g}")
     print(f"pressure_bracket: {bracket[0]:.12g} {bracket[1]:.12g}")
     return 0
@@ -191,12 +193,12 @@ def cmd_entropy(cfg, args, out):
 
 def cmd_region(cfg, args, out):
     which = args.which
-    shape = (cfg.read("run.grid1", int, 50), cfg.read("run.grid2", int, 50))
+    shape = (cfg.read("run.grid1", as_int, 50), cfg.read("run.grid2", as_int, 50))
     if which == "bernoulli":
         grid = bernoulli_region_scan(
             cfg.read("region.rho_range", as_pair, [0.0, 0.45]),
             cfg.read("region.lambda_range", as_pair, [0.51, 0.668]),
-            shape, cfg.read("run.moment_terms", int, 12))
+            shape, cfg.read("run.moment_terms", as_int, 12))
         path = os.path.join(out, "region_bernoulli.csv")
     elif which == "blackwell":
         grid = blackwell_region_scan(
@@ -231,7 +233,7 @@ def cmd_certify(cfg, args, out):
 def cmd_probe(cfg, args, out):
     fam = build_family(cfg)
     rep = mc_transversality_probe(
-        fam, samples=cfg.read("run.samples", int, 10000),
+        fam, samples=cfg.read("run.samples", as_int, 10000),
         depth=get_depth(cfg, args, 40), seed=get_seed(cfg, args))
     for line in rep.lines():
         print(line)
@@ -247,7 +249,7 @@ def cmd_partition(cfg, args, out):
 
 def _measure_for(cfg, fam, lam):
     pot = build_potential(cfg, fam)
-    r = cfg.read("run.measure_depth", int, 12)
+    r = cfg.read("run.measure_depth", as_int, 12)
     spec = transfer_spectrum(fam, pot, lam, r)
     return gibbs_cylinder_measure(spec)
 
@@ -288,8 +290,8 @@ def _chaos_sample(cfg, args):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     return chaos_game_sample(fam, _prob_fns(cfg, fam), lam,
-                             cfg.read("run.samples", int, 100000),
-                             cfg.read("run.burn_in", int, 100), get_seed(cfg, args))
+                             cfg.read("run.samples", as_int, 100000),
+                             cfg.read("run.burn_in", as_int, 100), get_seed(cfg, args))
 
 
 def cmd_sample(cfg, args, out):
@@ -333,7 +335,7 @@ def cmd_pressure_drop(cfg, args, out):
     fam = build_family(cfg)
     lam = get_lam(cfg, fam)
     res = pressure_drop_check(fam, cfg.read("potential.t", float, 1.0), lam,
-                              cfg.read("run.partition_n", int, 5))
+                              cfg.read("run.partition_n", as_int, 5))
     print(f"Z_A: {res['Z_A']:.12g}")
     print(f"Z_B: {res['Z_B']:.12g}")
     print(f"delta_t: {res['delta_t']:.12g}")
@@ -365,7 +367,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: handlers are looked up
+    in COMMANDS when a command runs, not bound into the parser."""
     ap = argparse.ArgumentParser(prog="hypifs")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")

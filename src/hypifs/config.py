@@ -68,6 +68,17 @@ def load_config(path: str) -> Config:
     return cfg
 
 
+def as_int(value) -> int:
+    """An integral number as an int: 10 or 10.0 is read, 10.9 is rejected
+    rather than truncated."""
+    if isinstance(value, int):
+        return value
+    v = float(value)
+    if not v.is_integer():
+        raise ConfigError("an integer")
+    return int(v)
+
+
 def as_floats(value) -> list:
     if isinstance(value, (int, float, str)):
         return [float(value)]

@@ -111,13 +111,13 @@ class ShiftedMap:
         return _freeze(self.base, self.base_lam)
 
     def value(self, lam, x):
-        return self.frozen_base.value(x) + self.shift(lam)
+        return _freeze(self, lam).value(x)
 
     def dx(self, lam, x):
-        return self.frozen_base.dx(x)
+        return _freeze(self, lam).dx(x)
 
     def dlam(self, lam, x):
-        return self.shift.deriv()(lam) * np.ones_like(np.asarray(x, dtype=float))
+        return _freeze(self, lam).dlam(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +265,28 @@ class _FrozenRational:
 
 
 @dataclass(frozen=True, eq=False)
+class _FrozenShifted:
+    src: ShiftedMap
+    lam: float
+    base: object  # src.frozen_base
+    shift: float  # a(lam)
+
+    def value(self, x):
+        return self.base.value(x) + self.shift
+
+    def dx(self, x):
+        return self.base.dx(x)
+
+    @functools.cached_property
+    def _dshift(self):
+        """a'(lam), built on the first dlam call only."""
+        return self.src.shift.deriv()(self.lam)
+
+    def dlam(self, x):
+        return self._dshift * np.ones_like(np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
 class _BoundMap:
     """A map without polynomial coefficients, called at a fixed lambda."""
 
@@ -283,13 +305,16 @@ class _BoundMap:
 
 def _freeze(mp, lam):
     """`mp` at `lam`, a parameter or an array of them, as a map of x alone:
-    the one evaluator of the affine and Moebius formulas, to which
-    `AffineMap` and `RationalMap` delegate their own value, dx and dlam."""
+    the one evaluator of the affine, Moebius and shifted formulas, to which
+    `AffineMap`, `RationalMap` and `ShiftedMap` delegate their own value,
+    dx and dlam."""
     if type(mp) is AffineMap:
         return _FrozenAffine(mp, lam, mp.slope(lam), mp.offset(lam))
     if type(mp) is RationalMap:
         n0, n1, d0, d1 = mp.n0(lam), mp.n1(lam), mp.d0(lam), mp.d1(lam)
         return _FrozenRational(mp, lam, n0, n1, d0, d1, n1 * d0 - n0 * d1)
+    if type(mp) is ShiftedMap:
+        return _FrozenShifted(mp, lam, mp.frozen_base, mp.shift(lam))
     return _BoundMap(mp, lam)
 
 
@@ -307,11 +332,12 @@ def concat_images(fns, y) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Collocation:
     """Chebyshev collocation data of a frozen family on n nodes: the
-    Chebyshev points of the second kind on the domain, and one barycentric
-    interpolation matrix per map, taking values at the nodes to values of
-    the interpolant at f_j(nodes)."""
+    Chebyshev points of the second kind on the domain, their images under
+    each map, and one barycentric interpolation matrix per map, taking
+    values at the nodes to values of the interpolant at f_j(nodes)."""
 
     nodes: np.ndarray  # (n,)
+    images: np.ndarray  # (m, n), f_j(nodes)
     interp: np.ndarray  # (m, n, n)
 
 
@@ -333,8 +359,8 @@ def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
         mat[hit] = on_node[hit]
         return mat
 
-    interp = np.array([interp_matrix(mp.value(nodes)) for mp in maps])
-    return Collocation(nodes, interp)
+    images = np.array([mp.value(nodes) for mp in maps])
+    return Collocation(nodes, images, np.array([interp_matrix(y) for y in images]))
 
 
 @dataclass(eq=False)

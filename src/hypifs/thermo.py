@@ -1,5 +1,6 @@
-"""Potentials, the Perron transfer operator on depth-r cylinder spaces,
-pressure, Bowen roots, entropy, Lyapunov exponents, and partition sums."""
+"""Potentials, the Perron transfer operator on depth-r cylinder spaces and
+on Chebyshev collocation nodes, pressure, Bowen roots, entropy, Lyapunov
+exponents, and partition sums."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from weakref import WeakSet
 
 import numpy as np
 
-from .ifs import (AuditFailure, EvaluationError, IfsFamily, concat_images,
-                  regularity_audit, solve_root)
+from .ifs import (INVARIANCE_PAD, AuditFailure, EvaluationError, IfsFamily,
+                  concat_images, regularity_audit, solve_root)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
@@ -22,16 +23,18 @@ PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
 PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
 COLLOCATION_NODES = 24  # N of the collocation pressure P_N, checked against P_2N
-COLLOCATION_TOL = 1e-12  # largest |P_N - P_2N| a collocation Bowen root accepts
+COLLOCATION_TOL = 1e-12  # largest |value(N) - value(2N)| a collocation rung pair accepts
+COLLOCATION_LADDER = tuple(COLLOCATION_NODES << k for k in range(4))  # 24 ... 192
 
 
 class ConvergenceError(RuntimeError):
     pass
 
 
-class _CollocationUnresolved(Exception):
-    """The collocation pressure failed its own check; the caller falls back
-    to the cylinder pressure."""
+class CollocationUnresolved(Exception):
+    """No pair of collocation rungs passed its checks; the caller falls back
+    to the cylinder backend.  Not a ValueError, so a region cell never
+    reports it as AUDIT-FAIL."""
 
 
 @dataclass(eq=False)
@@ -331,18 +334,118 @@ def _node_weights(frozen, pot: Potential, n: int) -> np.ndarray:
     return concat_images(pot.weights(frozen), nodes).reshape(frozen.m, n)
 
 
+def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
+    """sum_j diag(w_j) B_j, the transfer operator (L h)(x) = sum_j w_j(x) h(f_j x)
+    on the n = w.shape[1] Chebyshev nodes of the frozen family, for node
+    weights w of shape (m, n); B_j is the barycentric interpolation matrix
+    from node values to values at f_j(nodes)."""
+    return np.einsum("jk,jkl->kl", w, frozen.collocation(w.shape[1]).interp)
+
+
 def _collocation_pressure(frozen, g: np.ndarray) -> float:
     """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
     transfer operator with the weights g of `_node_weights` on the
     n = g.shape[1] Chebyshev nodes of the frozen family, by a dense
-    eigen-solve.  Raises _CollocationUnresolved unless the eigenvalue of
+    eigen-solve.  Raises CollocationUnresolved unless the eigenvalue of
     largest modulus is real and positive."""
-    op = np.einsum("jk,jkl->kl", np.exp(g), frozen.collocation(g.shape[1]).interp)
-    ev = np.linalg.eigvals(op)
+    ev = np.linalg.eigvals(_collocation_operator(frozen, np.exp(g)))
     lead = ev[np.argmax(np.abs(ev))]
     if not (lead.imag == 0 and lead.real > 0):
-        raise _CollocationUnresolved(f"leading eigenvalue {lead}")
+        raise CollocationUnresolved(f"leading eigenvalue {lead}")
     return math.log(lead.real)
+
+
+def _stationary_vector(op: np.ndarray) -> np.ndarray:
+    """The left fixed vector l of a matrix whose rows sum to 1: l^T op = l^T
+    and sum(l) = 1, from one solve of the bordered system
+    [[op^T - I, 1], [1^T, 0]] [l; c] = [0; 1].  A singular system or a
+    non-finite solution raises CollocationUnresolved."""
+    n = len(op)
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = op.T - np.eye(n)
+    bordered[:n, n] = bordered[n, :n] = 1.0
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        sol = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError as exc:  # a ValueError: never an AUDIT-FAIL
+        raise CollocationUnresolved(f"stationary system: {exc}") from None
+    if not np.all(np.isfinite(sol)):
+        raise CollocationUnresolved("stationary vector is not finite")
+    return sol[:n]
+
+
+def _collocation_ladder(value, rungs):
+    """(value(n), gap) for the coarser rung n of the first consecutive
+    pair (n, n2) of node counts in `rungs` whose values differ by
+    gap = max |value(n) - value(n2)| <= COLLOCATION_TOL: the one N-vs-2N
+    check of the collocation backend.  `value(n)` is read at most once per
+    rung, finer rungs only while no pair has settled; a rung whose `value`
+    raises CollocationUnresolved is unresolved and settles no pair.
+    Raises CollocationUnresolved when no pair settles."""
+    values = {}
+
+    def read(n):
+        if n not in values:
+            try:
+                values[n] = value(n)
+            except CollocationUnresolved as exc:
+                values[n] = exc
+        return values[n]
+
+    gaps = []
+    for n, n2 in zip(rungs, rungs[1:]):
+        a = read(n)
+        b = a if isinstance(a, Exception) else read(n2)
+        if isinstance(b, Exception):
+            gaps.append(f"{n}/{n2}: {b}")
+            continue
+        gap = float(np.max(np.abs(np.subtract(a, b))))
+        if gap <= COLLOCATION_TOL:
+            return a, gap
+        gaps.append(f"{n}/{n2}: {gap:.2e}")
+    raise CollocationUnresolved("no rung pair settles (" + "; ".join(gaps) + ")")
+
+
+def collocation_h_chi(fam: IfsFamily, pot: Potential, lam: float):
+    """(h, chi): the entropy and the Lyapunov exponent of the Gibbs measure
+    nu of the log-probability potential `pot` at lam, by Chebyshev
+    collocation (Falk & Nussbaum 2018; Bandtlow & Slipantschuk 2020).
+
+    On n nodes x_k, T = sum_j diag(p_j(x_k)) B_j is a Markov matrix (each
+    barycentric row sums to 1), and its stationary vector l, from one
+    `_stationary_vector` solve, is a quadrature rule for nu: h =
+    -l^T [sum_j p_j log p_j] and chi = -l^T [sum_j p_j log|f_j'|] at the
+    nodes.  The rungs of COLLOCATION_LADDER are read by
+    `_collocation_ladder`, and (h, chi) at the coarser rung of the first
+    pair that agrees to COLLOCATION_TOL is returned.  A rung is unresolved
+    when its solve is singular, or when a node image f_j(x_k) leaves the
+    domain padded by INVARIANCE_PAD |X|: the interpolant is read only at
+    the node images, and the nodes include both endpoints, so for
+    monotone maps this also shows the domain invariant.
+
+    Raises CollocationUnresolved when no pair settles, ValueError for a
+    potential without probability curves, and AuditFailure when the
+    curves fail their audit.
+    """
+    if pot.prob_fns is None:
+        raise ValueError(f"{pot.kind} potential has no probability curves")
+    frozen = fam.at(lam)
+    pad = INVARIANCE_PAD * fam.diam
+    lo, hi = fam.domain[0] - pad, fam.domain[1] + pad
+    log_dx = t_log_derivative_potential(1.0)
+
+    def rung(n):
+        images = frozen.collocation(n).images
+        if images.min() < lo or images.max() > hi:
+            raise CollocationUnresolved(f"a node image leaves the domain at n = {n}")
+        g = _node_weights(frozen, pot, n)
+        p = np.exp(g)
+        ell = _stationary_vector(_collocation_operator(frozen, p))
+        return (-float(ell @ (p * g).sum(axis=0)),
+                -float(ell @ (p * _node_weights(frozen, log_dx, n)).sum(axis=0)))
+
+    return _collocation_ladder(rung, COLLOCATION_LADDER)[0]
 
 
 def _bowen_solve(P, m: int, slope: float):
@@ -388,21 +491,20 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     slope = -math.log(aud.gamma2)
     if aud.invariant:
         frozen = fam.at(lam)
+        rungs = COLLOCATION_LADDER[:2]
         # log|f_j'| at the N and the 2N nodes, once; P_N(t) reads t log|f_j'|
-        log_dx = [_node_weights(frozen, t_log_derivative_potential(1.0), n)
-                  for n in (COLLOCATION_NODES, 2 * COLLOCATION_NODES)]
+        log_dx = {n: _node_weights(frozen, t_log_derivative_potential(1.0), n)
+                  for n in rungs}
         gaps = {}
 
         def P_coll(t):
-            p, p2 = (_collocation_pressure(frozen, t * g) for g in log_dx)
-            gaps[t] = abs(p - p2)
-            if not gaps[t] <= COLLOCATION_TOL:
-                raise _CollocationUnresolved(f"|P_N - P_2N| = {gaps[t]:.2e} at t = {t}")
+            p, gaps[t] = _collocation_ladder(
+                lambda n: _collocation_pressure(frozen, t * log_dx[n]), rungs)
             return p
 
         try:
             s, p_s = _bowen_solve(P_coll, fam.m, slope)
-        except _CollocationUnresolved:
+        except CollocationUnresolved:
             pass
         else:
             return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)

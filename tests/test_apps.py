@@ -8,15 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypifs import apps
+from hypifs import apps, thermo
 from hypifs.apps import (BERNOULLI_TRANSVERSALITY_SUP,
                          bernoulli_entropy_bounds, bernoulli_family,
                          bernoulli_moments, bernoulli_region_scan,
                          blackwell_cell_value, blackwell_family,
                          blackwell_region_scan, cf_domain, cf_family,
                          cf_overlap, similarity_dimension)
-from hypifs.ifs import ROOT_RTOL, ROOT_XTOL, regularity_audit
-from hypifs.thermo import bowen_root
+from hypifs.ifs import ROOT_RTOL, ROOT_XTOL, IfsFamily, regularity_audit
+from hypifs.thermo import (CollocationUnresolved, bowen_root, collocation_h_chi,
+                           entropy, gibbs_cylinder_measure,
+                           log_probability_potential, lyapunov_exponent,
+                           transfer_spectrum)
 
 
 def test_bernoulli_family_shape():
@@ -100,6 +103,61 @@ def test_blackwell_symmetry():
     a = blackwell_cell_value(0.35, 0.65, r=6)
     b = blackwell_cell_value(0.65, 0.65, r=6)
     assert a == pytest.approx(b, abs=1e-6)
+
+
+def blackwell_cylinder_value(fam, prob_fns, p, r):
+    """h/chi of the depth-r cylinder spectrum: the fallback of a cell."""
+    spec = transfer_spectrum(fam, log_probability_potential(prob_fns), p, r)
+    h, _ = entropy(spec)
+    return h / lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
+
+
+def test_blackwell_cylinder_cells_approach_the_collocation_value():
+    fam, prob_fns = blackwell_family(0.2, 0.3)
+    value = blackwell_cell_value(0.2, 0.3)
+    h, chi = collocation_h_chi(fam, log_probability_potential(prob_fns), 0.3)
+    assert value == h / chi
+    errs = [abs(blackwell_cylinder_value(fam, prob_fns, 0.3, r) - value)
+            for r in (8, 10, 12)]
+    assert errs[0] > errs[1] > errs[2] and errs[2] <= 1e-13
+
+
+@given(st.floats(0.08, 0.42), st.floats(0.1, 0.425))
+@settings(max_examples=25, deadline=None)
+def test_blackwell_cell_is_symmetric_in_eps(eps, p):
+    # the workload box: S_0 and S_1 trade places under eps <-> 1 - eps
+    a, b = blackwell_cell_value(eps, p), blackwell_cell_value(1 - eps, p)
+    assert abs(a - b) <= 1e-12
+
+
+def narrowed_blackwell_family(eps, p):
+    """The Blackwell family on [0, 0.85]: at (0.2, 0.3), S_0(0) = 0.903
+    leaves the domain, while the tail point, 0.733, stays in it."""
+    fam, prob_fns = blackwell_family(eps, p)
+    return IfsFamily(fam.maps, (0.0, 0.85), fam.param_interval), prob_fns
+
+
+def test_blackwell_cell_falls_back_where_a_node_image_leaves_the_domain(monkeypatch):
+    monkeypatch.setattr(apps, "blackwell_family", narrowed_blackwell_family)
+    fam, prob_fns = narrowed_blackwell_family(0.2, 0.3)
+    with pytest.raises(CollocationUnresolved, match="leaves the domain"):
+        collocation_h_chi(fam, log_probability_potential(prob_fns), 0.3)
+    assert blackwell_cell_value(0.2, 0.3, r=6) == \
+        blackwell_cylinder_value(fam, prob_fns, 0.3, 6)
+
+
+def test_blackwell_cell_falls_back_where_the_ladder_never_settles(monkeypatch):
+    fam, prob_fns = blackwell_family(0.2, 0.3)
+    settled = blackwell_cell_value(0.2, 0.3)
+    monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)  # no pair can agree
+    value = blackwell_cell_value(0.2, 0.3, r=8)
+    assert value == blackwell_cylinder_value(fam, prob_fns, 0.3, 8)
+    assert 1e-11 < abs(value - settled) < 1e-9  # the r = 8 truncation error
+
+
+def test_blackwell_cell_rejects_a_nonpositive_depth():
+    with pytest.raises(ValueError, match="depth must be positive"):
+        blackwell_cell_value(0.2, 0.3, r=0)
 
 
 def test_blackwell_region_scan_marks_degenerate():

@@ -6,7 +6,7 @@ from test_mstats import _chaos_reference
 from hypifs import cli
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.cli import main
-from hypifs.config import ConfigError, as_floats, load_config
+from hypifs.config import ConfigError, as_floats, as_int, load_config
 from hypifs.ifs import IfsFamily, affine_map
 from hypifs.thermo import constant_bernoulli_potential
 
@@ -44,6 +44,10 @@ def test_config_parser(tmp_path):
     assert cfg["c.d"] == "text"
     assert len(cfg["_hash"]) == 16
     assert as_floats(3) == [3.0]
+    assert as_int(10) == as_int(10.0) == 10 and type(as_int(10.0)) is int
+    for bad in (10.9, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="an integer"):
+            as_int(bad)
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "no equals here", "bad.cfg"))
     with pytest.raises(ConfigError):
@@ -92,10 +96,14 @@ GRID_2X2 = "run.grid1 = 2\nrun.grid2 = 2\n"
     (BERNOULLI + "family.param_interval = 0.5, 0.6, 0.7\n", ["audit"],
      "'family.param_interval': cannot read [0.5, 0.6, 0.7] as two numbers"),
     ("partition.intervals = 0.0, 0.3, 0.2\n", ["partition"],
-     "'partition.intervals': cannot read [0.0, 0.3, 0.2] as pairs of numbers")],
+     "'partition.intervals': cannot read [0.0, 0.3, 0.2] as pairs of numbers"),
+    (BERNOULLI + "run.seed = 2.5\n", ["transversality", "probe"],
+     "'run.seed': cannot read 2.5 as an integer"),
+    (BERNOULLI + "run.depth = 10.9\nrun.samples = 10\n", ["transversality", "probe"],
+     "'run.depth': cannot read 10.9 as an integer")],
     ids=["ratios-audit", "samples-probe", "eps-range-one", "p-range-three",
          "rho-range-one", "domain-one", "interval-one", "interval-three",
-         "intervals-odd"])
+         "intervals-odd", "seed-fraction", "depth-fraction"])
 def test_non_numeric_value_exit_1_names_key_and_value(tmp_path, capsys, cfg, argv,
                                                        shown):
     code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
@@ -107,6 +115,8 @@ def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
     def broken(cfg, args, out):
         raise KeyError("not a config key")
 
+    # the parser is built once per process; handlers are looked up per run
+    assert cli.build_parser() is cli.build_parser()
     monkeypatch.setitem(cli.COMMANDS, "audit", broken)
     with pytest.raises(KeyError):
         main(["--config", write(tmp_path, CANTOR), "--out", str(tmp_path), "audit"])

@@ -116,6 +116,21 @@ def test_shifted_map_evaluates_its_base_once(poly_calls):
         mp.dlam(lam, 0.5)
     assert poly_calls[id(base.slope)] == poly_calls[id(base.offset)] == 1
     assert mp.value(0.1, 0.5) == base.value(0.4, 0.5) + 0.1
+    # frozen at lam, the shift and its derivative are evaluated once per lam,
+    # and the same floats are added
+    lams = (0.0, 0.1, 0.2)
+    expect = [(base.value(0.4, 0.5) + mp.shift(lam), mp.shift.deriv()(lam))
+              for lam in lams]
+    poly_calls.clear()
+    fam = IfsFamily((mp,), (0.0, 1.0), (0.0, 0.2))
+    for lam, (value, dlam) in zip(lams, expect):
+        frozen = fam.at(lam).maps[0]
+        for _ in range(3):
+            assert frozen.value(0.5) == value
+            assert frozen.dlam(0.5) == dlam
+            frozen.dx(0.5)
+    assert poly_calls[id(mp.shift)] == poly_calls[id(mp.shift.deriv())] == len(lams)
+    assert sum(poly_calls.values()) == 2 * len(lams)
 
 
 def test_custom_map_fd_fallback():

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs, thermo
-from hypifs.apps import (bernoulli_family, bernoulli_potential, blackwell_family,
+from hypifs.apps import (bernoulli_entropy_bounds, bernoulli_family,
+                         bernoulli_moments, bernoulli_potential, blackwell_family,
                          cf_family, similarity_dimension)
 from hypifs.ifs import (AuditFailure, CustomMap, IfsFamily, RationalMap,
                         affine_map, bernoulli_psi, moebius_shift, poly)
-from hypifs.thermo import (CylinderMeasure, Potential, bowen_root,
+from hypifs.thermo import (CollocationUnresolved, CylinderMeasure, Potential,
+                           bowen_root, collocation_h_chi,
                            constant_bernoulli_potential, entropy,
                            gibbs_cylinder_measure, log_probability_potential,
                            lyapunov_exponent,
@@ -609,3 +611,71 @@ def test_bowen_root_collocation_of_general_families_matches_deep_cylinders(fam):
     slope = -math.log(ifs.regularity_audit(fam).gamma2)
     s16, _ = thermo._bowen_solve(lambda t: pressure(fam, t, 0.0, r=16), fam.m, slope)
     assert abs(res["s"] - s16) <= 1e-11
+
+
+def test_collocation_h_chi_of_the_cantor_measure_is_exact(cantor):
+    # constant 1/2 probabilities on {x/3, x/3 + 2/3}: h = log 2, chi = log 3
+    h, chi = collocation_h_chi(cantor, constant_bernoulli_potential([0.5, 0.5]), 0.0)
+    assert abs(h / chi - math.log(2) / math.log(3)) <= 1e-13
+    assert abs(h - math.log(2)) <= 1e-13 and abs(chi - math.log(3)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", thermo.COLLOCATION_LADDER[:3])
+def test_stationary_vector_integrates_x_squared_to_the_first_moment(n):
+    # place-dependent Bernoulli convolution: l^T x^2 is F_1 of the exact
+    # moment recursion, at every rung
+    frozen = bernoulli_family().at(0.6)
+    g = thermo._node_weights(frozen, bernoulli_potential(0.2), n)
+    ell = thermo._stationary_vector(thermo._collocation_operator(frozen, np.exp(g)))
+    assert abs(ell.sum() - 1.0) <= 1e-14
+    assert abs(ell @ frozen.collocation(n).nodes ** 2
+               - bernoulli_moments(0.6, 0.2, 1)[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.45])
+def test_collocation_entropy_lies_in_the_moment_sandwich(rho):
+    # at rho = 0.2 the twelve-term sandwich is as narrow as rounding, so
+    # it is widened by ROUNDING; at rho = 0.45 it is 2e-3 wide
+    h, chi = collocation_h_chi(bernoulli_family(), bernoulli_potential(rho), 0.6)
+    lo, up = bernoulli_entropy_bounds(0.6, rho, 12)
+    assert lo - ROUNDING <= h <= up + ROUNDING
+    assert abs(chi + math.log(0.6)) <= 1e-14  # chi = -log lam for affine maps
+
+
+def test_stationary_vector_of_a_singular_system_is_unresolved():
+    # every vector is fixed by the identity, so the bordered system is
+    # singular; LinAlgError is a ValueError and must not leak out
+    with pytest.raises(CollocationUnresolved, match="stationary system"):
+        thermo._stationary_vector(np.eye(4))
+
+
+def test_collocation_h_chi_is_unresolved_where_a_node_image_leaves_the_domain(cantor):
+    # f_2([0, 0.9]) = [2/3, 29/30] leaves the domain at every rung
+    escaping = IfsFamily(cantor.maps, (0.0, 0.9), cantor.param_interval)
+    with pytest.raises(CollocationUnresolved, match="leaves the domain"):
+        collocation_h_chi(escaping, constant_bernoulli_potential([0.5, 0.5]), 0.0)
+
+
+def test_collocation_h_chi_needs_probability_curves(cantor):
+    with pytest.raises(ValueError, match="no probability curves"):
+        collocation_h_chi(cantor, t_log_derivative_potential(1.0), 0.0)
+
+
+def test_collocation_ladder_reads_each_rung_once_and_skips_unresolved_rungs():
+    values = {24: None, 48: 1.0, 96: 1.0 + 2e-13, 192: 5.0}
+    read = []
+
+    def value(n):
+        read.append(n)
+        if values[n] is None:
+            raise CollocationUnresolved("no value")
+        return values[n]
+
+    v, gap = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
+    assert v == 1.0 and gap == pytest.approx(2e-13)  # the value at 48, not 96
+    assert read == [24, 48, 96]  # the unresolved 24 settles no pair; 192 unread
+    values.update({96: 2.0})
+    read.clear()
+    with pytest.raises(CollocationUnresolved, match="24/48: no value; 48/96"):
+        thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
+    assert read == [24, 48, 96, 192]
