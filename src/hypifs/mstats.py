@@ -14,8 +14,8 @@ from .ifs import (ROOT_RTOL, ROOT_XTOL, AuditFailure, IfsFamily, concat_images,
 from .thermo import (CylinderMeasure, audit_prob_fns, gibbs_cylinder_measure,
                      transfer_spectrum)
 
-CHAOS_BLOCK = 2 ** 14  # chain steps evaluated per array pass of a chaos-game sweep
-CHAOS_BUDGET = 128  # step evaluations per chain step before the scalar loop finishes the chain
+CHAOS_SEGMENT = 128  # most chain steps per lockstep segment of the chaos game
+CHAOS_BUDGET = 16  # lockstep passes before the scalar loop finishes the chain
 FOURIER_BLOCK = 2 ** 14  # elements of a (frequency x cell) temporary in _fourier_mean
 TAIL_LEVELS = 5  # level sums in the geometric tail fit
 ALPHA_LO, ALPHA_HI = 1e-3, 2.0  # the correlation-dimension search interval
@@ -30,6 +30,8 @@ class EmpiricalSample:
     lam: float
     seed: int
     burn_in: int
+    passes: int = 0  # lockstep passes the chaos game ran
+    scalar_from: int | None = None  # the first chain step the scalar loop ran, if any
 
     @property
     def count(self):
@@ -141,19 +143,25 @@ def _chaos_steps(values, curves, lam, u, x):
 
 def _scalar_finish(values, curves, last, lam, uni, chain, start):
     """Run the chain one Python step at a time from its exact state
-    chain[start], writing chain[start + 1:]."""
+    chain[start], writing chain[start + 1:len(uni) + 1]."""
     x = float(chain[start])
-    for s in range(start, len(uni), CHAOS_BLOCK):
-        for k, u in enumerate(uni[s:s + CHAOS_BLOCK].tolist(), s + 1):
-            acc = 0.0
-            j = last
-            for jj, f in curves:
-                acc += float(f(lam, x))
-                if u < acc:
-                    j = jj
-                    break
-            x = float(values[j](x))
-            chain[k] = x
+    for k in range(start, len(uni)):
+        u = float(uni[k])
+        acc = 0.0
+        j = last
+        for jj, f in curves:
+            acc += float(f(lam, x))
+            if u < acc:
+                j = jj
+                break
+        x = float(values[j](x))
+        chain[k + 1] = x
+
+
+def _segment_length(n):
+    """Chain steps per lockstep segment: ceil(sqrt(n) / 2), so that a short
+    chain pays few array calls, and at most CHAOS_SEGMENT."""
+    return min(CHAOS_SEGMENT, math.ceil(math.sqrt(n) / 2))
 
 
 def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
@@ -162,19 +170,23 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
 
     The chain x_0 = fam.midpoint, x_{k+1} = f_{j_k}(x_k), j_k the first j
     with u_k < p_1(x_k) + ... + p_j(x_k), over count + burn_in uniforms u_k,
-    is solved by Jacobi fixed-point sweeps.  Every x_k starts at the
-    midpoint, and a sweep re-evaluates, in array passes of CHAOS_BLOCK
-    steps, each step whose input changed in the sweep before (all the steps
-    from the first to the last of them, by slices, while they are at least
-    half of that range).  When a sweep
-    changes no bit, every x_{k+1} is the step applied to x_k, and x_0 is
-    exact, so by induction the array is the sequential chain bit for bit:
-    the stopping rule is a certificate, not a tolerance.  Each state a sweep
-    steps from is a state of the same chain begun at the midpoint at a later
-    time, and each curve and map is evaluated only on the states where the
-    scalar loop would evaluate it.  Once CHAOS_BUDGET step evaluations per
-    chain step are spent (a weak contraction couples slowly), the scalar
-    loop finishes the chain from its first state not yet certified.
+    is cut into segments of L = _segment_length(n) steps, the last padded
+    with u = 0 steps that are never returned.  A pass advances all the
+    segments in lockstep, one array call per step position.  The first pass
+    starts every segment at the midpoint; each later pass starts segment b
+    where segment b - 1 ended in the pass before.  When no segment's end
+    differs, bit for bit, from the start the next segment used, every
+    x_{k+1} is the step applied to x_k, and x_0 is exact, so by induction
+    the array is the sequential chain bit for bit: the stopping rule is a
+    certificate, not a tolerance.  A chain that couples within L steps is
+    certified after 2 passes.  The segments before the first stale start
+    are exact and are not run again.  Each state a pass steps from is a
+    state of the same chain begun at the midpoint at a later time (or one
+    of its padded steps), and at each state the curves and the map are the
+    ones the scalar loop would evaluate there.  Once CHAOS_BUDGET passes
+    are spent (a weak contraction couples slowly), the scalar loop
+    finishes the chain from the first stale segment start.  The sample
+    records its passes and that step, `scalar_from`.
 
     Bit-identity with the scalar loop needs every curve and map to give,
     elementwise on an array, what it gives on one float.  The built-in maps
@@ -186,41 +198,37 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     frozen = fam.at(lam)
     audit_prob_fns(prob_fns, frozen)
     n = count + burn_in
-    uni = np.random.default_rng(seed).random(n)
     values = [mp.value for mp in frozen.maps]
     last = len(prob_fns) - 1
     # the last curve is never evaluated: its symbol is the default
     curves = list(enumerate(prob_fns[:last]))
-    chain = np.full(n + 1, fam.midpoint)
-    bits = chain.view(np.int64)
-    active = np.arange(n)  # the steps k whose input chain[k] may have changed
-    budget = CHAOS_BUDGET * n
-    while len(active):
-        lo, hi = int(active[0]), int(active[-1]) + 1
-        # at least half the steps in [lo, hi) active: evaluate them all, by slices
-        dense = 2 * len(active) >= hi - lo
-        cost = hi - lo if dense else len(active)
-        if cost > budget:
-            _scalar_finish(values, curves, last, lam, uni, chain, lo)
+    seg = _segment_length(n)
+    nb = -(-n // seg)
+    steps = np.zeros((nb, seg))  # steps[b, t] = u_{b seg + t}
+    steps.flat[:n] = np.random.default_rng(seed).random(n)
+    chain = np.empty(nb * seg + 1)
+    chain[0] = fam.midpoint
+    states = chain[1:].reshape(nb, seg)  # states[b, t] = x_{b seg + t + 1}
+    starts = np.full(nb, fam.midpoint)
+    lo = 0  # segments before lo are exact
+    scalar_from = None
+    for passes in range(1, CHAOS_BUDGET + 1):
+        x = starts[lo:]
+        for t in range(seg):
+            x = _chaos_steps(values, curves, lam, steps[lo:, t], x)
+            states[lo:, t] = x
+        ends = states[lo:-1, -1]
+        stale = np.flatnonzero(ends.view(np.int64) != starts[lo + 1:].view(np.int64))
+        if not len(stale):
             break
-        budget -= cost
-        moved = []
-        for s in range(0, cost, CHAOS_BLOCK):
-            if dense:
-                ks = slice(lo + s, min(lo + s + CHAOS_BLOCK, hi))
-                nxt = slice(ks.start + 1, ks.stop + 1)
-            else:
-                ks = active[s:s + CHAOS_BLOCK]
-                nxt = ks + 1
-            new = _chaos_steps(values, curves, lam, uni[ks], chain[ks])
-            changed = np.flatnonzero(new.view(np.int64) != bits[nxt])
-            chain[nxt] = new
-            moved.append(changed + nxt.start if dense else nxt[changed])
-        active = np.concatenate(moved)
-        if len(active) and active[-1] == n:  # x_n is the input of no step
-            active = active[:-1]
-    return EmpiricalSample(points=chain[burn_in + 1:], family_id=family_id, lam=lam,
-                           seed=seed, burn_in=burn_in)
+        lo += int(stale[0]) + 1
+        starts[lo:] = states[lo - 1:-1, -1]
+    else:
+        scalar_from = lo * seg
+        _scalar_finish(values, curves, last, lam, steps.ravel()[:n], chain, scalar_from)
+    return EmpiricalSample(points=chain[burn_in + 1:n + 1], family_id=family_id, lam=lam,
+                           seed=seed, burn_in=burn_in, passes=passes,
+                           scalar_from=scalar_from)
 
 
 def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:

@@ -319,22 +319,92 @@ def _recording_finish(monkeypatch):
 
 def test_chaos_game_hands_a_slowly_coupling_chain_to_the_scalar_loop(monkeypatch):
     # contraction 0.99: two starts agree to the last bit only after about
-    # 3700 steps, far beyond CHAOS_BUDGET sweeps
+    # 3700 steps, so certifying needs about one pass per segment, far
+    # beyond CHAOS_BUDGET passes
     starts = _recording_finish(monkeypatch)
     fam = IfsFamily((affine_map(0.99, 0.0), affine_map(0.99, 0.01)), (0.0, 1.0), (0.0, 1e-9))
     probs = _constant_curves([0.5, 0.5])
     sample = chaos_game_sample(fam, probs, 0.0, 3000, 100, seed=5)
     assert len(starts) == 1 and 0 < starts[0] < 3100
     assert sample.points.tobytes() == _chaos_reference(fam, probs, 0.0, 3000, 100, 5).tobytes()
+    assert sample.passes == mstats.CHAOS_BUDGET and sample.scalar_from == starts[0]
+
+
+def test_chaos_game_certifies_a_fast_chain_in_two_passes():
+    # contraction 1/2 couples within 53 steps, fewer than the 128 of a segment
+    fam, probs, lam, _, _ = _chaos_cases()["uniform"]
+    sample = chaos_game_sample(fam, probs, lam, 100000, 100, seed=3)
+    assert mstats._segment_length(100100) == 128
+    assert sample.passes == 2 and sample.scalar_from is None
 
 
 @pytest.mark.parametrize("name", ["uniform", "bernoulli", "blackwell", "three-map"])
-@pytest.mark.parametrize("budget", [1, 20])
-def test_chaos_game_budget_path_matches_scalar_reference(monkeypatch, name, budget):
+@pytest.mark.parametrize("budget, segment", [(1, None), (2, 8)], ids=["1", "2-L8"])
+def test_chaos_game_budget_path_matches_scalar_reference(monkeypatch, name, budget, segment):
     starts = _recording_finish(monkeypatch)
     monkeypatch.setattr(mstats, "CHAOS_BUDGET", budget)
+    if segment:
+        # no chain couples within 8 steps: each pass certifies one more segment
+        monkeypatch.setattr(mstats, "_segment_length", lambda n: segment)
     fam, probs, lam, count, burn_in = _chaos_cases()[name]
     sample = chaos_game_sample(fam, probs, lam, count, burn_in, seed=23)
     assert len(starts) == 1
+    if segment:
+        assert starts == [budget * segment]
+    assert sample.passes == budget and sample.scalar_from == starts[0]
     ref = _chaos_reference(fam, probs, lam, count, burn_in, seed=23)
     assert sample.points.tobytes() == ref.tobytes()
+
+
+_HALVES = (IfsFamily((affine_map(0.5, 0.0), affine_map(0.5, 0.5)), (0.0, 1.0), (0.0, 1e-9)),
+           _constant_curves([0.5, 0.5]))
+
+
+def _steps_near_multiple(seg, k, offset, burn_in):
+    """(count, burn_in) with count + burn_in = max(1, k seg + offset)."""
+    n = max(1, k * seg + offset)
+    burn_in = min(burn_in, n - 1)
+    return n - burn_in, burn_in
+
+
+@given(_chaos_families(), st.integers(1, 9), st.integers(0, 40), st.integers(-1, 1),
+       st.integers(0, 20), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+@example(_HALVES, 4, 0, 1, 0, 0)  # count = 1, burn_in = 0
+@example(_HALVES, 9, 0, 5, 0, 1)  # n < L: one short segment
+@example(_HALVES, 7, 5, 1, 3, 2)  # n = kL + 1: a last segment of one step
+@example(_HALVES, 1, 60, 0, 0, 4)  # one step per segment: the scalar loop finishes
+def test_chaos_game_segments_are_the_scalar_chain(case, seg, k, offset, burn_in, seed):
+    fam, probs = case
+    count, burn_in = _steps_near_multiple(seg, k, offset, burn_in)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mstats, "_segment_length", lambda n: seg)
+        sample = chaos_game_sample(fam, probs, 0.0, count, burn_in, seed)
+    ref = _chaos_reference(fam, probs, 0.0, count, burn_in, seed)
+    assert sample.points.tobytes() == ref.tobytes()
+
+
+@given(_chaos_families(), st.integers(2, 9), st.integers(1, 40), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+@example(_HALVES, 8, 12, 3, 0)  # 99 steps: a last segment with 5 padded steps
+def test_chaos_game_evaluates_only_domain_points(case, seg, k, pad, seed):
+    fam, probs = case
+    seen = []
+
+    def recorded(fn):
+        def call(lam, x):
+            seen.append(np.array(x, dtype=float, ndmin=1))
+            return fn(lam, x)
+        return call
+
+    maps = tuple(CustomMap(recorded(mp.value), mp.dx) for mp in fam.maps)
+    rec = IfsFamily(maps, fam.domain, (0.0, 1e-9))
+    # k segments of seg steps, the last padded with pad < seg steps
+    count = k * seg - min(pad, seg - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mstats, "_segment_length", lambda n: seg)
+        chaos_game_sample(rec, [recorded(f) for f in probs], 0.0, count, 0, seed)
+    xs = np.concatenate(seen)
+    lo, hi = fam.domain
+    assert np.all((lo <= xs) & (xs <= hi))
