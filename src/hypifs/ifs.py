@@ -484,58 +484,65 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     return report
 
 
-def project_words(fam: IfsFamily, words: np.ndarray, lam: float, x0):
+def project_words(fam: IfsFamily, words: np.ndarray, lam, x0):
     """(f_w(x0), d/dlam f_w(x0)) for every row w of the (k, n) symbol array
     `words`, x0 one point or one point per row: the one composition of
-    maps over words, by the recursion d = dlam f + f' d on `fam.at(lam)`,
-    one symbol at a time from the right.
+    maps over words, by the recursion d = dlam f + f' d on the maps frozen
+    at lambda, one symbol at a time from the right.  `lam` is one value,
+    giving arrays of shape (k,), or a 1-D array of L values, giving (L, k);
+    one value is the case L = 1.  A symbol outside 1..m raises ValueError.
 
-    When every frozen map is affine, one pass gathers each word's
-    coefficients by symbol (`_gathered_affine_pass`); any other family
-    takes a pass that masks the batch by symbol and calls each frozen map
-    on its share.  Both give the same floats.  Symbols are not checked."""
-    maps = fam.at(lam).maps
-    if all(type(mp) is _FrozenAffine for mp in maps):
-        return _gathered_affine_pass(maps, words, x0)
-    k, n = words.shape
-    x, d = np.full(k, x0, dtype=float), np.zeros(k)
-    for pos in range(n - 1, -1, -1):
-        col = words[:, pos]
-        for j, mp in enumerate(maps, 1):
-            mask = col == j
-            if mask.any():
-                xm = x[mask]
-                d[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * d[mask]
-                x[mask] = mp.value(xm)
-    return x, d
+    When every map is affine, one pass gathers each word's coefficients by
+    symbol for every lambda at once (`_gathered_affine_pass`); any other
+    family takes, once per lambda, a pass that masks the batch by symbol
+    and calls each frozen map on its share.  Both give the same floats."""
+    lams = np.atleast_1d(lam)
+    if lams.ndim != 1 or not lams.size:
+        raise ValueError("lam must be one value or a non-empty 1-D array")
+    if words.size and (words.min() < 1 or words.max() > fam.m):
+        raise ValueError(f"symbols outside 1..{fam.m}")
+    if all(type(mp) is AffineMap for mp in fam.maps):
+        x, d = _gathered_affine_pass([_freeze(mp, lams) for mp in fam.maps], words, x0)
+    else:
+        k, n = words.shape
+        x, d = np.full((len(lams), k), x0, dtype=float), np.zeros((len(lams), k))
+        for l, xl, dl in zip(lams, x, d):  # one row of x and d per lambda, in place
+            maps = fam.at(l).maps
+            for pos in range(n - 1, -1, -1):
+                col = words[:, pos]
+                for j, mp in enumerate(maps, 1):
+                    mask = col == j
+                    if mask.any():
+                        xm = xl[mask]
+                        dl[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * dl[mask]
+                        xl[mask] = mp.value(xm)
+    return (x, d) if np.ndim(lam) else (x[0], d[0])
 
 
-def _gathered_affine_pass(maps, words, x0):
-    """`project_words` for frozen affine maps: per position, the tables of
-    (a, b, a', b') indexed by the symbol column give x = a x + b and
+def _gathered_affine_pass(frozen, words, x0):
+    """`project_words` for affine maps, each frozen once over the L
+    lambdas: the (m + 1, L) tables of (a, b, a', b'), gathered once per
+    symbol column for every lambda, give x = a x + b and
     d = (a' x + b') + a d, the floats of `mp.value` and of
-    `mp.dlam(x) + mp.dx(x) * d` (a * 1.0 = a).  Entry 0 of each table is
-    a NaN, so the 1-based symbols index it directly."""
-    a, b, da, db = (np.array((np.nan,) + c)
-                    for c in zip(*((mp.a, mp.b) + mp._dlam_coeffs for mp in maps)))
-    k, n = words.shape
-    x, d = np.full(k, x0, dtype=float), np.zeros(k)
-    for pos in range(n - 1, -1, -1):
-        col = words[:, pos]
-        a_col = a.take(col)
-        d = da.take(col) * x + db.take(col) + a_col * d
-        x = a_col * x + b.take(col)
-    return x, d
+    `mp.dlam(x) + mp.dx(x) * d` (a * 1.0 = a).  Row 0 of each table is a
+    NaN, so the 1-based symbols index it directly."""
+    coeffs = np.array([(mp.a, mp.b) + mp._dlam_coeffs for mp in frozen]).transpose(1, 0, 2)
+    L = coeffs.shape[2]
+    a, b, da, db = np.concatenate((np.full((4, 1, L), np.nan), coeffs), axis=1)
+    x = np.full((len(words), L), np.reshape(x0, (-1, 1)), dtype=float)
+    d = np.zeros_like(x)
+    for col in np.ascontiguousarray(words.T)[::-1]:
+        a_col = a.take(col, axis=0)
+        d = da.take(col, axis=0) * x + db.take(col, axis=0) + a_col * d
+        x = a_col * x + b.take(col, axis=0)
+    return x.T, d.T
 
 
 def _word(fam: IfsFamily, lam: float, u, depth: int) -> np.ndarray:
     """The first `depth` symbols of u . 1^infty as a one-row symbol array,
-    once lambda and every symbol are checked (ValueError for a symbol
-    outside 1..m)."""
+    once lambda is checked (`project_words` checks the symbols)."""
     fam.check_lam(lam)
     syms = list(u)[:depth]
-    for s in syms:
-        fam.map(s)
     return np.array([syms + [1] * (depth - len(syms))], dtype=int)
 
 

@@ -16,6 +16,7 @@ LAMBDA_SWEEP_GRID = 1024
 NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
 FALSIFY_PHI_REL = 1e-9  # witness: |Phi| < FALSIFY_PHI_REL * diam(X) ...
 FALSIFY_DPHI_TOL = 1e-6  # ... and |d/dlam Phi| < FALSIFY_DPHI_TOL
+PROBE_CHUNK = 512  # word pairs, 1024 rows, per project_words call: arrays stay in cache
 
 
 class PartitionError(RuntimeError):
@@ -265,7 +266,9 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     """Sample word pairs with distinct first symbols and sweep lambda,
     recording near-collisions of the projections and the minimum
     |d/dlam Phi| over them.  A simultaneous near-zero of Phi and its
-    derivative is a falsification witness; anything else is evidence."""
+    derivative is a falsification witness; anything else is evidence.
+    Pairs go through `project_words` PROBE_CHUNK at a time over the whole
+    lambda grid; the witness is the first bad pair at the first bad lambda."""
     if fam.m < 2:
         raise ValueError("need at least two symbols")
     if samples < 1:
@@ -284,21 +287,22 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     lams = np.linspace(*fam.param_interval, lam_grid)
     emp_eta = math.inf
     events = 0
-    witness = None
-    for lam in lams:
-        pu, du = project_words(fam, u, lam, fam.midpoint)
-        pv, dv = project_words(fam, v, lam, fam.midpoint)
-        phi = pu - pv
-        dphi = du - dv
+    first_bad = (lam_grid, 0)  # the least (lambda index, row) of a bad pair
+    for start in range(0, samples, PROBE_CHUNK):
+        rows = slice(start, start + PROBE_CHUNK)
+        p, dp = project_words(fam, np.concatenate((u[rows], v[rows])), lams, fam.midpoint)
+        phi, dphi = (np.subtract(*np.hsplit(a, 2)) for a in (p, dp))  # u rows - v rows
         near = np.abs(phi) < eta0
         events += int(near.sum())
         if near.any():
             emp_eta = min(emp_eta, float(np.abs(dphi[near]).min()))
             bad = near & (np.abs(phi) < falsify_phi_tol) & \
                 (np.abs(dphi) < FALSIFY_DPHI_TOL)
-            if bad.any() and witness is None:
-                k = int(np.argmax(bad))
-                witness = (tuple(u[k]), tuple(v[k]), float(lam))
+            if bad.any():
+                i, k = np.unravel_index(np.argmax(bad), bad.shape)
+                first_bad = min(first_bad, (i, start + k))
+    i, k = first_bad
+    witness = (tuple(u[k]), tuple(v[k]), float(lams[i])) if i < lam_grid else None
     verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"
     return TransversalityReport(verdict=verdict, empirical_eta=emp_eta,
                                 n_events=events, n_samples=samples * lam_grid,

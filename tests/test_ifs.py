@@ -259,6 +259,17 @@ def test_symbols_outside_the_alphabet_raise(bernoulli_fam, symbol):
             cylinder_interval(fam, 0.6, [1, symbol])
 
 
+@pytest.mark.parametrize("symbol", [0, 3])
+def test_project_words_rejects_symbols_outside_the_alphabet(bernoulli_fam, symbol):
+    """The gathered affine pass and the masked pass (a CustomMap family)
+    both raise, at one lambda and over an array of them."""
+    words = np.array([[1, 2, 1], [2, symbol, 1]])
+    for fam in (bernoulli_fam, without_dlam(bernoulli_fam)):
+        for lam in (0.6, np.array([0.55, 0.6])):
+            with pytest.raises(ValueError, match="symbols outside 1..2"):
+                project_words(fam, words, lam, 0.0)
+
+
 def test_cylinder_interval_nested(cantor_fam):
     a, b = cylinder_interval(cantor_fam, 0.0, [2])
     assert (a, b) == pytest.approx((2 / 3, 1.0))
@@ -308,7 +319,8 @@ def _word_batch_cases(draw):
         if moebius:
             mp = moebius_shift(poly(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 1.0))))
         else:
-            mp = affine_map(poly(draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.25))),
+            mp = affine_map(poly(draw(st.floats(0.05, 0.3)), draw(st.floats(0.0, 0.25)),
+                                 draw(st.floats(-0.05, 0.05))),
                             poly(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 0.2))))
         wrap = "none" if gathered else draw(st.sampled_from(["none", "exact", "fd", "shifted"]))
         if wrap == "exact":
@@ -328,19 +340,34 @@ def _word_batch_cases(draw):
         x0 = fam.midpoint
     else:
         x0 = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
-    return fam, words, draw(st.floats(0.01, 0.99)), x0
+    lams = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4)))
+    return fam, words, draw(st.floats(0.01, 0.99)), x0, lams
 
 
 @given(_word_batch_cases())
 @settings(max_examples=40, deadline=None)
 def test_project_words_matches_per_word_references(case):
-    fam, words, lam, x0 = case
+    fam, words, lam, x0, _ = case
     x, d = ifs.project_words(fam, words, lam, x0)
     starts = np.broadcast_to(x0, len(words))
     ref_x = np.array([float(compose_word(fam, w, lam, s)[0]) for w, s in zip(words, starts)])
     ref_d = np.array([lambda_derivative(fam, lam, w, s) for w, s in zip(words, starts)])
     assert x.tobytes() == ref_x.tobytes()
     assert d.tobytes() == ref_d.tobytes()
+
+
+@given(_word_batch_cases())
+@settings(max_examples=40, deadline=None)
+def test_project_words_over_a_lambda_array_stacks_the_scalar_calls(case):
+    """An array of L values of lambda, L = 1 included, gives the (L, k)
+    stack of the calls at each value, bit for bit."""
+    fam, words, _, x0, lams = case
+    for grid in (lams, lams[:1]):
+        x, d = project_words(fam, words, grid, x0)
+        at_each = [project_words(fam, words, lam, x0) for lam in grid]
+        assert x.shape == d.shape == (len(grid), len(words))
+        assert x.tobytes() == np.stack([xl for xl, _ in at_each]).tobytes()
+        assert d.tobytes() == np.stack([dl for _, dl in at_each]).tobytes()
 
 
 MONOTONE_CASES = {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypifs import ifs, transversality
-from hypifs.apps import blackwell_family
+from hypifs.apps import blackwell_family, cf_family
 from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, ShiftedMap, affine_map,
                         bernoulli_psi, poly)
 from hypifs.transversality import (PartitionError, build_pm_translation,
@@ -170,6 +170,13 @@ def masked_project_words(fam, words, lam, x0):
     return x, d
 
 
+def masked_over_lams(fam, words, lams, x0):
+    """`masked_project_words` at each lambda of a 1-D array, stacked to
+    (L, k) as `ifs.project_words` returns them."""
+    pairs = [masked_project_words(fam, words, lam, x0) for lam in lams]
+    return np.array([x for x, _ in pairs]), np.array([d for _, d in pairs])
+
+
 def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
     """The Bernoulli family and a family of two identical maps, as in the
     mc-probe benchmark: Pi and d/dlam Pi of 10,000 words of depth 40, and
@@ -193,9 +200,88 @@ def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
                 for rep in [mc_transversality_probe(fam, samples=samples, depth=40, seed=seed)]]
 
     gathered = reports()
-    monkeypatch.setattr(transversality, "project_words", masked_project_words)
+    monkeypatch.setattr(transversality, "project_words", masked_over_lams)
     assert gathered == reports()
     assert [r[0] for r in gathered] == ["INCONCLUSIVE"] * 2 + ["FALSIFIED"] * 2
+
+
+def per_lambda_probe(fam, samples, depth, seed, lam_grid=17):
+    """`mc_transversality_probe` as one pass over every pair at each lambda
+    of the grid in turn, with `project_words` at one lambda: the report's
+    (verdict, n_events, empirical_eta, witness, n_samples), and the
+    (lambda index, first bad row) of every lambda with a bad pair."""
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    falsify_phi_tol = transversality.FALSIFY_PHI_REL * fam.diam
+    rng = np.random.default_rng(seed)
+    u = rng.integers(1, fam.m + 1, size=(samples, depth))
+    v = rng.integers(1, fam.m + 1, size=(samples, depth))
+    clash = u[:, 0] == v[:, 0]
+    v[clash, 0] = 1 + (v[clash, 0] % fam.m)
+    emp_eta, events, witness, firsts = math.inf, 0, None, []
+    for i, lam in enumerate(np.linspace(*fam.param_interval, lam_grid)):
+        pu, du = ifs.project_words(fam, u, lam, fam.midpoint)
+        pv, dv = ifs.project_words(fam, v, lam, fam.midpoint)
+        phi, dphi = pu - pv, du - dv
+        near = np.abs(phi) < eta0
+        events += int(near.sum())
+        if near.any():
+            emp_eta = min(emp_eta, float(np.abs(dphi[near]).min()))
+            bad = near & (np.abs(phi) < falsify_phi_tol) & \
+                (np.abs(dphi) < transversality.FALSIFY_DPHI_TOL)
+            if bad.any():
+                k = int(np.argmax(bad))
+                firsts.append((i, k))
+                if witness is None:
+                    witness = (tuple(u[k]), tuple(v[k]), float(lam))
+    verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"
+    return (verdict, events, emp_eta, witness, samples * lam_grid), firsts
+
+
+def _fields(rep):
+    return rep.verdict, rep.n_events, rep.empirical_eta, rep.witness, rep.n_samples
+
+
+PROBE_REF_FAMILIES = {
+    "bernoulli": IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)),
+    "identical": IfsFamily((bernoulli_psi(0), bernoulli_psi(0)), (-1.0, 1.0), (0.5, 0.66)),
+    "moebius": cf_family(0.5, 2.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 1500, 2500])
+@pytest.mark.parametrize("seed", [4, 9])
+@pytest.mark.parametrize("fam", PROBE_REF_FAMILIES.values(), ids=PROBE_REF_FAMILIES)
+def test_probe_matches_per_lambda_reference(fam, seed, samples):
+    """Pair chunks over the whole lambda grid give the report of one pass
+    over every pair per lambda, at sample counts that are not a multiple
+    of the chunk size."""
+    ref, _ = per_lambda_probe(fam, samples, 20, seed)
+    assert _fields(mc_transversality_probe(fam, samples=samples, depth=20, seed=seed)) == ref
+
+
+def rare_witness_family():
+    """60 maps of slope 1e-12 on [0, 1], so Phi is the offset difference
+    of the first symbols.  Symbols 1 and 2 meet at lambda = 0.25 only, with
+    d/dlam Phi = -1e-7, a rare bad pair; symbols 3..12 meet pairwise at
+    lambda = 0.75 only, a common one; the rest are 0.01 apart."""
+    tiny = 1e-12
+    maps = [affine_map(tiny, poly(0.05 - 0.25e-7, 1e-7)), affine_map(tiny, 0.05)]
+    maps += [affine_map(tiny, poly(0.02 - 0.75e-7 * k, 1e-7 * k)) for k in range(10)]
+    maps += [affine_map(tiny, 0.1 + 0.01 * k) for k in range(48)]
+    return IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [2, 3, 9])
+def test_probe_witness_past_the_first_chunk(seed):
+    """The witness is the first bad pair at the first lambda that has one,
+    though it lies past the first chunk and that chunk has bad pairs at a
+    later lambda."""
+    fam = rare_witness_family()
+    ref, firsts = per_lambda_probe(fam, 2500, 5, seed)
+    (_, row), later = firsts[0], firsts[1:]
+    assert ref[3][2] == 0.25 and row >= transversality.PROBE_CHUNK
+    assert any(k < transversality.PROBE_CHUNK for _, k in later)
+    assert _fields(mc_transversality_probe(fam, samples=2500, depth=5, seed=seed)) == ref
 
 
 def test_probe_distinct_first_symbols_forced():
