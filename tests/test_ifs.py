@@ -270,6 +270,12 @@ def test_project_words_rejects_symbols_outside_the_alphabet(bernoulli_fam, symbo
                 project_words(fam, words, lam, 0.0)
 
 
+@pytest.mark.parametrize("lam", [np.array([]), np.full((2, 2), 0.6)], ids=["empty", "2-D"])
+def test_project_words_rejects_a_lambda_array_that_is_not_1d(bernoulli_fam, lam):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        project_words(bernoulli_fam, np.array([[1, 2]]), lam, 0.0)
+
+
 def test_cylinder_interval_nested(cantor_fam):
     a, b = cylinder_interval(cantor_fam, 0.0, [2])
     assert (a, b) == pytest.approx((2 / 3, 1.0))
