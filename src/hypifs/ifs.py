@@ -189,6 +189,10 @@ class IfsFamily:
     def midpoint(self) -> float:
         return 0.5 * (self.domain[0] + self.domain[1])
 
+    @property
+    def affine(self) -> bool:  # project_words then gathers every lambda at once
+        return all(type(mp) is AffineMap for mp in self.maps)
+
     def map(self, j: int):
         if not 1 <= j <= self.m:
             raise ValueError(f"symbol {j} outside 1..{self.m}")
@@ -350,11 +354,10 @@ def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
 
     def interp_matrix(y):
         """Second barycentric formula; a point on a node gets its unit row."""
-        diff = y[:, None] - nodes
-        on_node = diff == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = weights / diff
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = weights / (y[:, None] - nodes)
             mat = c / c.sum(axis=1, keepdims=True)
+        on_node = np.isinf(c)  # y on a node, or so near one that 1/diff overflows
         hit = on_node.any(axis=1)
         mat[hit] = on_node[hit]
         return mat
@@ -490,7 +493,7 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam, x0):
     maps over words, by the recursion d = dlam f + f' d on the maps frozen
     at lambda, one symbol at a time from the right.  `lam` is one value,
     giving arrays of shape (k,), or a 1-D array of L values, giving (L, k);
-    one value is the case L = 1.  A symbol outside 1..m raises ValueError.
+    one value is the case L = 1.  Symbols are integers in 1..m, else ValueError.
 
     When every map is affine, one pass gathers each word's coefficients by
     symbol for every lambda at once (`_gathered_affine_pass`); any other
@@ -499,9 +502,11 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam, x0):
     lams = np.atleast_1d(lam)
     if lams.ndim != 1 or not lams.size:
         raise ValueError("lam must be one value or a non-empty 1-D array")
-    if words.size and (words.min() < 1 or words.max() > fam.m):
-        raise ValueError(f"symbols outside 1..{fam.m}")
-    if all(type(mp) is AffineMap for mp in fam.maps):
+    if words.size and (words.dtype.kind not in "iu" or words.min() < 1 or words.max() > fam.m):
+        outside = ~np.isin(words, np.arange(1, fam.m + 1))
+        raise ValueError(f"symbol {words.flat[np.argmax(outside)]} outside 1..{fam.m}"
+                         if outside.any() else f"symbols of dtype {words.dtype}, not integers")
+    if fam.affine:
         x, d = _gathered_affine_pass([_freeze(mp, lams) for mp in fam.maps], words, x0)
     else:
         k, n = words.shape
@@ -543,7 +548,7 @@ def _word(fam: IfsFamily, lam: float, u, depth: int) -> np.ndarray:
     once lambda is checked (`project_words` checks the symbols)."""
     fam.check_lam(lam)
     syms = list(u)[:depth]
-    return np.array([syms + [1] * (depth - len(syms))], dtype=int)
+    return np.array([syms + [1] * (depth - len(syms))])
 
 
 def natural_projection(fam: IfsFamily, lam: float, u, depth: int):

@@ -250,24 +250,28 @@ def test_projection_derivative_recursion_vs_fd(bernoulli_fam):
         assert d_rec[0] == pytest.approx(d_fd[0], rel=1e-5)
 
 
-@pytest.mark.parametrize("symbol", [0, 3])
+@pytest.mark.parametrize("symbol", [0, 3, 1.5])
 def test_symbols_outside_the_alphabet_raise(bernoulli_fam, symbol):
+    """A symbol that is not an integer in 1..m is named, not truncated."""
     for fam in (bernoulli_fam, without_dlam(bernoulli_fam)):
-        with pytest.raises(ValueError, match="outside 1..2"):
+        with pytest.raises(ValueError, match=f"symbol {symbol} outside 1..2"):
             natural_projection(fam, 0.6, [1, symbol, 2], 10)
-        with pytest.raises(ValueError, match="outside 1..2"):
+        with pytest.raises(ValueError, match=f"symbol {symbol} outside 1..2"):
             cylinder_interval(fam, 0.6, [1, symbol])
 
 
-@pytest.mark.parametrize("symbol", [0, 3])
+@pytest.mark.parametrize("symbol", [0, 3, 1.5])
 def test_project_words_rejects_symbols_outside_the_alphabet(bernoulli_fam, symbol):
     """The gathered affine pass and the masked pass (a CustomMap family)
-    both raise, at one lambda and over an array of them."""
+    both raise and name the first such symbol, at one lambda and over an
+    array of them; symbols of a float dtype raise even when integral."""
     words = np.array([[1, 2, 1], [2, symbol, 1]])
     for fam in (bernoulli_fam, without_dlam(bernoulli_fam)):
         for lam in (0.6, np.array([0.55, 0.6])):
-            with pytest.raises(ValueError, match="symbols outside 1..2"):
+            with pytest.raises(ValueError, match=f"symbol {symbol} outside 1..2"):
                 project_words(fam, words, lam, 0.0)
+            with pytest.raises(ValueError, match="dtype float64, not integers"):
+                project_words(fam, np.array([[1.0, 2.0]]), lam, 0.0)
 
 
 @pytest.mark.parametrize("lam", [np.array([]), np.full((2, 2), 0.6)], ids=["empty", "2-D"])

@@ -594,6 +594,16 @@ def test_collocation_pressure_of_log_derivative_is_exact(fam):
                 frozen, t_log_derivative_potential(t), n) == math.log(lead.real)
 
 
+def test_collocation_row_of_an_image_a_subnormal_distance_from_a_node():
+    # 1/(y - node) overflows for the image y = 5e-324 of the node 0: its row
+    # is the node's unit row, the limit of the barycentric formula, not NaNs
+    fam = IfsFamily((affine_map(0.25, 5e-324), affine_map(0.25, 0.0)), (0.0, 1.0), (0.0, 1.0))
+    col = fam.at(0.0).collocation(24)
+    assert col.nodes[-1] == 0.0 and col.images[0, -1] == 5e-324
+    assert col.interp[0, -1].tolist() == col.interp[1, -1].tolist() == [0.0] * 23 + [1.0]
+    assert not np.isnan(col.interp).any()
+
+
 def test_bowen_root_of_custom_map_copies_is_the_closed_form_result(cantor):
     # the collocation operator reads only value and dx, so a CustomMap copy
     # of a family gives the floats of the family itself

@@ -7,8 +7,8 @@ import pytest
 
 from hypifs import ifs, transversality
 from hypifs.apps import blackwell_family, cf_family
-from hypifs.ifs import (AffineMap, IfsFamily, RationalMap, ShiftedMap, affine_map,
-                        bernoulli_psi, poly)
+from hypifs.ifs import (AffineMap, CustomMap, IfsFamily, RationalMap, ShiftedMap,
+                        affine_map, bernoulli_psi, poly)
 from hypifs.transversality import (PartitionError, build_pm_translation,
                                    d_max, greedy_partition,
                                    mc_transversality_probe, overlap_domain,
@@ -259,6 +259,25 @@ def test_probe_matches_per_lambda_reference(fam, seed, samples):
     assert _fields(mc_transversality_probe(fam, samples=samples, depth=20, seed=seed)) == ref
 
 
+@pytest.mark.parametrize("name, calls", [("bernoulli", [(1024, 17), (476, 17)] * 2),
+                                         ("moebius", [(1500, 1)] * 34)],
+                         ids=["bernoulli", "moebius"])
+def test_probe_batches_affine_rows_and_other_lambdas(monkeypatch, name, calls):
+    """An affine family's pairs go through `project_words` in row chunks
+    over the whole lambda grid; a Moebius family's masked pass runs once
+    per lambda in any case, so it takes every row at each lambda, as often
+    as the per-lambda loop calls it."""
+    seen = []
+
+    def counting(fam, words, lams, x0):
+        seen.append((len(words), len(lams)))
+        return ifs.project_words(fam, words, lams, x0)
+
+    monkeypatch.setattr(transversality, "project_words", counting)
+    mc_transversality_probe(PROBE_REF_FAMILIES[name], samples=1500, depth=8, seed=1)
+    assert sorted(seen) == sorted(calls)
+
+
 def rare_witness_family():
     """60 maps of slope 1e-12 on [0, 1], so Phi is the offset difference
     of the first symbols.  Symbols 1 and 2 meet at lambda = 0.25 only, with
@@ -271,12 +290,17 @@ def rare_witness_family():
     return IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("callbacks", [False, True], ids=["affine", "custom"])
 @pytest.mark.parametrize("seed", [2, 3, 9])
-def test_probe_witness_past_the_first_chunk(seed):
+def test_probe_witness_past_the_first_chunk(seed, callbacks):
     """The witness is the first bad pair at the first lambda that has one,
     though it lies past the first chunk and that chunk has bad pairs at a
-    later lambda."""
+    later lambda: for the affine family, projected in row chunks over the
+    whole grid, and for its CustomMap copy, projected one lambda at a time."""
     fam = rare_witness_family()
+    if callbacks:
+        fam = IfsFamily(tuple(CustomMap(mp.value, mp.dx, mp.dlam) for mp in fam.maps),
+                        fam.domain, fam.param_interval)
     ref, firsts = per_lambda_probe(fam, 2500, 5, seed)
     (_, row), later = firsts[0], firsts[1:]
     assert ref[3][2] == 0.25 and row >= transversality.PROBE_CHUNK
