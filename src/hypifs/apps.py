@@ -111,15 +111,18 @@ def bernoulli_entropy_bounds(lam: float, rho: float, n_terms: int):
     return upper - tail, upper
 
 
-def region_scan(ranges, shape, axis_names, cell_fn, critical: float) -> RegionGrid:
+def region_scan(ranges, shape, axis_names, cell_fn, critical: float,
+                row_fn=None) -> RegionGrid:
     """Evaluate `cell_fn(a, b)` at every point of the grid axis1 x axis2,
-    axis k being shape[k] evenly spaced points of ranges[k].
+    axis k being shape[k] evenly spaced points of ranges[k].  With
+    `row_fn`, each row is first evaluated at once by `row_fn(a, axis2)`,
+    and `cell_fn` is called only for the cells it leaves NaN.
 
     Raises ValueError on a shape below 1 x 1.  A cell is SUPERCRITICAL when
     its value exceeds `critical` and SUBCRITICAL otherwise.  A cell whose
     `cell_fn` raises `DegenerateCell` is DEGENERATE and one that raises any
     other of NUMERICAL_ERRORS is AUDIT-FAIL, both with value NaN; every
-    other exception propagates.
+    other exception, and every exception of `row_fn`, propagates.
     """
     if min(shape) < 1:
         raise ValueError(f"region grid shape {shape[0]} x {shape[1]} is below 1 x 1")
@@ -127,9 +130,10 @@ def region_scan(ranges, shape, axis_names, cell_fn, critical: float) -> RegionGr
     values = np.full((len(axis1), len(axis2)), math.nan)
     verdicts = np.empty(values.shape, dtype=object)
     for i, a in enumerate(axis1):
+        row = np.full(len(axis2), math.nan) if row_fn is None else row_fn(a, axis2)
         for j, b in enumerate(axis2):
             try:
-                val = cell_fn(a, b)
+                val = cell_fn(a, b) if math.isnan(row[j]) else float(row[j])
             except NUMERICAL_ERRORS as exc:
                 verdicts[i, j] = (DEGENERATE if isinstance(exc, DegenerateCell)
                                   else AUDIT_FAIL)
@@ -198,13 +202,18 @@ def blackwell_family(eps: float, p: float):
     return fam, [p0, p1]
 
 
+def _degenerate(x):
+    """eps or p (or an array of p) at 1/2, where the Blackwell measure degenerates."""
+    return np.abs(np.subtract(x, 0.5)) < 1e-9
+
+
 def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
     """h/chi for the Blackwell Gibbs measure at (eps, p): from
     `collocation_h_chi`, or, when its node ladder does not settle, from the
     depth-r cylinder spectrum, so `r` is used only by that fallback.
     Raises `DegenerateCell` at eps = 1/2 or p = 1/2, before any range or
     depth check."""
-    if abs(eps - 0.5) < 1e-9 or abs(p - 0.5) < 1e-9:
+    if _degenerate(eps) or _degenerate(p):
         raise DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
     if r < 1:
         raise ValueError("depth must be positive")
@@ -219,13 +228,35 @@ def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
     return h / chi
 
 
+def blackwell_row_values(eps: float, ps) -> np.ndarray:
+    """h/chi of the Blackwell cells (eps, p) for the p of the 1-D array `ps`,
+    from one `collocation_h_chi` call: the maps and the curves depend on
+    eps alone, and p is the family's lambda.  NaN marks every cell left to
+    `blackwell_cell_value`: degenerate, outside (0, 1) x (0, 1), failing
+    its audit or not settled by the node ladder.  Degenerate and
+    out-of-range cells are dropped before any arithmetic: at p = 1/2 both
+    maps are constant, and log|f'| would be log 0."""
+    ps = np.asarray(ps, dtype=float)
+    values = np.full(ps.shape, math.nan)
+    batch = ~_degenerate(ps) & (ps > 0) & (ps < 1)
+    if _degenerate(eps) or not 0 < eps < 1 or not batch.any():
+        return values
+    fam, prob_fns = blackwell_family(eps, ps[batch][0])
+    h, chi = collocation_h_chi(fam, log_probability_potential(prob_fns), ps[batch])
+    values[batch] = h / chi
+    return values
+
+
 def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
-    """value = h/chi; supercritical iff > 1."""
+    """value = h/chi; supercritical iff > 1.  Each eps row is evaluated by
+    `blackwell_row_values`, and the cells it leaves NaN one at a time by
+    `blackwell_cell_value`, with its cylinder fallback and verdicts."""
     if r < 1:
         raise ValueError("depth must be positive")
-    # the name is resolved per cell, so a traced or patched one is called
+    # the names are resolved per call, so a traced or patched one is called
     return region_scan((eps_range, p_range), shape, ("eps", "p"),
-                       lambda eps, p: blackwell_cell_value(eps, p, r), 1.0)
+                       lambda eps, p: blackwell_cell_value(eps, p, r), 1.0,
+                       lambda eps, ps: blackwell_row_values(eps, ps))
 
 
 def cf_domain(alpha: float, beta: float):

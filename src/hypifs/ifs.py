@@ -204,12 +204,15 @@ class IfsFamily:
             raise EvaluationError(f"lambda {lam} outside parameter interval")
 
     def at(self, lam) -> "FrozenFamily":
-        """The family frozen at `lam`, memoised for the most recent `lam` only."""
+        """The family frozen at `lam`: one value, memoised for the most
+        recent one only, or an (L, 1) column of L values, whose collocation
+        data then carry a leading lambda axis."""
         frozen = _frozen_cache.get(self)
-        if frozen is None or frozen.lam != lam:
+        if np.ndim(lam) or frozen is None or frozen.lam != lam:
             frozen = FrozenFamily(tuple(_freeze(mp, lam) for mp in self.maps),
                                   self.domain, lam)
-            _frozen_cache[self] = frozen
+            if not np.ndim(lam):
+                _frozen_cache[self] = frozen
         return frozen
 
 
@@ -338,49 +341,56 @@ class Collocation:
     """Chebyshev collocation data of a frozen family on n nodes: the
     Chebyshev points of the second kind on the domain, their images under
     each map, and one barycentric interpolation matrix per map, taking
-    values at the nodes to values of the interpolant at f_j(nodes)."""
+    values at the nodes to values of the interpolant at f_j(nodes).  A
+    family frozen at L lambdas gives images and matrices a leading axis L."""
 
     nodes: np.ndarray  # (n,)
-    images: np.ndarray  # (m, n), f_j(nodes)
-    interp: np.ndarray  # (m, n, n)
+    images: np.ndarray  # (m, n) or (L, m, n), f_j(nodes)
+    interp: np.ndarray  # (m, n, n) or (L, m, n, n)
 
 
-def _chebyshev_collocation(maps, domain, n: int) -> Collocation:
+def _chebyshev_collocation(maps, domain, n: int, lead=()) -> Collocation:
+    """Collocation data of `maps`, frozen at one lambda (lead = ()) or at an
+    (L, 1) column of them (lead = (L,)), all matrices in one stacked pass."""
     k = np.arange(n)
     lo, hi = domain
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * k / (n - 1))
     weights = np.where(k % 2 == 0, 1.0, -1.0)
     weights[[0, -1]] *= 0.5
-
-    def interp_matrix(y):
-        """Second barycentric formula; a point on a node gets its unit row."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            c = weights / (y[:, None] - nodes)
-            mat = c / c.sum(axis=1, keepdims=True)
-        on_node = np.isinf(c)  # y on a node, or so near one that 1/diff overflows
-        hit = on_node.any(axis=1)
-        mat[hit] = on_node[hit]
-        return mat
-
-    images = np.array([mp.value(nodes) for mp in maps])
-    return Collocation(nodes, images, np.array([interp_matrix(y) for y in images]))
+    y = np.broadcast_to(nodes, lead + (n,))
+    images = np.stack([np.broadcast_to(mp.value(y), y.shape) for mp in maps], axis=-2)
+    # second barycentric formula; a point on a node gets its unit row
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = weights / (images[..., None] - nodes)
+        interp = c / c.sum(axis=-1, keepdims=True)
+    on_node = np.isinf(c)  # y on a node, or so near one that 1/diff overflows
+    hit = on_node.any(axis=-1)
+    interp[hit] = on_node[hit]
+    return Collocation(nodes, images, interp)
 
 
 @dataclass(eq=False)
 class FrozenFamily:
     """Maps of a family evaluated at one lambda, plus the natural projection
-    of every word and Chebyshev collocation data, built on demand.  It holds no reference to the family,
-    so the per-family memo in `IfsFamily.at` does not keep its key alive."""
+    of every word and Chebyshev collocation data, built on demand; or at an
+    (L, 1) column of lambdas, for collocation data only.  It holds no
+    reference to the family, so the per-family memo in `IfsFamily.at` does
+    not keep its key alive."""
 
     maps: tuple  # each with value(x), dx(x) and dlam(x)
     domain: tuple
-    lam: float
+    lam: float  # or an (L, 1) array
     _levels: list = field(default_factory=list, init=False, repr=False)
     _collocations: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    @property
+    def lam_shape(self) -> tuple:
+        """() for a family frozen at one lambda, (L,) at an (L, 1) column."""
+        return np.shape(self.lam)[:-1]
 
     @functools.cached_property
     def tail_point(self) -> float:
@@ -415,7 +425,7 @@ class FrozenFamily:
         col = self._collocations.get(n)
         if col is None:
             col = self._collocations[n] = _chebyshev_collocation(
-                self.maps, self.domain, n)
+                self.maps, self.domain, n, self.lam_shape)
         return col
 
 

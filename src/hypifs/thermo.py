@@ -25,6 +25,10 @@ BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
 COLLOCATION_NODES = 24  # N of the collocation pressure P_N, checked against P_2N
 COLLOCATION_TOL = 1e-12  # largest |value(N) - value(2N)| a collocation rung pair accepts
 COLLOCATION_LADDER = tuple(COLLOCATION_NODES << k for k in range(4))  # 24 ... 192
+# most entries L m n^2 in one stacked collocation build, 2 MB per temporary: a
+# 50-cell Blackwell row through all four rungs peaked at 5.2 MB traced (10.3 MB
+# at 1 << 19, 20.2 MB at 1 << 20) and took no longer
+COLLOCATION_STACK = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -75,17 +79,35 @@ def constant_bernoulli_potential(probs) -> Potential:
                    variation=lambda fam, lam: (0.0, 0.5))
 
 
-def audit_prob_fns(prob_fns, frozen):
-    """Check that the curves p_j(lam, .) of the family frozen at lam are one
-    per map, positive and sum to 1 on PROB_AUDIT_GRID points of the domain."""
+def _curve_values(prob_fns, frozen, xs) -> np.ndarray:
+    """p_j(lam, xs) for the family frozen at lam, as an array of shape
+    frozen.lam_shape + (m, len(xs))."""
+    shape = frozen.lam_shape + xs.shape
+    return np.stack([np.broadcast_to(np.asarray(f(frozen.lam, xs), dtype=float), shape)
+                     for f in prob_fns], axis=-2)
+
+
+def prob_audit(prob_fns, frozen) -> np.ndarray:
+    """The audit of the curves p_j(lam, .) of the family frozen at lam, per
+    lambda (shape frozen.lam_shape): None where they are positive and sum
+    to 1 on PROB_AUDIT_GRID points of the domain, else the AuditFailure
+    that says which check fails.  Curves not one per map raise ValueError."""
     if len(prob_fns) != frozen.m:
         raise ValueError("need one probability curve per map")
-    xs = np.linspace(*frozen.domain, PROB_AUDIT_GRID)
-    vals = np.array([np.asarray(f(frozen.lam, xs), dtype=float) for f in prob_fns])
-    if np.any(vals <= 0):
-        raise AuditFailure("probability curve non-positive on domain")
-    if np.max(np.abs(vals.sum(axis=0) - 1.0)) > 1e-9:
-        raise AuditFailure("probability curves do not sum to 1")
+    vals = _curve_values(prob_fns, frozen, np.linspace(*frozen.domain, PROB_AUDIT_GRID))
+    nonpositive = np.any(vals <= 0, axis=(-2, -1))
+    off_one = np.max(np.abs(vals.sum(axis=-2) - 1.0), axis=-1) > 1e-9
+    failures = np.full(frozen.lam_shape, None, dtype=object)
+    failures[off_one] = AuditFailure("probability curves do not sum to 1")
+    failures[nonpositive] = AuditFailure("probability curve non-positive on domain")
+    return failures
+
+
+def audit_prob_fns(prob_fns, frozen):
+    """Raise the AuditFailure of `prob_audit` at the first lambda that has one."""
+    for failure in prob_audit(prob_fns, frozen).flat:
+        if failure is not None:
+            raise failure
 
 
 def log_probability_potential(prob_fns) -> Potential:
@@ -329,17 +351,18 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
 
 def _node_weights(frozen, pot: Potential, n: int) -> np.ndarray:
     """The weights g_j of `pot` at the n Chebyshev nodes of the frozen
-    family, as an (m, n) array."""
-    nodes = frozen.collocation(n).nodes
-    return concat_images(pot.weights(frozen), nodes).reshape(frozen.m, n)
+    family, as an array of shape frozen.lam_shape + (m, n)."""
+    nodes = np.broadcast_to(frozen.collocation(n).nodes, frozen.lam_shape + (n,))
+    return concat_images(pot.weights(frozen), nodes).reshape(nodes.shape[:-1] + (frozen.m, n))
 
 
 def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
     """sum_j diag(w_j) B_j, the transfer operator (L h)(x) = sum_j w_j(x) h(f_j x)
-    on the n = w.shape[1] Chebyshev nodes of the frozen family, for node
-    weights w of shape (m, n); B_j is the barycentric interpolation matrix
-    from node values to values at f_j(nodes)."""
-    return np.einsum("jk,jkl->kl", w, frozen.collocation(w.shape[1]).interp)
+    on the n = w.shape[-1] Chebyshev nodes of the frozen family, for node
+    weights w of shape frozen.lam_shape + (m, n), one (n, n) matrix per
+    lambda; B_j is the barycentric interpolation matrix from node values
+    to values at f_j(nodes)."""
+    return np.einsum("...jk,...jkl->...kl", w, frozen.collocation(w.shape[-1]).interp)
 
 
 def _collocation_pressure(frozen, g: np.ndarray) -> float:
@@ -356,61 +379,111 @@ def _collocation_pressure(frozen, g: np.ndarray) -> float:
 
 
 def _stationary_vector(op: np.ndarray) -> np.ndarray:
-    """The left fixed vector l of a matrix whose rows sum to 1: l^T op = l^T
-    and sum(l) = 1, from one solve of the bordered system
-    [[op^T - I, 1], [1^T, 0]] [l; c] = [0; 1].  A singular system or a
-    non-finite solution raises CollocationUnresolved."""
-    n = len(op)
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = op.T - np.eye(n)
-    bordered[:n, n] = bordered[n, :n] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
+    """The left fixed vector l of each matrix of the (..., n, n) stack `op`,
+    whose rows sum to 1: l^T op = l^T and sum(l) = 1, from one stacked
+    solve of the bordered systems [[op^T - I, 1], [1^T, 0]] [l; c] = [0; 1].
+    The right-hand side has shape (..., n + 1, 1), which numpy 1.x and 2.x
+    both read as stacked vectors.  A singular system or a non-finite
+    solution anywhere in the stack raises CollocationUnresolved."""
+    n = op.shape[-1]
+    bordered = np.zeros(op.shape[:-2] + (n + 1, n + 1))
+    bordered[..., :n, :n] = np.swapaxes(op, -1, -2) - np.eye(n)
+    bordered[..., :n, n] = bordered[..., n, :n] = 1.0
+    rhs = np.zeros(op.shape[:-2] + (n + 1, 1))
+    rhs[..., n, 0] = 1.0
     try:
-        sol = np.linalg.solve(bordered, rhs)
+        sol = np.linalg.solve(bordered, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:  # a ValueError: never an AUDIT-FAIL
         raise CollocationUnresolved(f"stationary system: {exc}") from None
     if not np.all(np.isfinite(sol)):
         raise CollocationUnresolved("stationary vector is not finite")
-    return sol[:n]
+    return sol[..., :n]
 
 
-def _collocation_ladder(value, rungs):
-    """(value(n), gap) for the coarser rung n of the first consecutive
-    pair (n, n2) of node counts in `rungs` whose values differ by
-    gap = max |value(n) - value(n2)| <= COLLOCATION_TOL: the one N-vs-2N
-    check of the collocation backend.  `value(n)` is read at most once per
-    rung, finer rungs only while no pair has settled; a rung whose `value`
-    raises CollocationUnresolved is unresolved and settles no pair.
-    Raises CollocationUnresolved when no pair settles."""
-    values = {}
-
-    def read(n):
-        if n not in values:
+def _stationary_vectors(ops: np.ndarray):
+    """(l, failures): `_stationary_vector` of each matrix of the (L, n, n)
+    stack as an (L, n) array, and per matrix None or the
+    CollocationUnresolved of its own solve, whose row of l is NaN.  When the
+    stacked solve fails, it is redone one matrix at a time, so a singular
+    matrix leaves only its own lambda unresolved."""
+    try:
+        return _stationary_vector(ops), [None] * len(ops)
+    except CollocationUnresolved:
+        ells = np.full(ops.shape[:-1], math.nan)
+        failures = [None] * len(ops)
+        for k, op in enumerate(ops):
             try:
-                values[n] = value(n)
+                ells[k] = _stationary_vector(op)
             except CollocationUnresolved as exc:
-                values[n] = exc
-        return values[n]
+                failures[k] = exc
+        return ells, failures
 
-    gaps = []
+
+def _collocation_ladder(value, rungs, count: int = 1) -> list:
+    """The one N-vs-2N check of the collocation backend, for `count`
+    lambdas at once.  Lambda i settles at the coarser rung n of its first
+    consecutive pair (n, n2) of node counts in `rungs` whose values differ
+    by gap = max |value(n) - value(n2)| <= COLLOCATION_TOL.
+
+    `value(n, rows)` gives the values at rung n of the lambdas indexed by
+    the int array `rows`, one per row, each a value or the
+    CollocationUnresolved of an unresolved rung; raising one marks every
+    row.  A rung is read at most once per lambda, and finer rungs only for
+    the lambdas still unsettled; an unresolved rung settles no pair.
+    Returns one entry per lambda: (value(n), gap), or a
+    CollocationUnresolved naming every pair's gap when none settles."""
+    values = {}  # (n, i) -> the value of lambda i at rung n
+
+    def read(n, rows):
+        todo = [i for i in rows if (n, i) not in values]
+        if todo:
+            try:
+                got = value(n, np.array(todo))
+            except CollocationUnresolved as exc:
+                got = [exc] * len(todo)
+            values.update(((n, i), v) for i, v in zip(todo, got))
+        return [values[n, i] for i in rows]
+
+    results = [None] * count
+    gaps = [[] for _ in range(count)]
+    unsettled = list(range(count))
     for n, n2 in zip(rungs, rungs[1:]):
-        a = read(n)
-        b = a if isinstance(a, Exception) else read(n2)
-        if isinstance(b, Exception):
-            gaps.append(f"{n}/{n2}: {b}")
-            continue
-        gap = float(np.max(np.abs(np.subtract(a, b))))
-        if gap <= COLLOCATION_TOL:
-            return a, gap
-        gaps.append(f"{n}/{n2}: {gap:.2e}")
-    raise CollocationUnresolved("no rung pair settles (" + "; ".join(gaps) + ")")
+        coarse = read(n, unsettled)
+        resolved = [i for i, a in zip(unsettled, coarse) if not isinstance(a, Exception)]
+        fine = dict(zip(resolved, read(n2, resolved)))
+        left = []
+        for i, a in zip(unsettled, coarse):
+            b = fine.get(i, a)
+            if isinstance(b, Exception):
+                gaps[i].append(f"{n}/{n2}: {b}")
+                left.append(i)
+                continue
+            gap = float(np.max(np.abs(np.subtract(a, b))))
+            if gap <= COLLOCATION_TOL:
+                results[i] = (a, gap)
+            else:
+                gaps[i].append(f"{n}/{n2}: {gap:.2e}")
+                left.append(i)
+        unsettled = left
+    for i in unsettled:
+        results[i] = CollocationUnresolved("no rung pair settles (" + "; ".join(gaps[i]) + ")")
+    return results
 
 
-def collocation_h_chi(fam: IfsFamily, pot: Potential, lam: float):
+def _settled(result):
+    """A ladder entry of `_collocation_ladder`, raised if it is unresolved."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     """(h, chi): the entropy and the Lyapunov exponent of the Gibbs measure
     nu of the log-probability potential `pot` at lam, by Chebyshev
     collocation (Falk & Nussbaum 2018; Bandtlow & Slipantschuk 2020).
+    `lam` is one value, giving floats, or a 1-D array of L values, giving
+    two arrays of shape (L,), NaN at each lambda where one value raises
+    CollocationUnresolved or AuditFailure; one value is the case L = 1.
 
     On n nodes x_k, T = sum_j diag(p_j(x_k)) B_j is a Markov matrix (each
     barycentric row sums to 1), and its stationary vector l, from one
@@ -424,28 +497,58 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam: float):
     the node images, and the nodes include both endpoints, so for
     monotone maps this also shows the domain invariant.
 
-    Raises CollocationUnresolved when no pair settles, ValueError for a
-    potential without probability curves, and AuditFailure when the
-    curves fail their audit.
+    Each rung is built for all the lambdas it reads at once, in stacks of
+    at most COLLOCATION_STACK entries L m n^2: the maps and the curves are
+    frozen once over the stack, and one einsum and one stacked solve give
+    its L operators and stationary vectors.
+
+    At one value, raises CollocationUnresolved when no pair settles,
+    ValueError for a potential without probability curves, and
+    AuditFailure when the curves fail their audit (`prob_audit`).
     """
     if pot.prob_fns is None:
         raise ValueError(f"{pot.kind} potential has no probability curves")
-    frozen = fam.at(lam)
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1 or not lams.size:
+        raise ValueError("lam must be one value or a non-empty 1-D array")
     pad = INVARIANCE_PAD * fam.diam
     lo, hi = fam.domain[0] - pad, fam.domain[1] + pad
     log_dx = t_log_derivative_potential(1.0)
+    results = list(prob_audit(pot.prob_fns, fam.at(lams[:, None])))
+    audited = np.flatnonzero([r is None for r in results])
 
-    def rung(n):
+    def stack(n, rows):
+        """[h, chi] or CollocationUnresolved for each lambda lams[rows]."""
+        frozen = fam.at(lams[rows, None])
         images = frozen.collocation(n).images
-        if images.min() < lo or images.max() > hi:
-            raise CollocationUnresolved(f"a node image leaves the domain at n = {n}")
-        g = _node_weights(frozen, pot, n)
-        p = np.exp(g)
-        ell = _stationary_vector(_collocation_operator(frozen, p))
-        return (-float(ell @ (p * g).sum(axis=0)),
-                -float(ell @ (p * _node_weights(frozen, log_dx, n)).sum(axis=0)))
+        inside = (images.min(axis=(1, 2)) >= lo) & (images.max(axis=(1, 2)) <= hi)
+        out = [CollocationUnresolved(f"a node image leaves the domain at n = {n}")] * len(rows)
+        if not inside.all():
+            if not inside.any():
+                return out
+            frozen = fam.at(lams[rows[inside], None])
+        p = _curve_values(pot.prob_fns, frozen, frozen.collocation(n).nodes)
+        # (L, 2, n): sum_j p_j log p_j and sum_j p_j log|f_j'| at the nodes
+        w = np.stack([(p * np.log(p)).sum(axis=-2),
+                      (p * _node_weights(frozen, log_dx, n)).sum(axis=-2)], axis=1)
+        ells, failures = _stationary_vectors(_collocation_operator(frozen, p))
+        h_chi = -(w * ells[:, None]).sum(axis=-1)
+        for k, i in enumerate(np.flatnonzero(inside)):
+            out[i] = h_chi[k] if failures[k] is None else failures[k]
+        return out
 
-    return _collocation_ladder(rung, COLLOCATION_LADDER)[0]
+    def rung(n, rows):
+        rows = audited[rows]
+        step = max(1, COLLOCATION_STACK // (fam.m * n * n))
+        return [v for k in range(0, len(rows), step) for v in stack(n, rows[k:k + step])]
+
+    for i, res in zip(audited, _collocation_ladder(rung, COLLOCATION_LADDER, len(audited))):
+        results[i] = res
+    if np.ndim(lam):
+        hc = np.array([r[0] if isinstance(r, tuple) else [math.nan] * 2 for r in results])
+        return hc[:, 0], hc[:, 1]
+    h, chi = _settled(results[0])[0]
+    return float(h), float(chi)
 
 
 def _bowen_solve(P, m: int, slope: float):
@@ -498,8 +601,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
         gaps = {}
 
         def P_coll(t):
-            p, gaps[t] = _collocation_ladder(
-                lambda n: _collocation_pressure(frozen, t * log_dx[n]), rungs)
+            p, gaps[t] = _settled(_collocation_ladder(
+                lambda n, rows: [_collocation_pressure(frozen, t * log_dx[n])], rungs)[0])
             return p
 
         try:

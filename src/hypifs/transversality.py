@@ -48,6 +48,7 @@ class TransversalityReport:
     n_samples: int = 0
     witness: tuple = None  # (u, v, lam) on falsification
     seed: int = None
+    alphabet_size: int = 0  # m; from 10 maps on, lines() separates the witness symbols
 
     def lines(self):
         out = [f"verdict: {self.verdict}"]
@@ -62,8 +63,9 @@ class TransversalityReport:
             out.append(f"empirical_eta: {self.empirical_eta:.12g}")
         if self.witness is not None:
             u, v, lam = self.witness
-            out.append(f"witness: u={''.join(map(str, u))} "
-                       f"v={''.join(map(str, v))} lambda={lam:.12g}")
+            sep = "," if self.alphabet_size >= 10 else ""
+            out.append(f"witness: u={sep.join(map(str, u))} "
+                       f"v={sep.join(map(str, v))} lambda={lam:.12g}")
         return out
 
 
@@ -309,4 +311,4 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"
     return TransversalityReport(verdict=verdict, empirical_eta=emp_eta,
                                 n_events=events, n_samples=samples * lam_grid,
-                                witness=witness, seed=seed)
+                                witness=witness, seed=seed, alphabet_size=fam.m)

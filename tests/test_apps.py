@@ -186,12 +186,76 @@ def test_blackwell_region_scan_half_bias_column():
 
 
 def test_blackwell_region_scan_propagates_bugs(monkeypatch):
-    def broken(eps, p, r):
+    def broken(*args):
         raise TypeError("a bug, not a numerical failure")
 
+    # from the row path
+    monkeypatch.setattr(apps, "blackwell_row_values", broken)
+    with pytest.raises(TypeError):
+        blackwell_region_scan((0.2, 0.3), (0.2, 0.3), (2, 2), r=4)
+    # from a cell the row path leaves to blackwell_cell_value
+    monkeypatch.setattr(apps, "blackwell_row_values",
+                        lambda eps, ps: np.full(len(ps), np.nan))
     monkeypatch.setattr(apps, "blackwell_cell_value", broken)
     with pytest.raises(TypeError):
         blackwell_region_scan((0.2, 0.3), (0.2, 0.3), (2, 2), r=4)
+
+
+def cell_by_cell_scan(eps_range, p_range, shape, r):
+    """The Blackwell scan one `blackwell_cell_value` call per cell, with no
+    row path."""
+    return apps.region_scan((eps_range, p_range), shape, ("eps", "p"),
+                            lambda eps, p: blackwell_cell_value(eps, p, r), 1.0)
+
+
+def test_blackwell_row_mixes_every_kind_of_cell_like_the_cell_by_cell_scan(monkeypatch):
+    # on [0, 0.85] the p of linspace(0.2, 1.2, 11) give, for eps = 0.3: node
+    # images leaving the domain (0.2, 0.8, 0.9), so cylinder cells, of which
+    # 0.8 and 0.9 find no tail point (AUDIT-FAIL); p = 1/2 up to rounding
+    # (DEGENERATE); p >= 1 (AUDIT-FAIL); and settled cells (0.3 to 0.7); the
+    # row eps = 1/2 is DEGENERATE throughout
+    monkeypatch.setattr(apps, "blackwell_family", narrowed_blackwell_family)
+    ref = cell_by_cell_scan((0.3, 0.5), (0.2, 1.2), (2, 11), 6)
+    called = []
+    cell = apps.blackwell_cell_value
+
+    def recording(eps, p, r):
+        called.append(round(p, 9))
+        return cell(eps, p, r)
+
+    monkeypatch.setattr(apps, "blackwell_cell_value", recording)
+    grid = blackwell_region_scan((0.3, 0.5), (0.2, 1.2), (2, 11), r=6)
+    assert grid.verdicts.tolist() == ref.verdicts.tolist()
+    assert np.array_equal(grid.values, ref.values, equal_nan=True)
+    assert grid.verdicts[0].tolist() == (
+        ["SUBCRITICAL"] * 3 + ["DEGENERATE"] + ["SUBCRITICAL"] * 2 + ["AUDIT-FAIL"] * 5)
+    assert grid.verdicts[1].tolist() == ["DEGENERATE"] * 11
+    # the cells the row leaves to blackwell_cell_value, and no others
+    assert called == [0.2, 0.5, 0.8, 0.9, 1.0, 1.1, 1.2] + [round(p, 9) for p in grid.axis2]
+    fam, prob_fns = narrowed_blackwell_family(0.3, 0.2)
+    assert grid.values[0, 0] == blackwell_cylinder_value(fam, prob_fns, 0.2, 6)
+
+
+def test_blackwell_row_without_a_settled_pair_gives_the_cylinder_values(monkeypatch):
+    monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)  # no pair can agree
+    grid = blackwell_region_scan((0.2, 0.2), (0.1, 0.4), (1, 6), r=6)
+    fam, prob_fns = blackwell_family(0.2, 0.3)
+    assert grid.values[0].tolist() == [blackwell_cylinder_value(fam, prob_fns, p, 6)
+                                       for p in grid.axis2]
+
+
+@given(st.floats(0.05, 0.95), st.lists(st.floats(0.05, 0.95), min_size=1, max_size=12))
+@settings(max_examples=15, deadline=None)
+def test_blackwell_row_values_are_the_cell_values(eps, ps):
+    ps = np.array(ps)
+    values = apps.blackwell_row_values(eps, ps)
+    for v, p in zip(values, ps):
+        try:
+            cell = blackwell_cell_value(eps, p)
+        except apps.DegenerateCell:
+            assert np.isnan(v)
+            continue
+        assert np.isnan(v) or v == cell
 
 
 def test_region_csv_round_trip(tmp_path):

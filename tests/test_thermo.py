@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs, thermo
@@ -675,17 +675,171 @@ def test_collocation_ladder_reads_each_rung_once_and_skips_unresolved_rungs():
     values = {24: None, 48: 1.0, 96: 1.0 + 2e-13, 192: 5.0}
     read = []
 
-    def value(n):
+    def value(n, rows):
+        assert rows.tolist() == [0]
         read.append(n)
         if values[n] is None:
             raise CollocationUnresolved("no value")
-        return values[n]
+        return [values[n]]
 
-    v, gap = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
+    [(v, gap)] = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
     assert v == 1.0 and gap == pytest.approx(2e-13)  # the value at 48, not 96
     assert read == [24, 48, 96]  # the unresolved 24 settles no pair; 192 unread
     values.update({96: 2.0})
     read.clear()
+    [unresolved] = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
     with pytest.raises(CollocationUnresolved, match="24/48: no value; 48/96"):
-        thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
+        raise unresolved
     assert read == [24, 48, 96, 192]
+
+
+def test_collocation_ladder_reads_finer_rungs_only_for_unsettled_lambdas():
+    # lambda 0 settles at 24/48, lambda 1 at 48/96, lambda 2 never; lambda
+    # 3 is unresolved at 24 and settles at 48/96
+    table = {0: {24: 1.0, 48: 1.0},
+             1: {24: 1.0, 48: 2.0, 96: 2.0},
+             2: {24: 1.0, 48: 2.0, 96: 3.0, 192: 4.0},
+             3: {24: None, 48: 5.0, 96: 5.0}}
+    read = []
+
+    def value(n, rows):
+        read.append((n, rows.tolist()))
+        return [CollocationUnresolved("no value") if table[i][n] is None else table[i][n]
+                for i in rows]
+
+    res = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER, 4)
+    assert res[0] == (1.0, 0.0) and res[1] == (2.0, 0.0) and res[3] == (5.0, 0.0)
+    assert isinstance(res[2], CollocationUnresolved)
+    assert str(res[2]) == ("no rung pair settles (24/48: 1.00e+00; 48/96: 1.00e+00; "
+                           "96/192: 1.00e+00)")
+    assert read == [(24, [0, 1, 2, 3]), (48, [0, 1, 2]), (48, [3]), (96, [1, 2, 3]),
+                    (192, [2])]
+
+
+def _blackwell_row(eps, ps):
+    fam, prob_fns = blackwell_family(eps, ps[0])
+    return fam, log_probability_potential(prob_fns)
+
+
+def _row_cases():
+    """(family, potential, lambdas) of a Blackwell row, whose maps are
+    Moebius in lambda, or of a place-dependent Bernoulli row, whose maps are
+    affine in lambda."""
+    away_from_half = st.floats(0.02, 0.98).filter(lambda p: abs(p - 0.5) > 1e-6)
+    blackwell = st.builds(
+        lambda eps, ps: (*_blackwell_row(eps, ps), np.array(ps)),
+        st.floats(0.02, 0.98).filter(lambda e: abs(e - 0.5) > 1e-6),
+        st.lists(away_from_half, min_size=1, max_size=12))
+    bernoulli = st.builds(
+        lambda rho, lams: (bernoulli_family(), bernoulli_potential(rho), np.array(lams)),
+        st.floats(0.0, 0.45), st.lists(st.floats(0.5, 0.7), min_size=1, max_size=12))
+    return st.one_of(blackwell, bernoulli)
+
+
+def _scalar_calls(fam, pot, lams):
+    """collocation_h_chi at each lambda alone, NaN where it is unresolved."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(collocation_h_chi(fam, pot, lam))
+        except CollocationUnresolved:
+            out.append((math.nan, math.nan))
+    return np.array(out).reshape(-1, 2)
+
+
+@given(_row_cases())
+@example((*_blackwell_row(0.01, [0.001]), np.array([0.001, 0.3, 0.999])))
+@settings(max_examples=25, deadline=None)
+def test_collocation_h_chi_over_a_lambda_array_stacks_its_scalar_calls(case):
+    # the explicit example's first and last cells are unresolved at 192 nodes
+    fam, pot, lams = case
+    h, chi = collocation_h_chi(fam, pot, lams)
+    assert h.shape == chi.shape == lams.shape
+    ref = _scalar_calls(fam, pot, lams)
+    assert np.array_equal(np.column_stack([h, chi]), ref, equal_nan=True)
+
+
+def test_collocation_h_chi_of_a_one_value_array_is_the_scalar_call():
+    fam, pot = _blackwell_row(0.2, [0.3])
+    h, chi = collocation_h_chi(fam, pot, np.array([0.3]))
+    assert (h.tolist(), chi.tolist()) == tuple([v] for v in collocation_h_chi(fam, pot, 0.3))
+
+
+@pytest.mark.parametrize("lam", [np.array([]), np.array([[0.3, 0.4]])])
+def test_collocation_h_chi_rejects_a_lambda_array_that_is_not_1d(lam):
+    fam, pot = _blackwell_row(0.2, [0.3])
+    with pytest.raises(ValueError, match="1-D"):
+        collocation_h_chi(fam, pot, lam)
+
+
+def test_collocation_h_chi_audits_each_lambda(cantor):
+    # p_1 = lam, p_2 = 1 - lam on the Cantor maps: h is the entropy of
+    # (lam, 1 - lam) and chi = log 3; at lam = 1.2 the curve p_2 is negative
+    pot = log_probability_potential([lambda lam, x: lam + 0 * x,
+                                     lambda lam, x: 1 - lam + 0 * x])
+    h, chi = collocation_h_chi(cantor, pot, np.array([0.3, 1.2, 0.5]))
+    assert np.isnan(h[1]) and np.isnan(chi[1])
+    for k, lam in ((0, 0.3), (2, 0.5)):
+        assert abs(h[k] + lam * math.log(lam) + (1 - lam) * math.log(1 - lam)) <= 1e-14
+        assert abs(chi[k] - math.log(3)) <= 1e-14
+    with pytest.raises(AuditFailure, match="non-positive"):
+        collocation_h_chi(cantor, pot, 1.2)
+    off_one = log_probability_potential([lambda lam, x: lam + 0 * x,
+                                         lambda lam, x: 0.5 + 0 * x])
+    h, _ = collocation_h_chi(cantor, off_one, np.array([0.5, 0.3]))
+    assert not np.isnan(h[0]) and np.isnan(h[1])
+    with pytest.raises(AuditFailure, match="do not sum to 1"):
+        collocation_h_chi(cantor, off_one, 0.3)
+
+
+def test_collocation_h_chi_singular_matrix_leaves_its_neighbours_settled(monkeypatch):
+    fam, pot = _blackwell_row(0.2, [0.3])
+    lams = np.linspace(0.1, 0.4, 7)
+    ref = _scalar_calls(fam, pot, lams)
+    operator = thermo._collocation_operator
+    solves = []
+
+    def one_singular(frozen, w):
+        # the identity at lambda = lams[3]: every vector is fixed, so its
+        # bordered system is singular at every rung
+        ops = operator(frozen, w)
+        ops[frozen.lam[:, 0] == lams[3]] = np.eye(ops.shape[-1])
+        return ops
+
+    def recording(ops):
+        solves.append(ops.shape)
+        return stationary(ops)
+
+    stationary = thermo._stationary_vector
+    monkeypatch.setattr(thermo, "_collocation_operator", one_singular)
+    monkeypatch.setattr(thermo, "_stationary_vector", recording)
+    h, chi = collocation_h_chi(fam, pot, lams)
+    assert np.isnan(h[3]) and np.isnan(chi[3])
+    keep = np.arange(7) != 3
+    assert np.array_equal(np.column_stack([h, chi])[keep], ref[keep])
+    # the stack of 7 at 24 nodes fails and is solved again one matrix at a time
+    assert solves[:8] == [(7, 24, 24)] + [(24, 24)] * 7
+    with pytest.raises(CollocationUnresolved, match="stationary system"):
+        collocation_h_chi(fam, pot, lams[3])
+
+
+def test_collocation_h_chi_splits_a_long_row_by_the_stack_cap(monkeypatch):
+    fam, pot = _blackwell_row(0.3, [0.2])
+    lams = np.linspace(0.05, 0.45, 40)
+    h, chi = collocation_h_chi(fam, pot, lams)
+    operator = thermo._collocation_operator
+    stacks = []
+
+    def recording(frozen, w):
+        stacks.append(w.shape[:-2] + (w.shape[-1],))
+        return operator(frozen, w)
+
+    monkeypatch.setattr(thermo, "_collocation_operator", recording)
+    monkeypatch.setattr(thermo, "COLLOCATION_STACK", 9 * 2 * 24 ** 2)
+    capped = collocation_h_chi(fam, pot, lams)
+    assert np.array_equal(np.column_stack(capped), np.column_stack([h, chi]))
+    # 9 lambdas per stack at 24 nodes, 2 at 48 (9 * 2 * 24^2 // (2 * 48^2))
+    # and one at 96 and 192
+    assert [L for L, n in stacks if n == 24] == [9, 9, 9, 9, 4]
+    assert sum(L for L, n in stacks if n == 48) == 40
+    assert all(L <= max(1, 9 * 24 ** 2 // n ** 2) for L, n in stacks)

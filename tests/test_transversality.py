@@ -1,5 +1,6 @@
 """Certificates, greedy partitions, and the Monte-Carlo probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -306,6 +307,18 @@ def test_probe_witness_past_the_first_chunk(seed, callbacks):
     assert ref[3][2] == 0.25 and row >= transversality.PROBE_CHUNK
     assert any(k < transversality.PROBE_CHUNK for _, k in later)
     assert _fields(mc_transversality_probe(fam, samples=2500, depth=5, seed=seed)) == ref
+
+
+def test_witness_words_print_separated_symbols_from_ten_maps():
+    rep = mc_transversality_probe(rare_witness_family(), samples=2500, depth=5, seed=2)
+    u, v, lam = rep.witness
+    assert max(u + v) >= 10
+    line = [ln for ln in rep.lines() if ln.startswith("witness:")][0]
+    assert line == (f"witness: u={','.join(map(str, u))} v={','.join(map(str, v))} "
+                    f"lambda={lam:.12g}")
+    # fewer than ten maps: the symbols print with no separator, as before
+    rep = dataclasses.replace(rep, alphabet_size=9)
+    assert f"u={''.join(map(str, u))} " in "\n".join(rep.lines())
 
 
 def test_probe_distinct_first_symbols_forced():
