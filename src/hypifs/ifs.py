@@ -349,7 +349,7 @@ class Collocation:
     interp: np.ndarray  # (m, n, n) or (L, m, n, n)
 
 
-def _chebyshev_collocation(maps, domain, n: int, lead=()) -> Collocation:
+def _chebyshev_collocation(maps, domain, n: int, lead: tuple) -> Collocation:
     """Collocation data of `maps`, frozen at one lambda (lead = ()) or at an
     (L, 1) column of them (lead = (L,)), all matrices in one stacked pass."""
     k = np.arange(n)
