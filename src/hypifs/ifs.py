@@ -358,7 +358,9 @@ def _chebyshev_collocation(maps, domain, n: int, lead: tuple) -> Collocation:
     weights = np.where(k % 2 == 0, 1.0, -1.0)
     weights[[0, -1]] *= 0.5
     y = np.broadcast_to(nodes, lead + (n,))
-    images = np.stack([np.broadcast_to(mp.value(y), y.shape) for mp in maps], axis=-2)
+    images = np.empty(lead + (len(maps), n))
+    for j, mp in enumerate(maps):
+        images[..., j, :] = mp.value(y)
     # second barycentric formula; a point on a node gets its unit row
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = weights / (images[..., None] - nodes)

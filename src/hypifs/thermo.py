@@ -82,9 +82,10 @@ def constant_bernoulli_potential(probs) -> Potential:
 def _curve_values(prob_fns, frozen, xs) -> np.ndarray:
     """p_j(lam, xs) for the family frozen at lam, as an array of shape
     frozen.lam_shape + (m, len(xs))."""
-    shape = frozen.lam_shape + xs.shape
-    return np.stack([np.broadcast_to(np.asarray(f(frozen.lam, xs), dtype=float), shape)
-                     for f in prob_fns], axis=-2)
+    vals = np.empty(frozen.lam_shape + (len(prob_fns), len(xs)))
+    for j, f in enumerate(prob_fns):
+        vals[..., j, :] = f(frozen.lam, xs)
+    return vals
 
 
 def prob_audit(prob_fns, frozen) -> np.ndarray:
@@ -426,7 +427,7 @@ def _collocation_ladder(value, rungs, count: int = 1) -> list:
     by gap = max |value(n) - value(n2)| <= COLLOCATION_TOL.
 
     `value(n, rows)` gives the values at rung n of the lambdas indexed by
-    the int array `rows`, one per row, each a value or the
+    the list `rows`, one per row, each a value or the
     CollocationUnresolved of an unresolved rung; raising one marks every
     row.  A rung is read at most once per lambda, and finer rungs only for
     the lambdas still unsettled; an unresolved rung settles no pair.
@@ -438,32 +439,31 @@ def _collocation_ladder(value, rungs, count: int = 1) -> list:
         todo = [i for i in rows if (n, i) not in values]
         if todo:
             try:
-                got = value(n, np.array(todo))
+                got = value(n, todo)
             except CollocationUnresolved as exc:
                 got = [exc] * len(todo)
-            values.update(((n, i), v) for i, v in zip(todo, got))
+            values.update(zip([(n, i) for i in todo], got))
         return [values[n, i] for i in rows]
 
     results = [None] * count
     gaps = [[] for _ in range(count)]
-    unsettled = list(range(count))
+    unsettled = range(count)
     for n, n2 in zip(rungs, rungs[1:]):
         coarse = read(n, unsettled)
-        resolved = [i for i, a in zip(unsettled, coarse) if not isinstance(a, Exception)]
-        fine = dict(zip(resolved, read(n2, resolved)))
+        fine = iter(read(n2, [i for i, a in zip(unsettled, coarse)
+                              if not isinstance(a, Exception)]))
         left = []
         for i, a in zip(unsettled, coarse):
-            b = fine.get(i, a)
+            b = a if isinstance(a, Exception) else next(fine)
             if isinstance(b, Exception):
                 gaps[i].append(f"{n}/{n2}: {b}")
-                left.append(i)
-                continue
-            gap = float(np.max(np.abs(np.subtract(a, b))))
-            if gap <= COLLOCATION_TOL:
-                results[i] = (a, gap)
             else:
+                gap = float(np.max(np.abs(np.subtract(a, b))))
+                if gap <= COLLOCATION_TOL:
+                    results[i] = (a, gap)
+                    continue
                 gaps[i].append(f"{n}/{n2}: {gap:.2e}")
-                left.append(i)
+            left.append(i)
         unsettled = left
     for i in unsettled:
         results[i] = CollocationUnresolved("no rung pair settles (" + "; ".join(gaps[i]) + ")")

@@ -676,7 +676,7 @@ def test_collocation_ladder_reads_each_rung_once_and_skips_unresolved_rungs():
     read = []
 
     def value(n, rows):
-        assert rows.tolist() == [0]
+        assert rows == [0]
         read.append(n)
         if values[n] is None:
             raise CollocationUnresolved("no value")
@@ -703,7 +703,7 @@ def test_collocation_ladder_reads_finer_rungs_only_for_unsettled_lambdas():
     read = []
 
     def value(n, rows):
-        read.append((n, rows.tolist()))
+        read.append((n, list(rows)))
         return [CollocationUnresolved("no value") if table[i][n] is None else table[i][n]
                 for i in rows]
 
