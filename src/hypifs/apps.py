@@ -111,18 +111,16 @@ def bernoulli_entropy_bounds(lam: float, rho: float, n_terms: int):
     return upper - tail, upper
 
 
-def region_scan(ranges, shape, axis_names, cell_fn, critical: float,
-                row_fn=None) -> RegionGrid:
-    """Evaluate `cell_fn(a, b)` at every point of the grid axis1 x axis2,
-    axis k being shape[k] evenly spaced points of ranges[k].  With
-    `row_fn`, each row is first evaluated at once by `row_fn(a, axis2)`,
-    and `cell_fn` is called only for the cells it leaves NaN.
+def region_scan(ranges, shape, axis_names, row_fn, critical: float) -> RegionGrid:
+    """Evaluate the grid axis1 x axis2, axis k being shape[k] evenly spaced
+    points of ranges[k], one row at a time: `row_fn(a, axis2)` gives the
+    outcome of each cell (a, b), its value or the exception it reports.
 
     Raises ValueError on a shape below 1 x 1.  A cell is SUPERCRITICAL when
-    its value exceeds `critical` and SUBCRITICAL otherwise.  A cell whose
-    `cell_fn` raises `DegenerateCell` is DEGENERATE and one that raises any
-    other of NUMERICAL_ERRORS is AUDIT-FAIL, both with value NaN; every
-    other exception, and every exception of `row_fn`, propagates.
+    its value exceeds `critical` and SUBCRITICAL otherwise.  A cell that
+    reports `DegenerateCell` is DEGENERATE and one that reports any other
+    of NUMERICAL_ERRORS is AUDIT-FAIL, both with value NaN; every other
+    exception is raised.
     """
     if min(shape) < 1:
         raise ValueError(f"region grid shape {shape[0]} x {shape[1]} is below 1 x 1")
@@ -130,17 +128,23 @@ def region_scan(ranges, shape, axis_names, cell_fn, critical: float,
     values = np.full((len(axis1), len(axis2)), math.nan)
     verdicts = np.empty(values.shape, dtype=object)
     for i, a in enumerate(axis1):
-        row = np.full(len(axis2), math.nan) if row_fn is None else row_fn(a, axis2)
-        for j, b in enumerate(axis2):
-            try:
-                val = cell_fn(a, b) if math.isnan(row[j]) else float(row[j])
-            except NUMERICAL_ERRORS as exc:
-                verdicts[i, j] = (DEGENERATE if isinstance(exc, DegenerateCell)
-                                  else AUDIT_FAIL)
-                continue
-            values[i, j] = val
-            verdicts[i, j] = SUPERCRITICAL if val > critical else SUBCRITICAL
+        for j, val in enumerate(row_fn(a, axis2)):
+            if not isinstance(val, Exception):
+                values[i, j] = val
+                verdicts[i, j] = SUPERCRITICAL if val > critical else SUBCRITICAL
+            elif isinstance(val, NUMERICAL_ERRORS):
+                verdicts[i, j] = DEGENERATE if isinstance(val, DegenerateCell) else AUDIT_FAIL
+            else:
+                raise val
     return RegionGrid(axis_names, axis1, axis2, values, verdicts)
+
+
+def _outcome(fn, *args):
+    """The outcome of a region cell: `fn(*args)`, or the NUMERICAL_ERRORS it raises."""
+    try:
+        return fn(*args)
+    except NUMERICAL_ERRORS as exc:
+        return exc
 
 
 def bernoulli_region_scan(rho_range, lam_range, shape, n_terms: int = 12) -> RegionGrid:
@@ -153,7 +157,8 @@ def bernoulli_region_scan(rho_range, lam_range, shape, n_terms: int = 12) -> Reg
         lower, _ = bernoulli_entropy_bounds(lam, rho, n_terms)
         return lower + log(lam)
 
-    return region_scan((rho_range, lam_range), shape, ("rho", "lambda"), cell, 0.0)
+    return region_scan((rho_range, lam_range), shape, ("rho", "lambda"),
+                       lambda rho, lams: [_outcome(cell, rho, lam) for lam in lams], 0.0)
 
 
 def _blackwell_coeffs(eps: float, sign: int):
@@ -182,7 +187,7 @@ def blackwell_family(eps: float, p: float):
 
     Returns (family, prob_fns).  At eps = 1/2 the two maps coincide and
     the invariant measure is the Dirac mass at 1/2, and at p = 1/2 both
-    maps are constant; `blackwell_cell_value` rejects both.
+    maps are constant; `blackwell_row_values` reports both as degenerate.
     """
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("parameters must lie in (0, 1)")
@@ -207,56 +212,62 @@ def _degenerate(x):
     return np.abs(np.subtract(x, 0.5)) < 1e-9
 
 
-def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
-    """h/chi for the Blackwell Gibbs measure at (eps, p): from
-    `collocation_h_chi`, or, when its node ladder does not settle, from the
-    depth-r cylinder spectrum, so `r` is used only by that fallback.
-    Raises `DegenerateCell` at eps = 1/2 or p = 1/2, before any range or
-    depth check."""
-    if _degenerate(eps) or _degenerate(p):
-        raise DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
-    if r < 1:
-        raise ValueError("depth must be positive")
-    fam, prob_fns = blackwell_family(eps, p)
-    pot = log_probability_potential(prob_fns)
-    try:
-        h, chi = collocation_h_chi(fam, pot, p)
-    except CollocationUnresolved:
-        spec = transfer_spectrum(fam, pot, p, r)
-        h, _ = entropy(spec)
-        chi = lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
+def _blackwell_ratio(eps, p, r, h_chi):
+    """h/chi of the Blackwell cell (eps, p) from its collocation (h, chi), or
+    from the depth-r cylinder spectrum where `h_chi` is CollocationUnresolved."""
+    if isinstance(h_chi, CollocationUnresolved):
+        fam, prob_fns = blackwell_family(eps, p)
+        spec = transfer_spectrum(fam, log_probability_potential(prob_fns), p, r)
+        h_chi = entropy(spec)[0], lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
+    h, chi = h_chi
     return h / chi
 
 
-def blackwell_row_values(eps: float, ps) -> np.ndarray:
-    """h/chi of the Blackwell cells (eps, p) for the p of the 1-D array `ps`,
-    from one `collocation_h_chi` call: the maps and the curves depend on
-    eps alone, and p is the family's lambda.  NaN marks every cell left to
-    `blackwell_cell_value`: degenerate, outside (0, 1) x (0, 1), failing
-    its audit or not settled by the node ladder.  Degenerate and
-    out-of-range cells are dropped before any arithmetic: at p = 1/2 both
-    maps are constant, and log|f'| would be log 0."""
+def blackwell_row_values(eps: float, ps, r: int) -> list:
+    """The outcome of each Blackwell cell (eps, p), p in the 1-D array `ps`:
+    h/chi, or the exception it reports, in this order: `DegenerateCell` at
+    eps = 1/2 or p = 1/2 (both maps constant), before any other check;
+    ValueError for a depth r below 1 or a parameter outside (0, 1); the
+    AuditFailure of one `collocation_h_chi` call over the other p (maps and
+    curves depend on eps alone; p is the family's lambda).  A cell whose
+    node ladder does not settle takes h/chi from the depth-r cylinder
+    spectrum, the only use of `r`, so no cell climbs the ladder twice."""
     ps = np.asarray(ps, dtype=float)
-    values = np.full(ps.shape, math.nan)
-    batch = ~_degenerate(ps) & (ps > 0) & (ps < 1)
-    if _degenerate(eps) or not 0 < eps < 1 or not batch.any():
-        return values
-    fam, prob_fns = blackwell_family(eps, ps[batch][0])
-    h, chi = collocation_h_chi(fam, log_probability_potential(prob_fns), ps[batch])
-    values[batch] = h / chi
-    return values
+    out = [None] * len(ps)
+    for j, p in enumerate(ps):
+        if _degenerate(eps) or _degenerate(p):
+            out[j] = DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
+        elif r < 1:
+            out[j] = ValueError("depth must be positive")
+        elif not (0 < eps < 1 and 0 < p < 1):
+            out[j] = ValueError("parameters must lie in (0, 1)")
+    batch = [j for j, o in enumerate(out) if o is None]
+    if batch:
+        fam, prob_fns = blackwell_family(eps, ps[batch[0]])
+        outcomes = collocation_h_chi(fam, log_probability_potential(prob_fns), ps[batch])
+        for j, h_chi in zip(batch, outcomes):
+            out[j] = (h_chi if isinstance(h_chi, AuditFailure)
+                      else _outcome(_blackwell_ratio, eps, ps[j], r, h_chi))
+    return out
+
+
+def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
+    """h/chi for the Blackwell Gibbs measure at (eps, p): the one-cell row
+    `blackwell_row_values(eps, [p], r)`, raised if it is a failure."""
+    value = blackwell_row_values(eps, [p], r)[0]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:
-    """value = h/chi; supercritical iff > 1.  Each eps row is evaluated by
-    `blackwell_row_values`, and the cells it leaves NaN one at a time by
-    `blackwell_cell_value`, with its cylinder fallback and verdicts."""
+    """value = h/chi; supercritical iff > 1.  Each eps row is one
+    `blackwell_row_values` call."""
     if r < 1:
         raise ValueError("depth must be positive")
-    # the names are resolved per call, so a traced or patched one is called
+    # the name is resolved per call, so a traced or patched one is called
     return region_scan((eps_range, p_range), shape, ("eps", "p"),
-                       lambda eps, p: blackwell_cell_value(eps, p, r), 1.0,
-                       lambda eps, ps: blackwell_row_values(eps, ps))
+                       lambda eps, ps: blackwell_row_values(eps, ps, r), 1.0)
 
 
 def cf_domain(alpha: float, beta: float):

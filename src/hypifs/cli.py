@@ -200,14 +200,12 @@ def cmd_region(cfg, args, out):
             cfg.read("region.lambda_range", as_pair, [0.51, 0.668]),
             shape, cfg.read("run.moment_terms", as_int, 12))
         path = os.path.join(out, "region_bernoulli.csv")
-    elif which == "blackwell":
+    else:  # the parser accepts only bernoulli and blackwell
         grid = blackwell_region_scan(
             cfg.read("region.eps_range", as_pair, [0.05, 0.95]),
             cfg.read("region.p_range", as_pair, [0.05, 0.95]),
             shape, get_depth(cfg, args, 8))
         path = os.path.join(out, "region_blackwell.csv")
-    else:
-        raise ConfigError(f"unknown region {which!r}")
     grid.to_csv(path)
     n_super = int(np.sum(grid.verdicts == "SUPERCRITICAL"))
     print(f"cells: {grid.values.size}")

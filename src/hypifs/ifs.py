@@ -61,12 +61,14 @@ def poly(*coeffs) -> Poly:
     return Poly(tuple(float(c) for c in coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    """x -> a(lam) * x + b(lam)."""
+class _FrozenEvaluated:
+    """Base of the maps with polynomial coefficients, whose value, dx and
+    dlam at lam are those of `_freeze(self, lam)`.  Each subclass gets the
+    three in its own namespace, where perfbench's tracer wraps them."""
 
-    slope: Poly
-    offset: Poly
+    def __init_subclass__(cls):
+        for name in ("value", "dx", "dlam"):
+            setattr(cls, name, vars(_FrozenEvaluated)[name])
 
     def value(self, lam, x):
         return _freeze(self, lam).value(x)
@@ -79,7 +81,15 @@ class AffineMap:
 
 
 @dataclass(frozen=True, eq=False)
-class RationalMap:
+class AffineMap(_FrozenEvaluated):
+    """x -> a(lam) * x + b(lam)."""
+
+    slope: Poly
+    offset: Poly
+
+
+@dataclass(frozen=True, eq=False)
+class RationalMap(_FrozenEvaluated):
     """x -> (n0(lam) + n1(lam) x) / (d0(lam) + d1(lam) x)."""
 
     n0: Poly
@@ -87,18 +97,9 @@ class RationalMap:
     d0: Poly
     d1: Poly
 
-    def value(self, lam, x):
-        return _freeze(self, lam).value(x)
-
-    def dx(self, lam, x):
-        return _freeze(self, lam).dx(x)
-
-    def dlam(self, lam, x):
-        return _freeze(self, lam).dlam(x)
-
 
 @dataclass(frozen=True, eq=False)
-class ShiftedMap:
+class ShiftedMap(_FrozenEvaluated):
     """base(x) + a(lam), with the base frozen at a fixed parameter."""
 
     base: object
@@ -109,15 +110,6 @@ class ShiftedMap:
     def frozen_base(self):
         """The base map at base_lam, frozen on first use."""
         return _freeze(self.base, self.base_lam)
-
-    def value(self, lam, x):
-        return _freeze(self, lam).value(x)
-
-    def dx(self, lam, x):
-        return _freeze(self, lam).dx(x)
-
-    def dlam(self, lam, x):
-        return _freeze(self, lam).dlam(x)
 
 
 @dataclass(frozen=True, eq=False)

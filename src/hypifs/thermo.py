@@ -301,6 +301,8 @@ def lyapunov_exponent(fam: IfsFamily, lam: float, measure: CylinderMeasure) -> f
 def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
     """(Z_inf, Z_sup): the sums over subset^n of the inf and of the sup
     over x of |f'_u(x)|^t, from one pass over the all-words tree."""
+    if n < 1:
+        raise ValueError(f"partition word length n must be at least 1, got {n}")
     subset = list(subset)
     k = len(subset)
     if k ** n > PARTITION_CAP:
@@ -471,7 +473,7 @@ def _collocation_ladder(value, rungs, count: int = 1) -> list:
 
 
 def _settled(result):
-    """A ladder entry of `_collocation_ladder`, raised if it is unresolved."""
+    """An outcome or ladder entry: raised if it is an exception, else returned."""
     if isinstance(result, Exception):
         raise result
     return result
@@ -481,9 +483,9 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     """(h, chi): the entropy and the Lyapunov exponent of the Gibbs measure
     nu of the log-probability potential `pot` at lam, by Chebyshev
     collocation (Falk & Nussbaum 2018; Bandtlow & Slipantschuk 2020).
-    `lam` is one value, giving floats, or a 1-D array of L values, giving
-    two arrays of shape (L,), NaN at each lambda where one value raises
-    CollocationUnresolved or AuditFailure; one value is the case L = 1.
+    `lam` is one value, giving floats, or a 1-D array of L values, giving a
+    list of L outcomes: (h, chi), or the CollocationUnresolved or
+    AuditFailure that one value raises; one value is the case L = 1.
 
     On n nodes x_k, T = sum_j diag(p_j(x_k)) B_j is a Markov matrix (each
     barycentric row sums to 1), and its stationary vector l, from one
@@ -543,12 +545,8 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
         return [v for k in range(0, len(rows), step) for v in stack(n, rows[k:k + step])]
 
     for i, res in zip(audited, _collocation_ladder(rung, COLLOCATION_LADDER, len(audited))):
-        results[i] = res
-    if np.ndim(lam):
-        hc = np.array([r[0] if isinstance(r, tuple) else [math.nan] * 2 for r in results])
-        return hc[:, 0], hc[:, 1]
-    h, chi = _settled(results[0])[0]
-    return float(h), float(chi)
+        results[i] = res if isinstance(res, Exception) else tuple(map(float, res[0]))
+    return results if np.ndim(lam) else _settled(results[0])
 
 
 def _bowen_solve(P, m: int, slope: float):

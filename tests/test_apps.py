@@ -189,23 +189,46 @@ def test_blackwell_region_scan_propagates_bugs(monkeypatch):
     def broken(*args):
         raise TypeError("a bug, not a numerical failure")
 
-    # from the row path
+    # from the row call
     monkeypatch.setattr(apps, "blackwell_row_values", broken)
     with pytest.raises(TypeError):
         blackwell_region_scan((0.2, 0.3), (0.2, 0.3), (2, 2), r=4)
-    # from a cell the row path leaves to blackwell_cell_value
-    monkeypatch.setattr(apps, "blackwell_row_values",
-                        lambda eps, ps: np.full(len(ps), np.nan))
-    monkeypatch.setattr(apps, "blackwell_cell_value", broken)
-    with pytest.raises(TypeError):
+    monkeypatch.undo()
+    # from the cylinder fallback of a cell inside the row
+    monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)  # no pair can agree
+    monkeypatch.setattr(apps, "transfer_spectrum", broken)
+    with pytest.raises(TypeError, match="a bug"):
         blackwell_region_scan((0.2, 0.3), (0.2, 0.3), (2, 2), r=4)
 
 
+@pytest.mark.parametrize("bug", [TypeError("a bug"), CollocationUnresolved("not a verdict")])
+def test_region_scan_raises_a_reported_exception_outside_the_numerical_errors(bug):
+    def row(a, bs):
+        return [1.0, apps.DegenerateCell("half"), ValueError("range"), bug]
+
+    with pytest.raises(type(bug)) as info:
+        apps.region_scan(((0.0, 1.0), (0.0, 1.0)), (2, 4), ("a", "b"), row, 0.5)
+    assert info.value is bug
+
+
+def outcome(fn, *args):
+    """fn(*args), or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def described(outcomes):
+    """Outcomes with each exception replaced by its type and message."""
+    return [(type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes]
+
+
 def cell_by_cell_scan(eps_range, p_range, shape, r):
-    """The Blackwell scan one `blackwell_cell_value` call per cell, with no
-    row path."""
-    return apps.region_scan((eps_range, p_range), shape, ("eps", "p"),
-                            lambda eps, p: blackwell_cell_value(eps, p, r), 1.0)
+    """The Blackwell scan with one `blackwell_cell_value` call per cell."""
+    return apps.region_scan(
+        (eps_range, p_range), shape, ("eps", "p"),
+        lambda eps, ps: [outcome(blackwell_cell_value, eps, p, r) for p in ps], 1.0)
 
 
 def test_blackwell_row_mixes_every_kind_of_cell_like_the_cell_by_cell_scan(monkeypatch):
@@ -216,22 +239,22 @@ def test_blackwell_row_mixes_every_kind_of_cell_like_the_cell_by_cell_scan(monke
     # row eps = 1/2 is DEGENERATE throughout
     monkeypatch.setattr(apps, "blackwell_family", narrowed_blackwell_family)
     ref = cell_by_cell_scan((0.3, 0.5), (0.2, 1.2), (2, 11), 6)
-    called = []
-    cell = apps.blackwell_cell_value
+    fallbacks = []
+    spectrum = apps.transfer_spectrum
 
-    def recording(eps, p, r):
-        called.append(round(p, 9))
-        return cell(eps, p, r)
+    def recording(fam, pot, p, r):
+        fallbacks.append(round(p, 9))
+        return spectrum(fam, pot, p, r)
 
-    monkeypatch.setattr(apps, "blackwell_cell_value", recording)
+    monkeypatch.setattr(apps, "transfer_spectrum", recording)
     grid = blackwell_region_scan((0.3, 0.5), (0.2, 1.2), (2, 11), r=6)
     assert grid.verdicts.tolist() == ref.verdicts.tolist()
     assert np.array_equal(grid.values, ref.values, equal_nan=True)
     assert grid.verdicts[0].tolist() == (
         ["SUBCRITICAL"] * 3 + ["DEGENERATE"] + ["SUBCRITICAL"] * 2 + ["AUDIT-FAIL"] * 5)
     assert grid.verdicts[1].tolist() == ["DEGENERATE"] * 11
-    # the cells the row leaves to blackwell_cell_value, and no others
-    assert called == [0.2, 0.5, 0.8, 0.9, 1.0, 1.1, 1.2] + [round(p, 9) for p in grid.axis2]
+    # the cells the node ladder leaves unresolved, each once
+    assert fallbacks == [0.2, 0.8, 0.9]
     fam, prob_fns = narrowed_blackwell_family(0.3, 0.2)
     assert grid.values[0, 0] == blackwell_cylinder_value(fam, prob_fns, 0.2, 6)
 
@@ -244,18 +267,35 @@ def test_blackwell_row_without_a_settled_pair_gives_the_cylinder_values(monkeypa
                                        for p in grid.axis2]
 
 
-@given(st.floats(0.05, 0.95), st.lists(st.floats(0.05, 0.95), min_size=1, max_size=12))
+def test_blackwell_scan_climbs_each_cells_node_ladder_once(monkeypatch):
+    # with no settling pair, each of the 2 x 12 cells reads all four rungs
+    # once and then takes the cylinder fallback
+    monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)
+    stationary = thermo._stationary_vector
+    solved = []
+
+    def counting(op):
+        solved.append(int(np.prod(op.shape[:-2])))
+        return stationary(op)
+
+    monkeypatch.setattr(thermo, "_stationary_vector", counting)
+    grid = blackwell_region_scan((0.2, 0.8), (0.1, 0.375), (2, 12), r=6)
+    assert set(grid.verdicts.ravel()) == {"SUBCRITICAL"}
+    assert sum(solved) == 2 * 12 * len(thermo.COLLOCATION_LADDER)
+
+
+@given(st.floats(0.05, 0.95), st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=12),
+       st.integers(0, 8))
+@example(0.3, [0.5, 1.2, 0.3, 0.0, 0.49999999999999994], 8)
+@example(0.5, [0.3, 1.2], 0)
+@example(0.3, [0.5, 0.3, -0.1], 0)
+@example(0.0, [0.5, 0.3], 4)
+@example(1.2, [0.3], 4)
 @settings(max_examples=15, deadline=None)
-def test_blackwell_row_values_are_the_cell_values(eps, ps):
-    ps = np.array(ps)
-    values = apps.blackwell_row_values(eps, ps)
-    for v, p in zip(values, ps):
-        try:
-            cell = blackwell_cell_value(eps, p)
-        except apps.DegenerateCell:
-            assert np.isnan(v)
-            continue
-        assert np.isnan(v) or v == cell
+def test_blackwell_row_values_are_the_cell_values(eps, ps, r):
+    row = apps.blackwell_row_values(eps, np.array(ps), r)
+    assert described(row) == described([outcome(blackwell_cell_value, eps, p, r)
+                                        for p in ps])
 
 
 def test_region_csv_round_trip(tmp_path):

@@ -133,6 +133,15 @@ def test_nonpositive_depth_exit_2(tmp_path, capsys, argv, cfg_depth):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pressure", "pressure-drop"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_partition_word_length_below_one_exit_2_names_n(tmp_path, capsys, command, n):
+    cfg = CANTOR + f"run.partition_n = {n}\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), command])
+    assert code == 2
+    assert f"word length n must be at least 1, got {n}" in capsys.readouterr().err
+
+
 def test_audit_failure_exit_2(tmp_path, capsys):
     cfg = """
 family.kind = affine

@@ -736,15 +736,20 @@ def _row_cases():
     return st.one_of(blackwell, bernoulli)
 
 
+def _described(outcomes):
+    """Outcomes with each exception replaced by its type and message."""
+    return [(type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes]
+
+
 def _scalar_calls(fam, pot, lams):
-    """collocation_h_chi at each lambda alone, NaN where it is unresolved."""
+    """The outcome of collocation_h_chi at each lambda alone, described."""
     out = []
     for lam in lams:
         try:
             out.append(collocation_h_chi(fam, pot, lam))
-        except CollocationUnresolved:
-            out.append((math.nan, math.nan))
-    return np.array(out).reshape(-1, 2)
+        except (CollocationUnresolved, AuditFailure) as exc:
+            out.append(exc)
+    return _described(out)
 
 
 @given(_row_cases())
@@ -753,16 +758,14 @@ def _scalar_calls(fam, pot, lams):
 def test_collocation_h_chi_over_a_lambda_array_stacks_its_scalar_calls(case):
     # the explicit example's first and last cells are unresolved at 192 nodes
     fam, pot, lams = case
-    h, chi = collocation_h_chi(fam, pot, lams)
-    assert h.shape == chi.shape == lams.shape
-    ref = _scalar_calls(fam, pot, lams)
-    assert np.array_equal(np.column_stack([h, chi]), ref, equal_nan=True)
+    outcomes = collocation_h_chi(fam, pot, lams)
+    assert len(outcomes) == len(lams)
+    assert _described(outcomes) == _scalar_calls(fam, pot, lams)
 
 
 def test_collocation_h_chi_of_a_one_value_array_is_the_scalar_call():
     fam, pot = _blackwell_row(0.2, [0.3])
-    h, chi = collocation_h_chi(fam, pot, np.array([0.3]))
-    assert (h.tolist(), chi.tolist()) == tuple([v] for v in collocation_h_chi(fam, pot, 0.3))
+    assert collocation_h_chi(fam, pot, np.array([0.3])) == [collocation_h_chi(fam, pot, 0.3)]
 
 
 @pytest.mark.parametrize("lam", [np.array([]), np.array([[0.3, 0.4]])])
@@ -777,17 +780,20 @@ def test_collocation_h_chi_audits_each_lambda(cantor):
     # (lam, 1 - lam) and chi = log 3; at lam = 1.2 the curve p_2 is negative
     pot = log_probability_potential([lambda lam, x: lam + 0 * x,
                                      lambda lam, x: 1 - lam + 0 * x])
-    h, chi = collocation_h_chi(cantor, pot, np.array([0.3, 1.2, 0.5]))
-    assert np.isnan(h[1]) and np.isnan(chi[1])
+    lams = np.array([0.3, 1.2, 0.5])
+    outcomes = collocation_h_chi(cantor, pot, lams)
+    assert isinstance(outcomes[1], AuditFailure)
+    assert str(outcomes[1]) == "probability curve non-positive on domain"
     for k, lam in ((0, 0.3), (2, 0.5)):
-        assert abs(h[k] + lam * math.log(lam) + (1 - lam) * math.log(1 - lam)) <= 1e-14
-        assert abs(chi[k] - math.log(3)) <= 1e-14
-    with pytest.raises(AuditFailure, match="non-positive"):
-        collocation_h_chi(cantor, pot, 1.2)
+        h, chi = outcomes[k]
+        assert abs(h + lam * math.log(lam) + (1 - lam) * math.log(1 - lam)) <= 1e-14
+        assert abs(chi - math.log(3)) <= 1e-14
+    assert _described(outcomes) == _scalar_calls(cantor, pot, lams)
     off_one = log_probability_potential([lambda lam, x: lam + 0 * x,
                                          lambda lam, x: 0.5 + 0 * x])
-    h, _ = collocation_h_chi(cantor, off_one, np.array([0.5, 0.3]))
-    assert not np.isnan(h[0]) and np.isnan(h[1])
+    outcomes = collocation_h_chi(cantor, off_one, np.array([0.5, 0.3]))
+    assert isinstance(outcomes[0], tuple)
+    assert str(outcomes[1]) == "probability curves do not sum to 1"
     with pytest.raises(AuditFailure, match="do not sum to 1"):
         collocation_h_chi(cantor, off_one, 0.3)
 
@@ -813,20 +819,21 @@ def test_collocation_h_chi_singular_matrix_leaves_its_neighbours_settled(monkeyp
     stationary = thermo._stationary_vector
     monkeypatch.setattr(thermo, "_collocation_operator", one_singular)
     monkeypatch.setattr(thermo, "_stationary_vector", recording)
-    h, chi = collocation_h_chi(fam, pot, lams)
-    assert np.isnan(h[3]) and np.isnan(chi[3])
-    keep = np.arange(7) != 3
-    assert np.array_equal(np.column_stack([h, chi])[keep], ref[keep])
+    outcomes = collocation_h_chi(fam, pot, lams)
+    assert isinstance(outcomes[3], CollocationUnresolved)
+    assert "stationary system" in str(outcomes[3])
+    assert _described(outcomes[:3] + outcomes[4:]) == ref[:3] + ref[4:]
     # the stack of 7 at 24 nodes fails and is solved again one matrix at a time
     assert solves[:8] == [(7, 24, 24)] + [(24, 24)] * 7
-    with pytest.raises(CollocationUnresolved, match="stationary system"):
+    with pytest.raises(CollocationUnresolved) as info:
         collocation_h_chi(fam, pot, lams[3])
+    assert str(info.value) == str(outcomes[3])
 
 
 def test_collocation_h_chi_splits_a_long_row_by_the_stack_cap(monkeypatch):
     fam, pot = _blackwell_row(0.3, [0.2])
     lams = np.linspace(0.05, 0.45, 40)
-    h, chi = collocation_h_chi(fam, pot, lams)
+    outcomes = collocation_h_chi(fam, pot, lams)
     operator = thermo._collocation_operator
     stacks = []
 
@@ -836,8 +843,7 @@ def test_collocation_h_chi_splits_a_long_row_by_the_stack_cap(monkeypatch):
 
     monkeypatch.setattr(thermo, "_collocation_operator", recording)
     monkeypatch.setattr(thermo, "COLLOCATION_STACK", 9 * 2 * 24 ** 2)
-    capped = collocation_h_chi(fam, pot, lams)
-    assert np.array_equal(np.column_stack(capped), np.column_stack([h, chi]))
+    assert collocation_h_chi(fam, pot, lams) == outcomes
     # 9 lambdas per stack at 24 nodes, 2 at 48 (9 * 2 * 24^2 // (2 * 48^2))
     # and one at 96 and 192
     assert [L for L, n in stacks if n == 24] == [9, 9, 9, 9, 4]
