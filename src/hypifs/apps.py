@@ -212,12 +212,11 @@ def _degenerate(x):
     return np.abs(np.subtract(x, 0.5)) < 1e-9
 
 
-def _blackwell_ratio(eps, p, r, h_chi):
-    """h/chi of the Blackwell cell (eps, p) from its collocation (h, chi), or
-    from the depth-r cylinder spectrum where `h_chi` is CollocationUnresolved."""
+def _blackwell_ratio(fam, pot, p, r, h_chi):
+    """h/chi of the cell p of a Blackwell row's `fam` and `pot`, from its collocation
+    (h, chi), or from the depth-r cylinder spectrum where that is CollocationUnresolved."""
     if isinstance(h_chi, CollocationUnresolved):
-        fam, prob_fns = blackwell_family(eps, p)
-        spec = transfer_spectrum(fam, log_probability_potential(prob_fns), p, r)
+        spec = transfer_spectrum(fam, pot, p, r)
         h_chi = entropy(spec)[0], lyapunov_exponent(fam, p, gibbs_cylinder_measure(spec))
     h, chi = h_chi
     return h / chi
@@ -233,9 +232,10 @@ def blackwell_row_values(eps: float, ps, r: int) -> list:
     node ladder does not settle takes h/chi from the depth-r cylinder
     spectrum, the only use of `r`, so no cell climbs the ladder twice."""
     ps = np.asarray(ps, dtype=float)
+    degenerate = _degenerate(ps) | _degenerate(eps)
     out = [None] * len(ps)
     for j, p in enumerate(ps):
-        if _degenerate(eps) or _degenerate(p):
+        if degenerate[j]:
             out[j] = DegenerateCell("eps = 1/2 or p = 1/2 is degenerate")
         elif r < 1:
             out[j] = ValueError("depth must be positive")
@@ -244,10 +244,10 @@ def blackwell_row_values(eps: float, ps, r: int) -> list:
     batch = [j for j, o in enumerate(out) if o is None]
     if batch:
         fam, prob_fns = blackwell_family(eps, ps[batch[0]])
-        outcomes = collocation_h_chi(fam, log_probability_potential(prob_fns), ps[batch])
-        for j, h_chi in zip(batch, outcomes):
+        pot = log_probability_potential(prob_fns)
+        for j, h_chi in zip(batch, collocation_h_chi(fam, pot, ps[batch])):
             out[j] = (h_chi if isinstance(h_chi, AuditFailure)
-                      else _outcome(_blackwell_ratio, eps, ps[j], r, h_chi))
+                      else _outcome(_blackwell_ratio, fam, pot, ps[j], r, h_chi))
     return out
 
 
@@ -311,6 +311,8 @@ def cf_overlap(alpha: float, beta: float):
 def similarity_dimension(ratios) -> float:
     """Root of sum r_j^s = 1."""
     ratios = [float(r) for r in ratios]
+    if not ratios:
+        raise ValueError("the ratio list is empty")
     if any(not 0 < r < 1 for r in ratios):
         raise ValueError("ratios must lie in (0, 1)")
     if len(ratios) == 1:

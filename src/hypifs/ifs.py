@@ -398,7 +398,9 @@ class FrozenFamily:
         def g(x):
             return float(f(x)) - x
 
-        if g(lo) * g(hi) > 0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # f_1 may have a pole at an end
+            ends = g(lo) * g(hi)
+        if not (np.isfinite(ends) and ends <= 0):
             raise EvaluationError(f"f_1(x) - x has no sign change on [{lo!r}, {hi!r}]")
         return solve_root(g, lo, hi)
 

@@ -304,6 +304,8 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
     if n < 1:
         raise ValueError(f"partition word length n must be at least 1, got {n}")
     subset = list(subset)
+    if not subset:
+        raise ValueError("the partition subset is empty")
     k = len(subset)
     if k ** n > PARTITION_CAP:
         raise ValueError("enumeration cap exceeded")
@@ -354,9 +356,11 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
 
 def _node_weights(frozen, pot: Potential, n: int) -> np.ndarray:
     """The weights g_j of `pot` at the n Chebyshev nodes of the frozen
-    family, as an array of shape frozen.lam_shape + (m, n)."""
+    family, as an array of shape frozen.lam_shape + (m, n).  A log of zero
+    gives -inf, left to the caller's finiteness check, not reported by numpy."""
     nodes = np.broadcast_to(frozen.collocation(n).nodes, frozen.lam_shape + (n,))
-    return concat_images(pot.weights(frozen), nodes).reshape(nodes.shape[:-1] + (frozen.m, n))
+    with np.errstate(divide="ignore"):
+        return concat_images(pot.weights(frozen), nodes).reshape(nodes.shape[:-1] + (frozen.m, n))
 
 
 def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
@@ -368,16 +372,16 @@ def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
     return np.einsum("...jk,...jkl->...kl", w, frozen.collocation(w.shape[-1]).interp)
 
 
-def _collocation_pressure(frozen, g: np.ndarray) -> float:
+def _collocation_pressure(frozen, g: np.ndarray):
     """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
     transfer operator with the weights g of `_node_weights` on the
     n = g.shape[1] Chebyshev nodes of the frozen family, by a dense
-    eigen-solve.  Raises CollocationUnresolved unless the eigenvalue of
-    largest modulus is real and positive."""
+    eigen-solve; or a CollocationUnresolved, returned, unless the
+    eigenvalue of largest modulus is real and positive."""
     ev = np.linalg.eigvals(_collocation_operator(frozen, np.exp(g)))
     lead = ev[np.argmax(np.abs(ev))]
     if not (lead.imag == 0 and lead.real > 0):
-        raise CollocationUnresolved(f"leading eigenvalue {lead}")
+        return CollocationUnresolved(f"leading eigenvalue {lead}")
     return math.log(lead.real)
 
 
@@ -403,70 +407,56 @@ def _stationary_vector(op: np.ndarray) -> np.ndarray:
     return sol[..., :n]
 
 
-def _stationary_vectors(ops: np.ndarray):
-    """(l, failures): `_stationary_vector` of each matrix of the (L, n, n)
-    stack as an (L, n) array, and per matrix None or the
-    CollocationUnresolved of its own solve, whose row of l is NaN.  When the
+def _stationary_vectors(ops: np.ndarray) -> list:
+    """The outcome of `_stationary_vector` for each matrix of the (L, n, n)
+    stack: l, or the CollocationUnresolved of its own solve.  When the
     stacked solve fails, it is redone one matrix at a time, so a singular
     matrix leaves only its own lambda unresolved."""
     try:
-        return _stationary_vector(ops), [None] * len(ops)
+        return list(_stationary_vector(ops))
     except CollocationUnresolved:
-        ells = np.full(ops.shape[:-1], math.nan)
-        failures = [None] * len(ops)
-        for k, op in enumerate(ops):
+        ells = []
+        for op in ops:
             try:
-                ells[k] = _stationary_vector(op)
+                ells.append(_stationary_vector(op))
             except CollocationUnresolved as exc:
-                failures[k] = exc
-        return ells, failures
+                ells.append(exc)
+        return ells
 
 
 def _collocation_ladder(value, rungs, count: int = 1) -> list:
     """The one N-vs-2N check of the collocation backend, for `count`
     lambdas at once.  Lambda i settles at the coarser rung n of its first
-    consecutive pair (n, n2) of node counts in `rungs` whose values differ
-    by gap = max |value(n) - value(n2)| <= COLLOCATION_TOL.
+    consecutive pair (n, n2) of node counts in `rungs` whose values are
+    both resolved and differ by gap = max |value(n) - value(n2)| <=
+    COLLOCATION_TOL.
 
-    `value(n, rows)` gives the values at rung n of the lambdas indexed by
-    the list `rows`, one per row, each a value or the
-    CollocationUnresolved of an unresolved rung; raising one marks every
-    row.  A rung is read at most once per lambda, and finer rungs only for
-    the lambdas still unsettled; an unresolved rung settles no pair.
-    Returns one entry per lambda: (value(n), gap), or a
+    `value(n, rows)` gives the outcomes at rung n of the lambdas indexed by
+    the list `rows`, one per row: a value, or the CollocationUnresolved of
+    an unresolved rung.  It is called once per rung, for the lambdas still
+    unsettled.  Returns one entry per lambda: (value(n), gap), or a
     CollocationUnresolved naming every pair's gap when none settles."""
-    values = {}  # (n, i) -> the value of lambda i at rung n
-
-    def read(n, rows):
-        todo = [i for i in rows if (n, i) not in values]
-        if todo:
-            try:
-                got = value(n, todo)
-            except CollocationUnresolved as exc:
-                got = [exc] * len(todo)
-            values.update(zip([(n, i) for i in todo], got))
-        return [values[n, i] for i in rows]
-
     results = [None] * count
     gaps = [[] for _ in range(count)]
-    unsettled = range(count)
+    unsettled = list(range(count))
+    coarse = value(rungs[0], unsettled)
     for n, n2 in zip(rungs, rungs[1:]):
-        coarse = read(n, unsettled)
-        fine = iter(read(n2, [i for i, a in zip(unsettled, coarse)
-                              if not isinstance(a, Exception)]))
-        left = []
-        for i, a in zip(unsettled, coarse):
-            b = a if isinstance(a, Exception) else next(fine)
-            if isinstance(b, Exception):
-                gaps[i].append(f"{n}/{n2}: {b}")
+        left, fine = [], []
+        for i, a, b in zip(unsettled, coarse, value(n2, unsettled)):
+            bad = a if isinstance(a, Exception) else b
+            if isinstance(bad, Exception):
+                gaps[i].append(f"{n}/{n2}: {bad}")
             else:
-                gap = float(np.max(np.abs(np.subtract(a, b))))
+                gap = float(np.abs(np.subtract(a, b)).max())
                 if gap <= COLLOCATION_TOL:
                     results[i] = (a, gap)
                     continue
                 gaps[i].append(f"{n}/{n2}: {gap:.2e}")
             left.append(i)
-        unsettled = left
+            fine.append(b)
+        unsettled, coarse = left, fine
+        if not unsettled:
+            break
     for i in unsettled:
         results[i] = CollocationUnresolved("no rung pair settles (" + "; ".join(gaps[i]) + ")")
     return results
@@ -494,15 +484,16 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     nodes.  The rungs of COLLOCATION_LADDER are read by
     `_collocation_ladder`, and (h, chi) at the coarser rung of the first
     pair that agrees to COLLOCATION_TOL is returned.  A rung is unresolved
-    when its solve is singular, or when a node image f_j(x_k) leaves the
-    domain padded by INVARIANCE_PAD |X|: the interpolant is read only at
-    the node images, and the nodes include both endpoints, so for
-    monotone maps this also shows the domain invariant.
+    when its solve is singular, when log|f_j'| is not finite at a node, or
+    when a node image f_j(x_k) leaves the domain padded by INVARIANCE_PAD
+    |X|: the interpolant is read only at the node images, and the nodes
+    include both endpoints, so for monotone maps this also shows the
+    domain invariant.
 
     Each rung is built for all the lambdas it reads at once, in stacks of
     at most COLLOCATION_STACK entries L m n^2: the maps and the curves are
-    frozen once over the stack, and one einsum and one stacked solve give
-    its L operators and stationary vectors.
+    frozen once over the stack, one einsum gives its L operators, and one
+    stacked solve the stationary vectors of the lambdas still resolved.
 
     At one value, raises CollocationUnresolved when no pair settles,
     ValueError for a potential without probability curves, and
@@ -522,21 +513,21 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     def stack(n, rows):
         """[h, chi] or CollocationUnresolved for each lambda lams[rows]."""
         frozen = fam.at(lams[rows, None])
-        images = frozen.collocation(n).images
-        inside = (images.min(axis=(1, 2)) >= lo) & (images.max(axis=(1, 2)) <= hi)
-        out = [CollocationUnresolved(f"a node image leaves the domain at n = {n}")] * len(rows)
-        if not inside.all():
-            if not inside.any():
-                return out
-            frozen = fam.at(lams[rows[inside], None])
-        p = _curve_values(pot.prob_fns, frozen, frozen.collocation(n).nodes)
+        col = frozen.collocation(n)
+        p = _curve_values(pot.prob_fns, frozen, col.nodes)
+        g = _node_weights(frozen, log_dx, n)
+        inside = (col.images.min(axis=(1, 2)) >= lo) & (col.images.max(axis=(1, 2)) <= hi)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        out = [None if ins and fin else CollocationUnresolved(
+            f"a node image leaves the domain at n = {n}" if not ins
+            else f"log|f'| is not finite at a node at n = {n}")
+            for ins, fin in zip(inside.tolist(), finite.tolist())]
+        ok = [k for k, o in enumerate(out) if o is None]
+        p_ok = p[ok]
         # (L, 2, n): sum_j p_j log p_j and sum_j p_j log|f_j'| at the nodes
-        w = np.stack([(p * np.log(p)).sum(axis=-2),
-                      (p * _node_weights(frozen, log_dx, n)).sum(axis=-2)], axis=1)
-        ells, failures = _stationary_vectors(_collocation_operator(frozen, p))
-        h_chi = -(w * ells[:, None]).sum(axis=-1)
-        for k, i in enumerate(np.flatnonzero(inside)):
-            out[i] = h_chi[k] if failures[k] is None else failures[k]
+        w = np.stack([(p_ok * np.log(p_ok)).sum(axis=-2), (p_ok * g[ok]).sum(axis=-2)], axis=1)
+        for k, w_k, ell in zip(ok, w, _stationary_vectors(_collocation_operator(frozen, p)[ok])):
+            out[k] = ell if isinstance(ell, Exception) else -(w_k * ell).sum(axis=-1)
         return out
 
     def rung(n, rows):

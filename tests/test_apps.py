@@ -284,9 +284,11 @@ def test_blackwell_scan_climbs_each_cells_node_ladder_once(monkeypatch):
     assert sum(solved) == 2 * 12 * len(thermo.COLLOCATION_LADDER)
 
 
-@given(st.floats(0.05, 0.95), st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=12),
-       st.integers(0, 8))
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=12), st.integers(0, 8))
 @example(0.3, [0.5, 1.2, 0.3, 0.0, 0.49999999999999994], 8)
+@example(8e-126, [0.75, 0.3], 8)  # S_0's det cancels to 0, so log|f_0'| = -inf
+@example(1e-20, [1e-09], 1)  # S_0's pole is the padded domain's end: f_0 is 0/0 there
 @example(0.5, [0.3, 1.2], 0)
 @example(0.3, [0.5, 0.3, -0.1], 0)
 @example(0.0, [0.5, 0.3], 4)
@@ -357,3 +359,8 @@ def test_similarity_dimension():
     assert similarity_dimension([0.9]) == 0.0
     with pytest.raises(ValueError):
         similarity_dimension([0.5, 1.1])
+
+
+def test_similarity_dimension_of_an_empty_ratio_list_names_it():
+    with pytest.raises(ValueError, match="ratio list is empty"):
+        similarity_dimension([])

@@ -300,6 +300,13 @@ def test_simdim_command(tmp_path, capsys):
     assert "similarity_dimension: 1" in out
 
 
+def test_simdim_of_an_empty_ratio_list_exit_2_names_it(tmp_path, capsys):
+    code = main(["--config", write(tmp_path, "family.ratios = ,\n"), "--out", str(tmp_path),
+                 "simdim"])
+    assert code == 2
+    assert "numerical failure: the ratio list is empty" in capsys.readouterr().err
+
+
 def test_sample_seed_flag(tmp_path, capsys):
     cfg = CANTOR + "potential.kind = constant\npotential.probs = 0.5, 0.5\nrun.samples = 200\n"
     code, out = run(tmp_path, cfg, ["--seed", "11", "sample"], capsys)

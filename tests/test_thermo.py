@@ -249,6 +249,11 @@ def test_partition_sum_modes(cantor):
     assert z_inf == pytest.approx((2 / 3) ** 4)
 
 
+def test_partition_sum_of_an_empty_subset_names_it(cantor):
+    with pytest.raises(ValueError, match="partition subset is empty"):
+        partition_sum(cantor, [], 1.0, 0.0, 4)
+
+
 def test_partition_sum_moebius_one_pass():
     # x -> 1/(k + x) is decreasing, so the sums run on the full x-grid and
     # |f_u'| is not constant: inf and sup differ
@@ -678,9 +683,7 @@ def test_collocation_ladder_reads_each_rung_once_and_skips_unresolved_rungs():
     def value(n, rows):
         assert rows == [0]
         read.append(n)
-        if values[n] is None:
-            raise CollocationUnresolved("no value")
-        return [values[n]]
+        return [CollocationUnresolved("no value") if values[n] is None else values[n]]
 
     [(v, gap)] = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
     assert v == 1.0 and gap == pytest.approx(2e-13)  # the value at 48, not 96
@@ -712,8 +715,7 @@ def test_collocation_ladder_reads_finer_rungs_only_for_unsettled_lambdas():
     assert isinstance(res[2], CollocationUnresolved)
     assert str(res[2]) == ("no rung pair settles (24/48: 1.00e+00; 48/96: 1.00e+00; "
                            "96/192: 1.00e+00)")
-    assert read == [(24, [0, 1, 2, 3]), (48, [0, 1, 2]), (48, [3]), (96, [1, 2, 3]),
-                    (192, [2])]
+    assert read == [(24, [0, 1, 2, 3]), (48, [0, 1, 2, 3]), (96, [1, 2, 3]), (192, [2])]
 
 
 def _blackwell_row(eps, ps):
