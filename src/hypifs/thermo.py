@@ -376,7 +376,7 @@ def _collocation_pressure(frozen, g: np.ndarray):
     """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
     transfer operator with the weights g of `_node_weights` on the
     n = g.shape[1] Chebyshev nodes of the frozen family, by a dense
-    eigen-solve; or a CollocationUnresolved, returned, unless the
+    eigen-solve.  Returns a CollocationUnresolved instead unless the
     eigenvalue of largest modulus is real and positive."""
     ev = np.linalg.eigvals(_collocation_operator(frozen, np.exp(g)))
     lead = ev[np.argmax(np.abs(ev))]
