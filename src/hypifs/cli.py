@@ -1,7 +1,8 @@
 """Configuration-driven command-line front end.
 
-Exit codes: 0 success, 1 invalid config, 2 numerical failure or audit
-FAIL (and argparse's usage errors), 3 falsified transversality.
+Exit codes: 0 success, 1 invalid config, 2 numerical failure, audit FAIL
+or intervals with no two-class partition (and argparse's usage errors), 3
+falsified transversality.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .thermo import (bowen_root, constant_bernoulli_potential,
                      lyapunov_exponent, pressure, pressure_bracket,
                      pressure_drop_check,
                      t_log_derivative_potential, transfer_spectrum)
-from .transversality import (build_pm_translation, greedy_partition,
-                             mc_transversality_probe, vertical_certificate)
+from .transversality import (PartitionError, build_pm_translation,
+                             greedy_partition, mc_transversality_probe,
+                             vertical_certificate)
 from .words import enumerate_words
 
 
@@ -412,6 +414,9 @@ def main(argv=None) -> int:
         return 1
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except PartitionError as exc:
+        print(f"partition failure: {exc}", file=sys.stderr)
         return 2
 
 

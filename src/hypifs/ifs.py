@@ -332,12 +332,14 @@ def concat_images(fns, y) -> np.ndarray:
 class Collocation:
     """Chebyshev collocation data of a frozen family on n nodes: the
     Chebyshev points of the second kind on the domain, their images under
-    each map, and one barycentric interpolation matrix per map, taking
-    values at the nodes to values of the interpolant at f_j(nodes).  A
-    family frozen at L lambdas gives images and matrices a leading axis L."""
+    each map, log|f_j'| at the nodes, and one barycentric interpolation
+    matrix per map, taking values at the nodes to values of the
+    interpolant at f_j(nodes).  A family frozen at L lambdas gives images,
+    logs and matrices a leading axis L."""
 
     nodes: np.ndarray  # (n,)
     images: np.ndarray  # (m, n) or (L, m, n), f_j(nodes)
+    log_dx: np.ndarray  # (m, n) or (L, m, n), log|f_j'(nodes)|, -inf where f_j' = 0
     interp: np.ndarray  # (m, n, n) or (L, m, n, n)
 
 
@@ -351,8 +353,11 @@ def _chebyshev_collocation(maps, domain, n: int, lead: tuple) -> Collocation:
     weights[[0, -1]] *= 0.5
     y = np.broadcast_to(nodes, lead + (n,))
     images = np.empty(lead + (len(maps), n))
+    log_dx = np.empty_like(images)
     for j, mp in enumerate(maps):
         images[..., j, :] = mp.value(y)
+        with np.errstate(divide="ignore"):  # a zero f_j' is the caller's to report
+            log_dx[..., j, :] = np.log(np.abs(mp.dx(y)))
     # second barycentric formula; a point on a node gets its unit row
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = weights / (images[..., None] - nodes)
@@ -360,7 +365,7 @@ def _chebyshev_collocation(maps, domain, n: int, lead: tuple) -> Collocation:
     on_node = np.isinf(c)  # y on a node, or so near one that 1/diff overflows
     hit = on_node.any(axis=-1)
     interp[hit] = on_node[hit]
-    return Collocation(nodes, images, interp)
+    return Collocation(nodes, images, log_dx, interp)
 
 
 @dataclass(eq=False)

@@ -22,9 +22,8 @@ PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
 PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
 PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
-COLLOCATION_NODES = 24  # N of the collocation pressure P_N, checked against P_2N
 COLLOCATION_TOL = 1e-12  # largest |value(N) - value(2N)| a collocation rung pair accepts
-COLLOCATION_LADDER = tuple(COLLOCATION_NODES << k for k in range(4))  # 24 ... 192
+COLLOCATION_LADDER = (24, 48, 96, 192)  # node counts of the collocation rungs
 # most entries L m n^2 in one stacked collocation build, 2 MB per temporary: a
 # 50-cell Blackwell row through all four rungs peaked at 5.2 MB traced (10.3 MB
 # at 1 << 19, 20.2 MB at 1 << 20) and took no longer
@@ -354,15 +353,6 @@ def pressure_bracket(fam: IfsFamily, t: float, lam: float, n: int = 8):
     return math.log(z_inf) / n, math.log(z_sup) / n
 
 
-def _node_weights(frozen, pot: Potential, n: int) -> np.ndarray:
-    """The weights g_j of `pot` at the n Chebyshev nodes of the frozen
-    family, as an array of shape frozen.lam_shape + (m, n).  A log of zero
-    gives -inf, left to the caller's finiteness check, not reported by numpy."""
-    nodes = np.broadcast_to(frozen.collocation(n).nodes, frozen.lam_shape + (n,))
-    with np.errstate(divide="ignore"):
-        return concat_images(pot.weights(frozen), nodes).reshape(nodes.shape[:-1] + (frozen.m, n))
-
-
 def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
     """sum_j diag(w_j) B_j, the transfer operator (L h)(x) = sum_j w_j(x) h(f_j x)
     on the n = w.shape[-1] Chebyshev nodes of the frozen family, for node
@@ -372,56 +362,65 @@ def _collocation_operator(frozen, w: np.ndarray) -> np.ndarray:
     return np.einsum("...jk,...jkl->...kl", w, frozen.collocation(w.shape[-1]).interp)
 
 
-def _collocation_pressure(frozen, g: np.ndarray):
-    """P_n: the log of the Perron root of sum_j diag(exp(g_j)) B_j, the
-    transfer operator with the weights g of `_node_weights` on the
-    n = g.shape[1] Chebyshev nodes of the frozen family, by a dense
-    eigen-solve.  Returns a CollocationUnresolved instead unless the
-    eigenvalue of largest modulus is real and positive."""
-    ev = np.linalg.eigvals(_collocation_operator(frozen, np.exp(g)))
+def _perron_log(op: np.ndarray):
+    """The log of the Perron root of the (n, n) matrix `op`, by a dense
+    eigen-solve, or a CollocationUnresolved unless the eigenvalue of largest
+    modulus is real and positive."""
+    ev = np.linalg.eigvals(op)
     lead = ev[np.argmax(np.abs(ev))]
     if not (lead.imag == 0 and lead.real > 0):
         return CollocationUnresolved(f"leading eigenvalue {lead}")
     return math.log(lead.real)
 
 
-def _stationary_vector(op: np.ndarray) -> np.ndarray:
-    """The left fixed vector l of each matrix of the (..., n, n) stack `op`,
-    whose rows sum to 1: l^T op = l^T and sum(l) = 1, from one stacked
-    solve of the bordered systems [[op^T - I, 1], [1^T, 0]] [l; c] = [0; 1].
-    The right-hand side has shape (..., n + 1, 1), which numpy 1.x and 2.x
-    both read as stacked vectors.  A singular system or a non-finite
-    solution anywhere in the stack raises CollocationUnresolved."""
-    n = op.shape[-1]
-    bordered = np.zeros(op.shape[:-2] + (n + 1, n + 1))
-    bordered[..., :n, :n] = np.swapaxes(op, -1, -2) - np.eye(n)
+def _stationary_vectors(ops: np.ndarray) -> list:
+    """The left fixed vector l of each matrix of the (L, n, n) stack `ops`,
+    with sum(l) = 1: l^T op = l^T, from the bordered systems [[op^T - I, 1],
+    [1^T, 0]] [l; c] = [0; 1], all solved at once.  The right-hand side has
+    shape (L, n + 1, 1), which numpy 1.x and 2.x both read as stacked
+    vectors.  When the stacked solve fails, each matrix is solved alone, as
+    a stack of one, so a singular matrix leaves only its own lambda
+    unresolved.  Returns one outcome per matrix: l, or a
+    CollocationUnresolved for a singular system or a non-finite solution."""
+    n = ops.shape[-1]
+    bordered = np.zeros(ops.shape[:-2] + (n + 1, n + 1))
+    bordered[..., :n, :n] = np.swapaxes(ops, -1, -2) - np.eye(n)
     bordered[..., :n, n] = bordered[..., n, :n] = 1.0
-    rhs = np.zeros(op.shape[:-2] + (n + 1, 1))
+    rhs = np.zeros(ops.shape[:-2] + (n + 1, 1))
     rhs[..., n, 0] = 1.0
     try:
-        sol = np.linalg.solve(bordered, rhs)[..., 0]
+        sols = np.linalg.solve(bordered, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:  # a ValueError: never an AUDIT-FAIL
-        raise CollocationUnresolved(f"stationary system: {exc}") from None
-    if not np.all(np.isfinite(sol)):
-        raise CollocationUnresolved("stationary vector is not finite")
-    return sol[..., :n]
+        if len(ops) == 1:
+            return [CollocationUnresolved(f"stationary system: {exc}")]
+        return [ell for op in ops for ell in _stationary_vectors(op[None])]
+    return [sol[:n] if finite else CollocationUnresolved("stationary vector is not finite")
+            for sol, finite in zip(sols, np.isfinite(sols).all(axis=-1).tolist())]
 
 
-def _stationary_vectors(ops: np.ndarray) -> list:
-    """The outcome of `_stationary_vector` for each matrix of the (L, n, n)
-    stack: l, or the CollocationUnresolved of its own solve.  When the
-    stacked solve fails, it is redone one matrix at a time, so a singular
-    matrix leaves only its own lambda unresolved."""
-    try:
-        return list(_stationary_vector(ops))
-    except CollocationUnresolved:
-        ells = []
-        for op in ops:
-            try:
-                ells.append(_stationary_vector(op))
-            except CollocationUnresolved as exc:
-                ells.append(exc)
-        return ells
+def _collocation_rung(frozen, n: int, read) -> list:
+    """One rung of the collocation backend: an outcome at n nodes for each
+    lambda of the (L, 1) column at which `frozen` is frozen.  It is a
+    CollocationUnresolved where a node image f_j(x_k) leaves the domain
+    padded by INVARIANCE_PAD |X|, or where log|f_j'| is not finite at a
+    node; the interpolant is read only at the node images, and the nodes
+    include both endpoints, so for monotone maps this also shows the domain
+    invariant.  The other lambdas, indexed by the list `ok`, get the
+    outcomes of `read(frozen, col, ok)`, one per index, from the collocation
+    data col = frozen.collocation(n)."""
+    col = frozen.collocation(n)
+    pad = INVARIANCE_PAD * (frozen.domain[1] - frozen.domain[0])
+    lo, hi = frozen.domain[0] - pad, frozen.domain[1] + pad
+    inside = ((col.images >= lo) & (col.images <= hi)).all(axis=(1, 2))
+    finite = np.isfinite(col.log_dx).all(axis=(1, 2))
+    out = [None if ins and fin else CollocationUnresolved(
+        f"a node image leaves the domain at n = {n}" if not ins
+        else f"log|f'| is not finite at a node at n = {n}")
+        for ins, fin in zip(inside.tolist(), finite.tolist())]
+    ok = [k for k, o in enumerate(out) if o is None]
+    for k, res in zip(ok, read(frozen, col, ok)):
+        out[k] = res
+    return out
 
 
 def _collocation_ladder(value, rungs, count: int = 1) -> list:
@@ -478,17 +477,13 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     AuditFailure that one value raises; one value is the case L = 1.
 
     On n nodes x_k, T = sum_j diag(p_j(x_k)) B_j is a Markov matrix (each
-    barycentric row sums to 1), and its stationary vector l, from one
-    `_stationary_vector` solve, is a quadrature rule for nu: h =
+    barycentric row sums to 1), and its stationary vector l, from
+    `_stationary_vectors`, is a quadrature rule for nu: h =
     -l^T [sum_j p_j log p_j] and chi = -l^T [sum_j p_j log|f_j'|] at the
     nodes.  The rungs of COLLOCATION_LADDER are read by
     `_collocation_ladder`, and (h, chi) at the coarser rung of the first
     pair that agrees to COLLOCATION_TOL is returned.  A rung is unresolved
-    when its solve is singular, when log|f_j'| is not finite at a node, or
-    when a node image f_j(x_k) leaves the domain padded by INVARIANCE_PAD
-    |X|: the interpolant is read only at the node images, and the nodes
-    include both endpoints, so for monotone maps this also shows the
-    domain invariant.
+    where `_collocation_rung` finds it unusable or the solve is singular.
 
     Each rung is built for all the lambdas it reads at once, in stacks of
     at most COLLOCATION_STACK entries L m n^2: the maps and the curves are
@@ -504,36 +499,25 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or not lams.size:
         raise ValueError("lam must be one value or a non-empty 1-D array")
-    pad = INVARIANCE_PAD * fam.diam
-    lo, hi = fam.domain[0] - pad, fam.domain[1] + pad
-    log_dx = t_log_derivative_potential(1.0)
     results = list(prob_audit(pot.prob_fns, fam.at(lams[:, None])))
     audited = np.flatnonzero([r is None for r in results])
 
-    def stack(n, rows):
-        """[h, chi] or CollocationUnresolved for each lambda lams[rows]."""
-        frozen = fam.at(lams[rows, None])
-        col = frozen.collocation(n)
+    def read(frozen, col, ok):
+        """[h, chi] or CollocationUnresolved for the lambdas `ok` of a stack."""
         p = _curve_values(pot.prob_fns, frozen, col.nodes)
-        g = _node_weights(frozen, log_dx, n)
-        inside = (col.images.min(axis=(1, 2)) >= lo) & (col.images.max(axis=(1, 2)) <= hi)
-        finite = np.isfinite(g).all(axis=(1, 2))
-        out = [None if ins and fin else CollocationUnresolved(
-            f"a node image leaves the domain at n = {n}" if not ins
-            else f"log|f'| is not finite at a node at n = {n}")
-            for ins, fin in zip(inside.tolist(), finite.tolist())]
-        ok = [k for k, o in enumerate(out) if o is None]
         p_ok = p[ok]
         # (L, 2, n): sum_j p_j log p_j and sum_j p_j log|f_j'| at the nodes
-        w = np.stack([(p_ok * np.log(p_ok)).sum(axis=-2), (p_ok * g[ok]).sum(axis=-2)], axis=1)
-        for k, w_k, ell in zip(ok, w, _stationary_vectors(_collocation_operator(frozen, p)[ok])):
-            out[k] = ell if isinstance(ell, Exception) else -(w_k * ell).sum(axis=-1)
-        return out
+        w = np.stack([(p_ok * np.log(p_ok)).sum(axis=-2),
+                      (p_ok * col.log_dx[ok]).sum(axis=-2)], axis=1)
+        ells = _stationary_vectors(_collocation_operator(frozen, p)[ok])
+        return [ell if isinstance(ell, Exception) else -(w_k * ell).sum(axis=-1)
+                for w_k, ell in zip(w, ells)]
 
     def rung(n, rows):
         rows = audited[rows]
         step = max(1, COLLOCATION_STACK // (fam.m * n * n))
-        return [v for k in range(0, len(rows), step) for v in stack(n, rows[k:k + step])]
+        return [v for k in range(0, len(rows), step)
+                for v in _collocation_rung(fam.at(lams[rows[k:k + step], None]), n, read)]
 
     for i, res in zip(audited, _collocation_ladder(rung, COLLOCATION_LADDER, len(audited))):
         results[i] = res if isinstance(res, Exception) else tuple(map(float, res[0]))
@@ -560,13 +544,13 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     """Solve P(s) = 0 for the pressure of t log|f'| by Brent's method,
     evaluating P once per point.
 
-    When the audit finds the domain invariant, P is the collocation
-    pressure P_N on N = COLLOCATION_NODES Chebyshev nodes, checked against
-    P_2N at every t the solver reads.  A family without an invariant
-    domain, and a root at any of whose points |P_N - P_2N| exceeds
-    COLLOCATION_TOL or a leading eigenvalue is not real and positive, is
-    solved on the depth-r cylinder `pressure`: `r` is used only by this
-    fallback.
+    P is the collocation pressure P_N, the log of the Perron root of
+    sum_j diag(|f_j'|^t) B_j on the N = COLLOCATION_LADDER[0] Chebyshev
+    nodes of the family frozen at lam, checked against P_2N at every t the
+    solver reads.  A root at any of whose points a rung is unusable (see
+    `_collocation_rung`), a leading eigenvalue is not real and positive,
+    or |P_N - P_2N| exceeds COLLOCATION_TOL is solved on the depth-r
+    cylinder `pressure`: `r` is used only by this fallback.
 
     Returns the root `s`, `pressure_at_s`, the partition-sum bracket of
     P(s) at word length BOWEN_BRACKET_N and its width, the `backend`
@@ -581,25 +565,24 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     if fam.m < 2:
         raise ValueError("P(0) = log m <= 0: Bowen root is not positive")
     slope = -math.log(aud.gamma2)
-    if aud.invariant:
-        frozen = fam.at(lam)
-        rungs = COLLOCATION_LADDER[:2]
-        # log|f_j'| at the N and the 2N nodes, once; P_N(t) reads t log|f_j'|
-        log_dx = {n: _node_weights(frozen, t_log_derivative_potential(1.0), n)
-                  for n in rungs}
-        gaps = {}
+    frozen = fam.at(np.array([[lam]]))  # a one-row column, as the rungs read
+    gaps = {}
 
-        def P_coll(t):
-            p, gaps[t] = _settled(_collocation_ladder(
-                lambda n, rows: [_collocation_pressure(frozen, t * log_dx[n])], rungs)[0])
-            return p
+    def P_coll(t):
+        def read(frozen, col, ok):  # ok is [] or [0]: the column has one row
+            return [_perron_log(op) for op in
+                    _collocation_operator(frozen, np.exp(t * col.log_dx[ok]))]
 
-        try:
-            s, p_s = _bowen_solve(P_coll, fam.m, slope)
-        except CollocationUnresolved:
-            pass
-        else:
-            return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)
+        p, gaps[t] = _settled(_collocation_ladder(
+            lambda n, rows: _collocation_rung(frozen, n, read), COLLOCATION_LADDER[:2])[0])
+        return p
+
+    try:
+        s, p_s = _bowen_solve(P_coll, fam.m, slope)
+    except CollocationUnresolved:
+        pass
+    else:
+        return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)
 
     s, p_s = _bowen_solve(lambda t: pressure(fam, t, lam, r=r), fam.m, slope)
     bound = variation_tail(t_log_derivative_potential(s), fam, lam, r)

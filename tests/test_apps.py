@@ -271,14 +271,14 @@ def test_blackwell_scan_climbs_each_cells_node_ladder_once(monkeypatch):
     # with no settling pair, each of the 2 x 12 cells reads all four rungs
     # once and then takes the cylinder fallback
     monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)
-    stationary = thermo._stationary_vector
+    stationary = thermo._stationary_vectors
     solved = []
 
-    def counting(op):
-        solved.append(int(np.prod(op.shape[:-2])))
-        return stationary(op)
+    def counting(ops):
+        solved.append(len(ops))
+        return stationary(ops)
 
-    monkeypatch.setattr(thermo, "_stationary_vector", counting)
+    monkeypatch.setattr(thermo, "_stationary_vectors", counting)
     grid = blackwell_region_scan((0.2, 0.8), (0.1, 0.375), (2, 12), r=6)
     assert set(grid.verdicts.ravel()) == {"SUBCRITICAL"}
     assert sum(solved) == 2 * 12 * len(thermo.COLLOCATION_LADDER)

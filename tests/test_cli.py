@@ -390,6 +390,19 @@ def test_partition_command(tmp_path, capsys):
     assert "I_plus:" in out and "I_minus:" in out
 
 
+@pytest.mark.parametrize("cfg, argv", [
+    ("partition.intervals = 0, 1, 0.2, 0.8, 0.5, 0.9\n", ["partition"]),
+    ("family.kind = affine\nfamily.ratios = 0.5, 0.5, 0.5\nfamily.offsets = 0, 0.25, 0.5\n",
+     ["transversality", "certify"])], ids=["partition", "certify"])
+def test_a_point_covered_by_three_intervals_exit_2(tmp_path, capsys, cfg, argv):
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "partition failure: point 0.5 covered by 3 intervals\n"
+    assert "I_plus" not in captured.out and "CERTIFIED" not in captured.out
+    assert not (tmp_path / "certificate.csv").exists()
+
+
 @pytest.mark.parametrize("probs", ["1.0", "0.2, 0.3, 0.5"])
 def test_sample_needs_one_probability_per_map_exit_2(tmp_path, capsys, probs):
     cfg = BERNOULLI.replace("potential.kind = bernoulli",

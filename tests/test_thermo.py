@@ -142,7 +142,7 @@ def as_custom_maps(fam):
 
 def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
     coll, cyl, ts = [], [], []
-    eigen_step = thermo._collocation_pressure
+    eigen_step = thermo._perron_log
     bowen_solve = thermo._bowen_solve
 
     def recording_solve(P, m, slope):
@@ -151,33 +151,48 @@ def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
             return P(t)
         return bowen_solve(recorded, m, slope)
 
-    def recording_collocation(frozen, g):
-        coll.append((g.shape[1], g.tobytes()))
-        return eigen_step(frozen, g)
+    def recording_collocation(op):
+        coll.append((op.shape[0], op.tobytes()))
+        return eigen_step(op)
 
     def recording_cylinder(fam, t, lam, r=8):
         cyl.append(t)
         return pressure(fam, t, lam, r)
 
     monkeypatch.setattr(thermo, "_bowen_solve", recording_solve)
-    monkeypatch.setattr(thermo, "_collocation_pressure", recording_collocation)
+    monkeypatch.setattr(thermo, "_perron_log", recording_collocation)
     monkeypatch.setattr(thermo, "pressure", recording_cylinder)
-    n = thermo.COLLOCATION_NODES
+    rungs = thermo.COLLOCATION_LADDER[:2]
     for fam in (cantor, as_custom_maps(cantor)):
         coll.clear()
         ts.clear()
         assert bowen_root(fam, 0.0)["backend"] == "collocation"
         assert cyl == [] and len(ts) == len(set(ts)) > 0
         # each t is one eigen-solve at N and one at 2N, on t log|f_j'| at the nodes
-        log_dx = {k: thermo._node_weights(fam.at(0.0), t_log_derivative_potential(1.0), k)
-                  for k in (n, 2 * n)}
-        assert coll == [(k, (t * log_dx[k]).tobytes()) for t in ts for k in (n, 2 * n)]
+        frozen = fam.at(np.array([[0.0]]))
+        assert coll == [(k, thermo._collocation_operator(
+            frozen, np.exp(t * frozen.collocation(k).log_dx))[0].tobytes())
+            for t in ts for k in rungs]
 
     coll.clear()
     # f_2([0, 0.9]) = [2/3, 29/30] leaves the domain: no collocation
     escaping = IfsFamily(cantor.maps, (0.0, 0.9), cantor.param_interval)
     assert bowen_root(escaping, 0.0)["backend"] == "cylinder"
     assert coll == [] and len(cyl) == len(set(cyl)) > 0
+
+
+# E2 with lambda in the denominator, x -> 1/(k + lam + x): it leaves the
+# domain for every lam > 0, as f_2(1) = 1/(3 + lam) < 1/3
+SHIFTED_E2 = IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k), 1.0), poly(1.0))
+                             for k in (1, 2)), E2.domain, (0.0, 0.5))
+
+
+def test_bowen_root_checks_the_node_images_at_lam_not_over_the_parameter_interval():
+    assert not ifs.regularity_audit(SHIFTED_E2).invariant
+    res = bowen_root(SHIFTED_E2, 0.0)
+    assert res["backend"] == "collocation"
+    assert abs(res["s"] - E2_DIMENSION) <= 1e-12
+    assert bowen_root(SHIFTED_E2, 0.3)["backend"] == "cylinder"
 
 
 def test_bowen_root_falls_back_where_collocation_is_unresolved():
@@ -212,9 +227,12 @@ def test_bowen_root_of_affine_family_is_similarity_dimension(case):
 ROUNDING = 64 * np.finfo(float).eps  # two eigen-solves' rounding of a pressure
 
 
-def collocation_pressure(frozen, pot, n=thermo.COLLOCATION_NODES):
-    """P_n of `pot` on the frozen family's n Chebyshev nodes."""
-    return thermo._collocation_pressure(frozen, thermo._node_weights(frozen, pot, n))
+def collocation_pressure(frozen, pot, n=thermo.COLLOCATION_LADDER[0]):
+    """P_n of `pot` on the frozen family's n Chebyshev nodes: the log of the
+    Perron root of sum_j diag(exp(g_j)) B_j for the weights g_j of `pot`."""
+    nodes = frozen.collocation(n).nodes
+    g = np.array([g_j(nodes) for g_j in pot.weights(frozen)])
+    return thermo._perron_log(thermo._collocation_operator(frozen, np.exp(g)))
 
 
 @pytest.mark.parametrize("r", range(4, 11))
@@ -585,10 +603,11 @@ COLLOCATION_CASES = {
 
 @pytest.mark.parametrize("fam", COLLOCATION_CASES.values(), ids=COLLOCATION_CASES)
 def test_collocation_pressure_of_log_derivative_is_exact(fam):
-    # the weights g_j = t log|f_j'| at the nodes give the floats of
-    # |f_j'|^t written out: eigvals(sum_j diag(exp(t log|f_j'|)) B_j)
+    # the weights g_j = t log|f_j'| at the nodes, and t times the nodes'
+    # log|f_j'| that bowen_root reads, give the floats of |f_j'|^t written
+    # out: eigvals(sum_j diag(exp(t log|f_j'|)) B_j)
     frozen = fam.at(0.0)
-    for n in (thermo.COLLOCATION_NODES, 2 * thermo.COLLOCATION_NODES):
+    for n in thermo.COLLOCATION_LADDER[:2]:
         col = frozen.collocation(n)
         log_dx = np.array([np.log(np.abs(mp.dx(col.nodes))) for mp in frozen.maps])
         for t in (0.0, 0.25, E2_DIMENSION, 1.0, 1.9):
@@ -597,6 +616,8 @@ def test_collocation_pressure_of_log_derivative_is_exact(fam):
             assert lead.imag == 0 and lead.real > 0
             assert collocation_pressure(
                 frozen, t_log_derivative_potential(t), n) == math.log(lead.real)
+            op = thermo._collocation_operator(frozen, np.exp(t * col.log_dx))
+            assert thermo._perron_log(op) == math.log(lead.real)
 
 
 def test_collocation_row_of_an_image_a_subnormal_distance_from_a_node():
@@ -607,6 +628,22 @@ def test_collocation_row_of_an_image_a_subnormal_distance_from_a_node():
     assert col.nodes[-1] == 0.0 and col.images[0, -1] == 5e-324
     assert col.interp[0, -1].tolist() == col.interp[1, -1].tolist() == [0.0] * 23 + [1.0]
     assert not np.isnan(col.interp).any()
+
+
+@pytest.mark.parametrize("fam", [SHIFTED_E2, bernoulli_family(), QUADRATIC],
+                         ids=["shifted-e2", "bernoulli", "quadratic"])
+def test_collocation_log_dx_is_the_log_of_each_maps_derivative(fam):
+    # at one lambda and in a column of them; QUADRATIC's dx ignores lambda
+    lams = np.linspace(*fam.param_interval, 3)
+    for n in thermo.COLLOCATION_LADDER[:2]:
+        column = fam.at(lams[:, None]).collocation(n)
+        assert column.log_dx.shape == (3, fam.m, n)
+        for i, lam in enumerate(lams):
+            frozen = fam.at(lam)
+            col = frozen.collocation(n)
+            log_dx = np.array([np.log(np.abs(mp.dx(col.nodes))) for mp in frozen.maps])
+            assert col.log_dx.shape == log_dx.shape
+            assert col.log_dx.tobytes() == column.log_dx[i].tobytes() == log_dx.tobytes()
 
 
 def test_bowen_root_of_custom_map_copies_is_the_closed_form_result(cantor):
@@ -639,9 +676,10 @@ def test_collocation_h_chi_of_the_cantor_measure_is_exact(cantor):
 def test_stationary_vector_integrates_x_squared_to_the_first_moment(n):
     # place-dependent Bernoulli convolution: l^T x^2 is F_1 of the exact
     # moment recursion, at every rung
-    frozen = bernoulli_family().at(0.6)
-    g = thermo._node_weights(frozen, bernoulli_potential(0.2), n)
-    ell = thermo._stationary_vector(thermo._collocation_operator(frozen, np.exp(g)))
+    frozen = bernoulli_family().at(np.array([[0.6]]))
+    p = thermo._curve_values(bernoulli_potential(0.2).prob_fns, frozen,
+                             frozen.collocation(n).nodes)
+    [ell] = thermo._stationary_vectors(thermo._collocation_operator(frozen, p))
     assert abs(ell.sum() - 1.0) <= 1e-14
     assert abs(ell @ frozen.collocation(n).nodes ** 2
                - bernoulli_moments(0.6, 0.2, 1)[0]) <= 1e-14
@@ -660,8 +698,27 @@ def test_collocation_entropy_lies_in_the_moment_sandwich(rho):
 def test_stationary_vector_of_a_singular_system_is_unresolved():
     # every vector is fixed by the identity, so the bordered system is
     # singular; LinAlgError is a ValueError and must not leak out
+    [unresolved] = thermo._stationary_vectors(np.eye(4)[None])
     with pytest.raises(CollocationUnresolved, match="stationary system"):
-        thermo._stationary_vector(np.eye(4))
+        raise unresolved
+
+
+def test_stationary_vectors_of_a_stack_with_a_singular_matrix_are_the_single_solves():
+    # the identity fixes every vector, so its bordered system is singular:
+    # the stacked solve fails and each system is solved alone
+    frozen = bernoulli_family().at(np.array([[0.55], [0.6], [0.65]]))
+    p = thermo._curve_values(bernoulli_potential(0.2).prob_fns, frozen,
+                             frozen.collocation(24).nodes)
+    ops = thermo._collocation_operator(frozen, p)
+    ops[1] = np.eye(24)
+    ells = thermo._stationary_vectors(ops)
+    assert isinstance(ells[1], CollocationUnresolved)
+    assert str(ells[1]) == "stationary system: Singular matrix"
+    for k in (0, 2):
+        bordered = np.block([[ops[k].T - np.eye(24), np.ones((24, 1))],
+                             [np.ones((1, 24)), np.zeros((1, 1))]])
+        alone = np.linalg.solve(bordered, np.eye(25)[:, -1:])[:24, 0]
+        assert ells[k].tobytes() == alone.tobytes()
 
 
 def test_collocation_h_chi_is_unresolved_where_a_node_image_leaves_the_domain(cantor):
@@ -814,19 +871,20 @@ def test_collocation_h_chi_singular_matrix_leaves_its_neighbours_settled(monkeyp
         ops[frozen.lam[:, 0] == lams[3]] = np.eye(ops.shape[-1])
         return ops
 
-    def recording(ops):
-        solves.append(ops.shape)
-        return stationary(ops)
+    def recording(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
 
-    stationary = thermo._stationary_vector
+    solve = np.linalg.solve
     monkeypatch.setattr(thermo, "_collocation_operator", one_singular)
-    monkeypatch.setattr(thermo, "_stationary_vector", recording)
+    monkeypatch.setattr(np.linalg, "solve", recording)
     outcomes = collocation_h_chi(fam, pot, lams)
     assert isinstance(outcomes[3], CollocationUnresolved)
     assert "stationary system" in str(outcomes[3])
     assert _described(outcomes[:3] + outcomes[4:]) == ref[:3] + ref[4:]
-    # the stack of 7 at 24 nodes fails and is solved again one matrix at a time
-    assert solves[:8] == [(7, 24, 24)] + [(24, 24)] * 7
+    # the stack of 7 bordered systems at 24 nodes fails and is solved again
+    # one system at a time
+    assert solves[:8] == [(7, 25, 25)] + [(1, 25, 25)] * 7
     with pytest.raises(CollocationUnresolved) as info:
         collocation_h_chi(fam, pot, lams[3])
     assert str(info.value) == str(outcomes[3])
