@@ -21,7 +21,7 @@ from .apps import (BERNOULLI_TRANSVERSALITY_SUP, NUMERICAL_ERRORS,
                    bernoulli_region_scan, blackwell_family,
                    blackwell_region_scan, cf_family, cf_overlap,
                    similarity_dimension)
-from .config import (ConfigError, as_floats, as_int, as_pair, as_pairs,
+from .config import (ConfigError, as_floats, as_int, as_intervals, as_pair,
                      load_config)
 from .ifs import IfsFamily, affine_map, natural_projection, regularity_audit
 from .mstats import (chaos_game_sample, correlation_dimension, energy,
@@ -117,6 +117,7 @@ def cmd_audit(cfg, args, out):
     rep = regularity_audit(fam, cfg.read("run.grid", as_int, 1024))
     print(f"gamma1_est: {rep.gamma1:.12g}")
     print(f"gamma2_est: {rep.gamma2:.12g}")
+    print(f"audit_method: {rep.method}")
     print(f"verdict: {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 2
 
@@ -241,7 +242,7 @@ def cmd_probe(cfg, args, out):
 
 
 def cmd_partition(cfg, args, out):
-    plus, minus = greedy_partition(cfg.read("partition.intervals", as_pairs))
+    plus, minus = greedy_partition(cfg.read("partition.intervals", as_intervals))
     print(f"I_plus: {' '.join(str(k + 1) for k in plus)}")
     print(f"I_minus: {' '.join(str(k + 1) for k in minus)}")
     return 0

@@ -85,13 +85,17 @@ def as_floats(value) -> list:
     return [float(v) for v in value]
 
 
-def as_pairs(value) -> list:
-    """The numbers of `value` as consecutive (a, b) pairs; an odd count is
-    rejected."""
+def as_intervals(value) -> list:
+    """The numbers of `value` as consecutive intervals (a, b) with a <= b;
+    an odd count or a reversed pair is rejected."""
     v = as_floats(value)
     if len(v) % 2:
         raise ConfigError("pairs of numbers")
-    return list(zip(v[::2], v[1::2]))
+    pairs = list(zip(v[::2], v[1::2]))
+    for a, b in pairs:
+        if a > b:
+            raise ConfigError(f"intervals (a, b) with a <= b, not ({a!r}, {b!r})")
+    return pairs
 
 
 def as_pair(value) -> tuple:

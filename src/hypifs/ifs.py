@@ -441,7 +441,10 @@ class AuditReport:
     derivative_ok: bool
     monotone_increasing: tuple
     grid_size: int
-    log_dx_lipschitz: float  # max |d/dx log|f'|| over the grid, for variation bounds
+    # sup |d/dx log|f'||, for variation bounds: closed form for affine and
+    # Moebius maps, the largest secant over the x grid for the others
+    log_dx_lipschitz: float
+    method: str  # "exact" in x when every map is affine or Moebius, else "sampled"
 
     @property
     def passed(self) -> bool:
@@ -452,9 +455,20 @@ _audit_cache: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
-    """Sample |f'| and domain invariance on a (x, lambda) grid.
+    """|f'|, monotonicity and domain invariance of every map over
+    `grid_size` values of lambda spanning the parameter interval.
 
-    Estimates are grid-resolution limited; a PASS is evidence, not proof.
+    Affine and Moebius maps are evaluated at the two domain endpoints only,
+    which is exact in x: f' is constant for an affine map, and on a
+    pole-free domain a Moebius map and |f'| = |det| / den^2 are monotone,
+    so their extremes over X sit at the endpoints; a sign change of
+    den = d0 + d1 x between the endpoints is a pole on X and raises
+    EvaluationError.  log_dx_lipschitz is then 0, or the largest
+    2 |d1| / |den| at the endpoints.  Any other map is sampled on
+    `grid_size` points of X, both endpoints included, and its Lipschitz
+    constant is the largest secant of log|f'| there.  lambda is sampled in
+    either case, so a PASS is exact in x only, and evidence at grid
+    resolution in lambda.
     """
     cached = _audit_cache.get(fam)
     if cached is not None and cached.grid_size >= grid_size:
@@ -471,12 +485,16 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     lip = 0.0
     pad = INVARIANCE_PAD * fam.diam
     step = xs[1] - xs[0]
-    for mp in fam.maps:
+    exact = True
+    for j, mp in enumerate(fam.maps, 1):
         frozen = _freeze(mp, lams)
-        v = np.broadcast_to(np.asarray(frozen.value(xs[None, :]),
-                                       dtype=float), (len(lams), len(xs)))
-        d = np.broadcast_to(np.asarray(frozen.dx(xs[None, :]),
-                                       dtype=float), (len(lams), len(xs)))
+        at_ends = type(mp) in (AffineMap, RationalMap)
+        exact = exact and at_ends
+        x = xs[[0, -1]] if at_ends else xs
+        v = np.broadcast_to(np.asarray(frozen.value(x[None, :]),
+                                       dtype=float), (len(lams), len(x)))
+        d = np.broadcast_to(np.asarray(frozen.dx(x[None, :]),
+                                       dtype=float), (len(lams), len(x)))
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise EvaluationError("non-finite map evaluation in audit")
         ad = np.abs(d)
@@ -487,13 +505,20 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
         if v.min() < lo - pad or v.max() > hi + pad:
             invariant = False
         monotone.append(bool(np.all(d > 0)))
-        dl = np.abs(np.diff(np.log(np.maximum(ad, 1e-300)), axis=1))
-        if dl.size:
+        if type(mp) is RationalMap:
+            den = frozen.d0 + frozen.d1 * x
+            if np.any(np.signbit(den[:, 0]) != np.signbit(den[:, 1])):
+                raise EvaluationError(f"Moebius map {j} has a pole "
+                                      f"on the domain [{lo!r}, {hi!r}]")
+            lip = max(lip, float(np.max(2 * np.abs(frozen.d1) / np.abs(den))))
+        elif not at_ends:
+            dl = np.abs(np.diff(np.log(np.maximum(ad, 1e-300)), axis=1))
             lip = max(lip, float(dl.max()) / step)
     report = AuditReport(gamma1=float(g1), gamma2=float(g2),
                          invariant=invariant, derivative_ok=deriv_ok,
                          monotone_increasing=tuple(monotone),
-                         grid_size=grid_size, log_dx_lipschitz=float(lip))
+                         grid_size=grid_size, log_dx_lipschitz=float(lip),
+                         method="exact" if exact else "sampled")
     _audit_cache[fam] = report
     return report
 

@@ -7,7 +7,7 @@ from hypifs import cli
 from hypifs.apps import bernoulli_family, bernoulli_potential, blackwell_family
 from hypifs.cli import main
 from hypifs.config import ConfigError, as_floats, as_int, load_config
-from hypifs.ifs import IfsFamily, affine_map
+from hypifs.ifs import IfsFamily, RationalMap, affine_map, poly
 from hypifs.thermo import constant_bernoulli_potential
 
 
@@ -97,13 +97,16 @@ GRID_2X2 = "run.grid1 = 2\nrun.grid2 = 2\n"
      "'family.param_interval': cannot read [0.5, 0.6, 0.7] as two numbers"),
     ("partition.intervals = 0.0, 0.3, 0.2\n", ["partition"],
      "'partition.intervals': cannot read [0.0, 0.3, 0.2] as pairs of numbers"),
+    ("partition.intervals = 0.0, 0.3, 0.5, 0.2\n", ["partition"],
+     "'partition.intervals': cannot read [0.0, 0.3, 0.5, 0.2] as intervals (a, b) "
+     "with a <= b, not (0.5, 0.2)"),
     (BERNOULLI + "run.seed = 2.5\n", ["transversality", "probe"],
      "'run.seed': cannot read 2.5 as an integer"),
     (BERNOULLI + "run.depth = 10.9\nrun.samples = 10\n", ["transversality", "probe"],
      "'run.depth': cannot read 10.9 as an integer")],
     ids=["ratios-audit", "samples-probe", "eps-range-one", "p-range-three",
          "rho-range-one", "domain-one", "interval-one", "interval-three",
-         "intervals-odd", "seed-fraction", "depth-fraction"])
+         "intervals-odd", "intervals-reversed", "seed-fraction", "depth-fraction"])
 def test_non_numeric_value_exit_1_names_key_and_value(tmp_path, capsys, cfg, argv,
                                                        shown):
     code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path)] + argv)
@@ -140,6 +143,35 @@ def test_partition_word_length_below_one_exit_2_names_n(tmp_path, capsys, comman
     code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), command])
     assert code == 2
     assert f"word length n must be at least 1, got {n}" in capsys.readouterr().err
+
+
+CF = """
+family.kind = cf
+family.alpha = 0.05
+family.beta = 1
+"""
+
+
+@pytest.mark.parametrize("cfg", [CANTOR, CF], ids=["cantor", "cf"])
+def test_audit_prints_its_method(tmp_path, capsys, cfg):
+    code, out = run(tmp_path, cfg, ["audit"], capsys)
+    assert code == 0
+    lines = out.splitlines()[2:]
+    assert [line.split(":")[0] for line in lines] == [
+        "gamma1_est", "gamma2_est", "audit_method", "verdict"]
+    assert "audit_method: exact" in lines and "verdict: PASS" in lines
+
+
+def test_audit_of_a_pole_on_the_domain_exit_2(tmp_path, capsys, monkeypatch):
+    # x -> 0.01 / (x - c), its pole c between two points of the 1024-point grid
+    pole = RationalMap(poly(0.01), poly(0.0), poly(-100.5 / 1023), poly(1.0))
+    monkeypatch.setattr(cli, "build_family", lambda cfg: IfsFamily(
+        (affine_map(0.5, 0.0), pole), (0.0, 1.0), (0.0, 1e-9)))
+    code = main(["--config", write(tmp_path, CANTOR), "--out", str(tmp_path), "audit"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "numerical failure: Moebius map 2 has a pole on the domain" in captured.err
+    assert "verdict" not in captured.out
 
 
 def test_audit_failure_exit_2(tmp_path, capsys):

@@ -7,11 +7,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from audit_refs import sampled_audit
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypifs import ifs
-from hypifs.apps import blackwell_family, cf_family
+from hypifs.apps import bernoulli_family, blackwell_family, cf_family
 from hypifs.ifs import (AffineMap, CustomMap, EvaluationError, IfsFamily, Poly,
                         RationalMap, ShiftedMap, affine_map, bernoulli_psi,
                         cylinder_interval, moebius_shift, natural_projection,
@@ -157,6 +158,146 @@ def test_audit_flags_escape():
     fam = IfsFamily((affine_map(0.5, 0.9),), (0.0, 1.0), (0.0, 1e-9))
     rep = regularity_audit(fam)
     assert not rep.invariant
+
+
+FIXED = (-1e-9, 1e-9)  # the parameter interval of a family that does not vary
+
+
+def _e2():
+    return IfsFamily(tuple(RationalMap(poly(1.0), poly(0.0), poly(float(k)), poly(1.0))
+                           for k in (1, 2)), (1 / 3, 1.0), FIXED)
+
+
+def _three_map_affine():
+    """A separated three-map self-similar family, drawn from seed 1."""
+    ratios = np.sort(np.random.default_rng(1).uniform(0.15, 0.3, 3))
+    gap = (1.0 - ratios.sum()) / 2.0
+    offsets = (0.0, ratios[0] + gap, 1.0 - ratios[2])
+    return IfsFamily(tuple(affine_map(float(a), float(b)) for a, b in zip(ratios, offsets)),
+                     (0.0, 1.0), FIXED)
+
+
+EXACT_FAMILIES = {
+    "e2": _e2,
+    "cantor": lambda: IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
+                                (0.0, 1.0), FIXED),
+    "three-map-affine": _three_map_affine,
+    "bernoulli": bernoulli_family,
+    "cf-0.05-1": lambda: cf_family(0.05, 1),
+    "cf-1e-4-0.4142": lambda: cf_family(1e-4, 0.4142),
+    "blackwell-0.3-0.25": lambda: blackwell_family(0.3, 0.25)[0],
+}
+
+
+def _flags(rep):
+    return rep.invariant, rep.derivative_ok, rep.monotone_increasing
+
+
+@pytest.mark.parametrize("make", EXACT_FAMILIES.values(), ids=EXACT_FAMILIES.keys())
+def test_exact_audit_is_the_sampled_one_bit_for_bit(make):
+    rep, ref = regularity_audit(make()), sampled_audit(make())
+    assert rep.method == "exact"
+    assert (rep.gamma1, rep.gamma2) == (ref.gamma1, ref.gamma2)
+    assert _flags(rep) == _flags(ref)
+    assert rep.log_dx_lipschitz >= ref.log_dx_lipschitz
+
+
+def test_exact_lipschitz_constant_of_e2():
+    # log|f'| = -2 log(k + x): sup 2 / (1 + 1/3) at x = 1/3, where the
+    # 256-point secant read 1.4985...
+    assert regularity_audit(_e2()).log_dx_lipschitz == 1.5
+    assert sampled_audit(_e2()).log_dx_lipschitz < 1.5
+
+
+def _through(values, interval):
+    """The curve of degree <= 1 in lambda taking `values` at the two ends of
+    `interval`, or the constant values[0] on a fixed interval."""
+    (v0, v1), (l0, l1) = values, interval
+    if interval == FIXED:
+        return poly(v0)
+    slope = (v1 - v0) / (l1 - l0)
+    return poly(v0 - slope * l0, slope)
+
+
+@st.composite
+def exact_families(draw):
+    """Families of affine and pole-free Moebius maps, with coefficients of
+    degree <= 1 in lambda over a wide parameter interval, or constant over
+    a fixed one.  A Moebius denominator is drawn by its values at the four
+    corners of (lambda, x), all of one sign and at least 0.05 in modulus:
+    being bilinear, it then has no zero on X at any lambda."""
+    coef = st.floats(-2, 2)
+    lo = draw(st.floats(-2, 2))
+    dom = (lo, lo + draw(st.floats(0.1, 3)))
+    if draw(st.booleans()):
+        l0 = draw(st.floats(-1, 1))
+        interval = (l0, l0 + draw(st.floats(1e-3, 1)))
+    else:
+        interval = FIXED
+
+    def curve():
+        return _through((draw(coef), draw(coef)), interval)
+
+    maps = []
+    for moebius in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        if not moebius:
+            maps.append(AffineMap(curve(), curve()))
+            continue
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        den = [[sign * draw(st.floats(0.05, 3)) for _ in dom] for _ in interval]
+        d1 = [(at_hi - at_lo) / (dom[1] - dom[0]) for at_lo, at_hi in den]
+        # a Moebius map with d1 ~ 0 is affine up to rounding: its true
+        # Lipschitz constant is then below the rounding of the grid secant
+        assume(max(abs(c) for c in d1) >= 0.05)
+        d0 = [at_lo - c * dom[0] for (at_lo, _), c in zip(den, d1)]
+        maps.append(RationalMap(curve(), curve(), _through(d0, interval),
+                                _through(d1, interval)))
+    return IfsFamily(tuple(maps), dom, interval)
+
+
+@given(exact_families())
+@settings(max_examples=150, deadline=None)
+def test_exact_audit_matches_the_sampled_reference(fam):
+    rep, ref = regularity_audit(fam), sampled_audit(fam)
+    assert rep.method == "exact"
+    for got, want in ((rep.gamma1, ref.gamma1), (rep.gamma2, ref.gamma2)):
+        assert abs(got - want) <= 4 * math.ulp(want)
+    assert _flags(rep) == _flags(ref)
+    # every secant of log|f'| is a value of its derivative (mean value theorem)
+    assert rep.log_dx_lipschitz >= ref.log_dx_lipschitz
+
+
+def _pole_inside():
+    """x -> 0.01 / (x - c) on [0, 1], its pole c strictly between the grid
+    points 100/255 and 101/255."""
+    c = 100.5 / 255
+    return IfsFamily((affine_map(0.5, 0.0),
+                      RationalMap(poly(0.01), poly(0.0), poly(-c), poly(1.0))),
+                     (0.0, 1.0), FIXED)
+
+
+def test_audit_raises_on_a_pole_between_grid_points():
+    ref = sampled_audit(_pole_inside())  # the grid sees only a large finite |f'|
+    assert math.isfinite(ref.gamma2) and ref.gamma2 > 1.0
+    with pytest.raises(EvaluationError, match="Moebius map 2 has a pole on the domain"):
+        regularity_audit(_pole_inside())
+
+
+def _custom_affine(a, b):
+    return CustomMap(value_fn=lambda lam, x: a * np.asarray(x, dtype=float) + b,
+                     dx_fn=lambda lam, x: a * np.ones_like(np.asarray(x, dtype=float)))
+
+
+@pytest.mark.parametrize("maps, domain", [
+    ((affine_map(1 / 3, 0.0), _custom_affine(1 / 3, 2 / 3)), (0.0, 1.0)),
+    ((ShiftedMap(moebius_shift(0.05), poly(0.0, 1.0)), moebius_shift(1.0)),
+     cf_family(0.05, 1).domain)],
+    ids=["custom", "shifted"])
+def test_audit_samples_a_family_with_a_custom_or_shifted_map(maps, domain):
+    fam = IfsFamily(maps, domain, FIXED)
+    rep = regularity_audit(fam)
+    assert rep.method == "sampled"
+    assert rep == sampled_audit(fam)
 
 
 def test_project_words_composes_from_the_right(cantor_fam):
