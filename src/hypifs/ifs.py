@@ -523,13 +523,17 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     return report
 
 
-def project_words(fam: IfsFamily, words: np.ndarray, lam, x0):
+def project_words(fam: IfsFamily, words: np.ndarray, lam, x0, dlam: bool = True):
     """(f_w(x0), d/dlam f_w(x0)) for every row w of the (k, n) symbol array
     `words`, x0 one point or one point per row: the one composition of
     maps over words, by the recursion d = dlam f + f' d on the maps frozen
     at lambda, one symbol at a time from the right.  `lam` is one value,
     giving arrays of shape (k,), or a 1-D array of L values, giving (L, k);
     one value is the case L = 1.  Symbols are integers in 1..m, else ValueError.
+
+    With `dlam=False` only x is composed, the same floats, and None stands
+    in place of d: no map's dx or dlam is called and no d/dlam coefficient
+    is built, so a caller that reads d on a few rows can screen by x first.
 
     When every map is affine, one pass gathers each word's coefficients by
     symbol for every lambda at once (`_gathered_affine_pass`); any other
@@ -543,40 +547,47 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam, x0):
         raise ValueError(f"symbol {words.flat[np.argmax(outside)]} outside 1..{fam.m}"
                          if outside.any() else f"symbols of dtype {words.dtype}, not integers")
     if fam.affine:
-        x, d = _gathered_affine_pass([_freeze(mp, lams) for mp in fam.maps], words, x0)
+        x, d = _gathered_affine_pass([_freeze(mp, lams) for mp in fam.maps], words, x0, dlam)
     else:
         k, n = words.shape
-        x, d = np.full((len(lams), k), x0, dtype=float), np.zeros((len(lams), k))
-        for l, xl, dl in zip(lams, x, d):  # one row of x and d per lambda, in place
-            maps = fam.at(l).maps
+        x = np.full((len(lams), k), x0, dtype=float)
+        d = np.zeros_like(x) if dlam else None
+        for l, xl in enumerate(x):  # one row of x and d per lambda, in place
+            maps, dl = fam.at(lams[l]).maps, d[l] if dlam else None
             for pos in range(n - 1, -1, -1):
                 col = words[:, pos]
                 for j, mp in enumerate(maps, 1):
                     mask = col == j
                     if mask.any():
                         xm = xl[mask]
-                        dl[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * dl[mask]
+                        if dlam:
+                            dl[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * dl[mask]
                         xl[mask] = mp.value(xm)
-    return (x, d) if np.ndim(lam) else (x[0], d[0])
+    if not np.ndim(lam):
+        x, d = x[0], d if d is None else d[0]
+    return x, d
 
 
-def _gathered_affine_pass(frozen, words, x0):
+def _gathered_affine_pass(frozen, words, x0, dlam):
     """`project_words` for affine maps, each frozen once over the L
-    lambdas: the (m + 1, L) tables of (a, b, a', b'), gathered once per
-    symbol column for every lambda, give x = a x + b and
+    lambdas: the (m + 1, L) tables of (a, b), and of (a', b') when `dlam`,
+    gathered once per symbol column for every lambda, give x = a x + b and
     d = (a' x + b') + a d, the floats of `mp.value` and of
     `mp.dlam(x) + mp.dx(x) * d` (a * 1.0 = a).  Row 0 of each table is a
     NaN, so the 1-based symbols index it directly."""
-    coeffs = np.array([(mp.a, mp.b) + mp._dlam_coeffs for mp in frozen]).transpose(1, 0, 2)
+    coeffs = np.array([(mp.a, mp.b) + (mp._dlam_coeffs if dlam else ())
+                       for mp in frozen]).transpose(1, 0, 2)
     L = coeffs.shape[2]
-    a, b, da, db = np.concatenate((np.full((4, 1, L), np.nan), coeffs), axis=1)
+    a, b, *dab = np.concatenate((np.full((len(coeffs), 1, L), np.nan), coeffs), axis=1)
     x = np.full((len(words), L), np.reshape(x0, (-1, 1)), dtype=float)
-    d = np.zeros_like(x)
+    d = np.zeros_like(x) if dlam else None
+    da, db = dab if dlam else (None, None)
     for col in np.ascontiguousarray(words.T)[::-1]:
         a_col = a.take(col, axis=0)
-        d = da.take(col, axis=0) * x + db.take(col, axis=0) + a_col * d
+        if dlam:
+            d = da.take(col, axis=0) * x + db.take(col, axis=0) + a_col * d
         x = a_col * x + b.take(col, axis=0)
-    return x.T, d.T
+    return x.T, d if d is None else d.T
 
 
 def _word(fam: IfsFamily, lam: float, u, depth: int) -> np.ndarray:
@@ -591,7 +602,7 @@ def natural_projection(fam: IfsFamily, lam: float, u, depth: int):
     """f_{u|depth}(x0) with x0 the domain midpoint, plus the tail bound."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x, _ = project_words(fam, _word(fam, lam, u, depth), lam, fam.midpoint)
+    x, _ = project_words(fam, _word(fam, lam, u, depth), lam, fam.midpoint, dlam=False)
     return float(x[0]), regularity_audit(fam).gamma2 ** depth * fam.diam
 
 
@@ -601,5 +612,6 @@ def cylinder_interval(fam: IfsFamily, lam: float, u):
     the endpoints."""
     u = list(u)
     words = np.repeat(_word(fam, lam, u, len(u)), CYLINDER_GRID, axis=0)
-    x, _ = project_words(fam, words, lam, np.linspace(*fam.domain, CYLINDER_GRID))
+    x, _ = project_words(fam, words, lam, np.linspace(*fam.domain, CYLINDER_GRID),
+                         dlam=False)
     return float(np.min(x)), float(np.max(x))

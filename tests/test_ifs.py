@@ -521,6 +521,39 @@ def test_project_words_over_a_lambda_array_stacks_the_scalar_calls(case):
         assert d.tobytes() == np.stack([dl for _, dl in at_each]).tobytes()
 
 
+@given(_word_batch_cases())
+@settings(max_examples=40, deadline=None)
+def test_project_words_without_dlam_gives_the_same_x(case):
+    """dlam=False composes the x of the full call bit for bit, with None
+    for d, in the gathered and the masked pass, at one lambda and over a
+    lambda array, from one start point and from one per row."""
+    fam, words, lam, x0, lams = case
+    starts = np.broadcast_to(x0, len(words)).copy()
+    for grid in (lam, lams):
+        for start in (fam.midpoint, starts):
+            x, d = project_words(fam, words, grid, start, dlam=False)
+            assert d is None
+            assert x.tobytes() == project_words(fam, words, grid, start)[0].tobytes()
+
+
+def test_project_words_without_dlam_builds_no_derivative(monkeypatch):
+    """dlam=False reads no affine a', b' table and calls no map's dx or dlam."""
+    def boom(*_):
+        raise AssertionError("derivative evaluated")
+
+    monkeypatch.setattr(ifs._FrozenAffine, "_dlam_coeffs", property(boom))
+    words = np.random.default_rng(0).integers(1, 3, size=(50, 12))
+    affine = IfsFamily((affine_map(poly(0.2, 0.5), 0.0), affine_map(0.4, poly(0.5, 0.1))),
+                       (0.0, 1.0), (0.0, 1.0))
+    callbacks = IfsFamily(tuple(CustomMap(mp.value, boom, boom) for mp in affine.maps),
+                          affine.domain, affine.param_interval)
+    for fam in (affine, callbacks):
+        x, d = project_words(fam, words, np.array([0.1, 0.7]), fam.midpoint, dlam=False)
+        assert d is None and x.shape == (2, 50)
+        with pytest.raises(AssertionError, match="derivative"):
+            project_words(fam, words, 0.1, fam.midpoint)
+
+
 MONOTONE_CASES = {
     "bernoulli": (IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)), 0.6),
     "blackwell": (blackwell_family(0.3, 0.8)[0], 0.8),

@@ -171,11 +171,11 @@ def masked_project_words(fam, words, lam, x0):
     return x, d
 
 
-def masked_over_lams(fam, words, lams, x0):
+def masked_over_lams(fam, words, lams, x0, dlam=True):
     """`masked_project_words` at each lambda of a 1-D array, stacked to
-    (L, k) as `ifs.project_words` returns them."""
+    (L, k) as `ifs.project_words` returns them, d None unless `dlam`."""
     pairs = [masked_project_words(fam, words, lam, x0) for lam in lams]
-    return np.array([x for x, _ in pairs]), np.array([d for _, d in pairs])
+    return np.array([x for x, _ in pairs]), np.array([d for _, d in pairs]) if dlam else None
 
 
 def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
@@ -242,10 +242,23 @@ def _fields(rep):
     return rep.verdict, rep.n_events, rep.empirical_eta, rep.witness, rep.n_samples
 
 
+def rare_witness_family():
+    """60 maps of slope 1e-12 on [0, 1], so Phi is the offset difference
+    of the first symbols.  Symbols 1 and 2 meet at lambda = 0.25 only, with
+    d/dlam Phi = -1e-7, a rare bad pair; symbols 3..12 meet pairwise at
+    lambda = 0.75 only, a common one; the rest are 0.01 apart."""
+    tiny = 1e-12
+    maps = [affine_map(tiny, poly(0.05 - 0.25e-7, 1e-7)), affine_map(tiny, 0.05)]
+    maps += [affine_map(tiny, poly(0.02 - 0.75e-7 * k, 1e-7 * k)) for k in range(10)]
+    maps += [affine_map(tiny, 0.1 + 0.01 * k) for k in range(48)]
+    return IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+
+
 PROBE_REF_FAMILIES = {
     "bernoulli": IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)),
     "identical": IfsFamily((bernoulli_psi(0), bernoulli_psi(0)), (-1.0, 1.0), (0.5, 0.66)),
     "moebius": cf_family(0.5, 2.0, 0.1),
+    "rare-witness": rare_witness_family(),
 }
 
 
@@ -264,31 +277,57 @@ def test_probe_matches_per_lambda_reference(fam, seed, samples):
                                          ("moebius", [(1500, 1)] * 34)],
                          ids=["bernoulli", "moebius"])
 def test_probe_batches_affine_rows_and_other_lambdas(monkeypatch, name, calls):
-    """An affine family's pairs go through `project_words` in row chunks
-    over the whole lambda grid; a Moebius family's masked pass runs once
-    per lambda in any case, so it takes every row at each lambda, as often
-    as the per-lambda loop calls it."""
-    seen = []
+    """An affine family's pairs are screened through `project_words` with
+    dlam=False in row chunks over the whole lambda grid; a Moebius
+    family's masked pass runs once per lambda in any case, so it screens
+    every row at each lambda, as often as the per-lambda loop calls it.
+    Each block with a near-collision then takes one full call on the
+    same grid, on its near rows of u followed by the same rows of v."""
+    fam = PROBE_REF_FAMILIES[name]
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    screens, blocks, full = [], [], []
 
-    def counting(fam, words, lams, x0):
-        seen.append((len(words), len(lams)))
-        return ifs.project_words(fam, words, lams, x0)
+    def counting(fam, words, lams, x0, dlam=True):
+        x, d = ifs.project_words(fam, words, lams, x0, dlam=dlam)
+        if not dlam:
+            screens.append((words, x))
+            if len(screens) % 2 == 0:  # the v half of a block
+                (wu, xu), (wv, xv) = screens[-2:]
+                hit = np.flatnonzero((np.abs(xu - xv) < eta0).any(axis=0))
+                blocks.append((np.concatenate((wu[hit], wv[hit])), len(lams)))
+        else:
+            full.append((words, len(lams)))
+        return x, d
 
     monkeypatch.setattr(transversality, "project_words", counting)
-    mc_transversality_probe(PROBE_REF_FAMILIES[name], samples=1500, depth=8, seed=1)
-    assert sorted(seen) == sorted(calls)
+    mc_transversality_probe(fam, samples=1500, depth=8, seed=1)
+    assert sorted((len(w), len(x)) for w, x in screens) == sorted(calls)
+    near_blocks = [(w, L) for w, L in blocks if len(w)]
+    assert len(full) == len(near_blocks)
+    for (w, L), (w_ref, L_ref) in zip(full, near_blocks):
+        assert np.array_equal(w, w_ref) and L == L_ref
 
 
-def rare_witness_family():
-    """60 maps of slope 1e-12 on [0, 1], so Phi is the offset difference
-    of the first symbols.  Symbols 1 and 2 meet at lambda = 0.25 only, with
-    d/dlam Phi = -1e-7, a rare bad pair; symbols 3..12 meet pairwise at
-    lambda = 0.75 only, a common one; the rest are 0.01 apart."""
-    tiny = 1e-12
-    maps = [affine_map(tiny, poly(0.05 - 0.25e-7, 1e-7)), affine_map(tiny, 0.05)]
-    maps += [affine_map(tiny, poly(0.02 - 0.75e-7 * k, 1e-7 * k)) for k in range(10)]
-    maps += [affine_map(tiny, 0.1 + 0.01 * k) for k in range(48)]
-    return IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+@pytest.mark.parametrize("name, samples, depth, seed, full_rows", [
+    ("identical", 1500, 8, 1, 2 * 1500),
+    ("moebius", 3000, 30, 4, 0),
+], ids=["identical", "moebius"])
+def test_probe_composes_dlam_on_near_rows_only(monkeypatch, name, samples, depth, seed,
+                                               full_rows):
+    """Where every pair collides, the full pass receives every row of u
+    and of v; where none comes near, it receives none."""
+    received = []
+
+    def counting(fam, words, lams, x0, dlam=True):
+        if dlam:
+            received.append(len(words))
+        return ifs.project_words(fam, words, lams, x0, dlam=dlam)
+
+    monkeypatch.setattr(transversality, "project_words", counting)
+    rep = mc_transversality_probe(PROBE_REF_FAMILIES[name], samples=samples, depth=depth,
+                                  seed=seed)
+    assert sum(received) == full_rows
+    assert (rep.n_events == 0) == (full_rows == 0)
 
 
 @pytest.mark.parametrize("callbacks", [False, True], ids=["affine", "custom"])
