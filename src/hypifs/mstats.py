@@ -179,11 +179,16 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     x_{k+1} is the step applied to x_k, and x_0 is exact, so by induction
     the array is the sequential chain bit for bit: the stopping rule is a
     certificate, not a tolerance.  A chain that couples within L steps is
-    certified after 2 passes.  The segments before the first stale start
-    are exact and are not run again.  Each state a pass steps from is a
-    state of the same chain begun at the midpoint at a later time (or one
-    of its padded steps), and at each state the curves and the map are the
-    ones the scalar loop would evaluate there.  Once CHAOS_BUDGET passes
+    certified after 2 passes.  A pass after the first ends after step t
+    once every segment but the last holds, bit for bit, the state the pass
+    before held at t, and the last segment has run its real steps: from
+    there on, every path is the one already stored.  The last segment is
+    left out, since its padded u = 0 steps need never couple.  The segments
+    before the first stale start are exact and are not run again.  Each
+    state a pass steps from is a state of the same chain begun at the
+    midpoint at a later time (or one of its padded steps), and at each state
+    the curves and the map are the ones the scalar loop would evaluate
+    there.  Once CHAOS_BUDGET passes
     are spent (a weak contraction couples slowly), the scalar loop
     finishes the chain from the first stale segment start.  The sample
     records its passes and that step, `scalar_from`.
@@ -211,12 +216,17 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     states = chain[1:].reshape(nb, seg)  # states[b, t] = x_{b seg + t + 1}
     starts = np.full(nb, fam.midpoint)
     lo = 0  # segments before lo are exact
+    tail = n - (nb - 1) * seg  # the last segment's steps that are not padding
     scalar_from = None
     for passes in range(1, CHAOS_BUDGET + 1):
         x = starts[lo:]
         for t in range(seg):
             x = _chaos_steps(values, curves, lam, steps[lo:, t], x)
+            rejoined = (passes > 1 and t + 1 >= tail and
+                        np.array_equal(x[:-1].view(np.int64), states[lo:-1, t].view(np.int64)))
             states[lo:, t] = x
+            if rejoined:
+                break
         ends = states[lo:-1, -1]
         stale = np.flatnonzero(ends.view(np.int64) != starts[lo + 1:].view(np.int64))
         if not len(stale):
@@ -231,16 +241,51 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
                            scalar_from=scalar_from)
 
 
+def _exact_phase(xi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """exp(i xi c) on the grid xi[:, None] * c, its argument not rounded:
+    Dekker's product splits xi c into p + e exactly, and
+    exp(i (p + e)) = exp(i p) (1 + i e) to within e^2 / 2."""
+    def split(v):
+        t = v * 134217729.0  # 2^27 + 1: two halves of 26 bits
+        hi = t - (t - v)
+        return hi, v - hi
+
+    xi = xi[:, None]
+    (xh, xl), (ch, cl) = split(xi), split(c)
+    p = xi * c
+    e = ((xh * ch - p) + xh * cl + xl * ch) + xl * cl
+    phase = np.exp(1j * p)
+    return phase + 1j * e * phase
+
+
 def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """mean_k exp(i xi x_k) for every xi in `freqs`, the points in [0, 1].
 
     Local Taylor moments (Anderson & Dahleh, SIAM J. Sci. Comput. 1996):
-    [0, 1] is cut into ceil(xi_max) cells with centres c_b, so every offset
-    d = x - c_b has |xi d| <= a <= 1/2, and
-        sum_k exp(i xi x_k) = sum_b exp(i xi c_b) sum_{k<K} (i xi)^k M_k[b],
+    [0, 1] is cut into N = ceil(xi_max) cells with centres c_b, so every
+    offset d = x - c_b has |xi d| <= a <= 1/2, and
+        sum_k exp(i xi x_k) = sum_{k<K} (i xi)^k S_k(xi),
+        S_k(xi) = sum_b exp(i xi c_b) M_k[b],
     M_k[b] = sum_{x in b} d^k / k!, with K the least order whose term bound
-    a^K / K! is at most 2^-53.  When the moments would not be fewer than the
-    points, every point is its own cell (K = 1, d = 0): the direct sum."""
+    a^K / K! is at most 2^-53.  Horner over k runs on one value per
+    frequency, after the cell sums.
+
+    The phases come from a factorised table, as in a nonuniform FFT (Dutt &
+    Rokhlin, SIAM J. Sci. Comput. 1993): with R = isqrt(N), Q = ceil(N / R)
+    and M padded with zero cells to QR, cell b = qR + r has the centre
+    c_b = qR / N + (r + 1/2) / N, so exp(i xi c_b) is an outer phase
+    exp(i xi qR / N) times an inner one exp(i xi (r + 1/2) / N): Q + R
+    complex exponentials per frequency, not N.  The sum over r is one real
+    matrix product of M, laid out as (k, q) rows by r columns, with the
+    (R x frequency) inner phases viewed as interleaved real and imaginary
+    parts; a multiply-and-sum over q with the outer phases ends it.  Each
+    outer phase serves R cells, so its argument is kept exact
+    (`_exact_phase`), and d = (x - qR / N) - (r + 1/2) / N is measured from
+    the centre the table holds; the factorisation then costs no accuracy.
+
+    When the moments would not be fewer than the points, the mean is the
+    direct sum of exp(i xi x_k).  Every temporary holds at most about
+    FOURIER_BLOCK elements, by blocks of frequencies."""
     n = len(pts)
     xi_max = float(np.abs(freqs).max(initial=0.0))
     cells = max(1, math.ceil(xi_max))
@@ -249,28 +294,38 @@ def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     while term > 2.0 ** -53:
         order += 1
         term *= a / order
-    if cells * order < n:
-        b = np.minimum((pts * cells).astype(np.intp), cells - 1)
-        centres = (np.arange(cells) + 0.5) / cells
-        d = pts - centres[b]
-        moments, w = [], np.ones(n)
-        for k in range(order):
-            moments.append(np.bincount(b, weights=w, minlength=cells))
-            w = w * d / (k + 1)
-    else:
-        centres, moments = pts, [np.ones(n)]
-    rows = max(1, FOURIER_BLOCK // len(centres))
     out = np.empty(len(freqs), dtype=complex)
+    if cells * order >= n:
+        rows = max(1, FOURIER_BLOCK // n)
+        for s in range(0, len(freqs), rows):
+            out[s:s + rows] = np.exp(1j * freqs[s:s + rows, None] * pts).sum(axis=1)
+        return out / n
+    r_len = math.isqrt(cells)
+    q_len = -(-cells // r_len)
+    inner = (np.arange(r_len) + 0.5) / cells
+    outer = np.arange(q_len) * r_len / cells
+    b = np.minimum((pts * cells).astype(np.intp), cells - 1)
+    d = (pts - np.repeat(outer, r_len)[b]) - np.tile(inner, q_len)[b]
+    moments, w = np.zeros((order, q_len * r_len)), np.ones(n)
+    for k in range(order):
+        moments[k, :cells] = np.bincount(b, weights=w, minlength=cells)
+        w *= d
+        w /= k + 1
+    del b, d, w
+    moments = moments.reshape(order * q_len, r_len)  # rows (k, q), columns r
+    rows = max(1, FOURIER_BLOCK // (q_len * order))
     for s in range(0, len(freqs), rows):
-        ixi = 1j * freqs[s:s + rows, None]
-        # sum_k (i xi)^k M_k[b] by Horner, then the phase of each cell
-        acc = np.empty((len(ixi), len(centres)), dtype=complex)
-        acc[...] = moments[-1]
-        for mk in moments[-2::-1]:
-            acc *= ixi
-            acc += mk
-        acc *= np.exp(ixi * centres)
-        out[s:s + rows] = acc.sum(axis=1)
+        xi = freqs[s:s + rows]
+        # sum_r exp(i xi (r + 1/2) / N) M_k[qR + r], laid out (k, xi, q)
+        part = (moments @ np.exp(1j * (inner[:, None] * xi)).view(float)).view(complex)
+        part = np.ascontiguousarray(part.reshape(order, q_len, len(xi)).transpose(0, 2, 1))
+        part *= _exact_phase(xi, outer)
+        sums = part.sum(axis=-1)  # S_k(xi), summed pairwise over q
+        ixi = 1j * xi
+        acc = sums[-1]
+        for sk in sums[-2::-1]:
+            acc = acc * ixi + sk
+        out[s:s + rows] = acc
     return out / n
 
 

@@ -18,7 +18,7 @@ MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
 SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
 SPECTRUM_MAX_ITER = 10000
 PROB_AUDIT_GRID = 1024  # grid on which probability curves are audited
-PARTITION_GRID = 65  # x-grid of the partition sums for maps not all increasing
+PARTITION_GRID = 65  # x-grid of the partition sums for families with a custom map
 PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
 PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
@@ -311,11 +311,11 @@ def partition_sum(fam: IfsFamily, subset, t: float, lam: float, n: int):
     if not all(1 <= j <= fam.m for j in subset):
         raise ValueError(f"subset symbols must lie in 1..{fam.m}")
     aud = regularity_audit(fam)
-    # |f_u'| is monotone in x for the built-in affine and Moebius maps, so
-    # its extrema sit at the domain endpoints, which both grids contain; the
-    # full grid adds robustness for custom maps that are not all increasing
-    points = (max(3, PARTITION_GRID // 8) if all(aud.monotone_increasing)
-              else PARTITION_GRID)
+    # a word of affine and Moebius maps (the audit's exact method) is Moebius
+    # or affine, so |f_u'| is monotone in x and its extrema sit at the domain
+    # endpoints, which both grids contain; the full grid adds robustness for
+    # custom maps
+    points = max(3, PARTITION_GRID // 8) if aud.method == "exact" else PARTITION_GRID
     xs = np.linspace(*fam.domain, points)
     frozen = fam.at(lam)
     maps = [frozen.maps[j - 1] for j in subset]

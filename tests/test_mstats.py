@@ -19,6 +19,7 @@ from hypifs.thermo import (constant_bernoulli_potential,
                            gibbs_cylinder_measure, log_probability_potential,
                            transfer_spectrum)
 from hypifs.words import enumerate_words
+from fourier_refs import fsum_fourier_mean, horner_fourier_mean
 from word_refs import compose_word
 
 
@@ -202,7 +203,29 @@ def test_fourier_mean_dirichlet_kernel(n):
     theta = freqs / (n - 1)
     exact = (np.exp(0.5j * theta * (n - 1)) * np.sin(0.5 * n * theta)
              / np.sin(0.5 * theta) / n)
-    assert np.abs(_fourier_mean(pts, freqs) - exact).max() <= 1e-14
+    err = np.abs(_fourier_mean(pts, freqs) - exact).max()
+    assert err <= 1e-14
+    assert err <= np.abs(horner_fourier_mean(pts, freqs) - exact).max()
+
+
+@given(st.integers(1, 20000), st.floats(0.05, 2500.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+@example(16000, 1000.0, 0)  # N = 1000 cells, R = 31, Q = 33: QR > N, N not a square
+@example(16000, 997.0, 1)  # N = 997 prime: R = 31, Q = 33
+@example(3000, 13.0, 2)  # N = 13 prime: R = 3, Q = 5
+@example(3000, 0.7, 3)  # N = 1: one cell, R = Q = 1
+@example(200, 9999.0, 4)  # one cell per point: the direct sum
+@example(19088, 822.0, 52)  # offsets from (b + 1/2) / N, not the table's centre: 56 ulps worse
+@example(19517, 1216.1929619156826, 1036)  # rounded outer phase arguments: 4.5 ulps worse
+def test_fourier_mean_is_as_accurate_as_the_cellwise_horner_sum(n, xi_max, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random(n)
+    pts[0], pts[-1] = 0.0, 1.0
+    freqs = np.concatenate([np.logspace(-1.0, math.log10(xi_max), 16), [xi_max]])
+    exact = fsum_fourier_mean(pts, freqs)
+    err = np.abs(_fourier_mean(pts, freqs) - exact).max()
+    ref = np.abs(horner_fourier_mean(pts, freqs) - exact).max()
+    assert err <= ref + 4 * np.spacing(np.abs(exact).max())
 
 
 def _chaos_reference(fam, prob_fns, lam, count, burn_in, seed):
@@ -336,6 +359,23 @@ def test_chaos_game_certifies_a_fast_chain_in_two_passes():
     sample = chaos_game_sample(fam, probs, lam, 100000, 100, seed=3)
     assert mstats._segment_length(100100) == 128
     assert sample.passes == 2 and sample.scalar_from is None
+
+
+def test_chaos_game_ends_a_pass_that_rejoins_its_previous_path(monkeypatch):
+    # pass 2 may stop once every segment but the padded last one is back,
+    # bit for bit, on its pass-1 path: the rest of each path is stored
+    calls = []
+    steps = mstats._chaos_steps
+
+    def counted(*args):
+        calls.append(None)
+        return steps(*args)
+
+    monkeypatch.setattr(mstats, "_chaos_steps", counted)
+    fam, probs, lam, _, _ = _chaos_cases()["uniform"]
+    sample = chaos_game_sample(fam, probs, lam, 100000, 100, seed=3)
+    assert sample.passes == 2 and sample.scalar_from is None
+    assert 0 < len(calls) - 128 < 128  # pass 1 runs all 128 steps of a segment
 
 
 @pytest.mark.parametrize("name", ["uniform", "bernoulli", "blackwell", "three-map"])

@@ -545,16 +545,15 @@ def test_transfer_spectrum_matches_csr_reference(case, r):
 
 
 def _partition_sum_per_point(fam, subset, t, lam, n):
-    """partition_sum as a loop over the grid points, one all-words tree per
-    x: the reference the one-pass sums must reproduce bit for bit."""
+    """partition_sum as a loop over the points of the full grid, one
+    all-words tree per x: the reference the one-pass sums must reproduce bit
+    for bit, on the small grid too where the audit is exact."""
     subset = list(subset)
     k = len(subset)
-    monotone = all(ifs.regularity_audit(fam).monotone_increasing)
-    points = max(3, thermo.PARTITION_GRID // 8) if monotone else thermo.PARTITION_GRID
     maps = [fam.at(lam).maps[j - 1] for j in subset]
     lo = np.full(k ** n, np.inf)
     hi = np.full(k ** n, -np.inf)
-    for x in np.linspace(*fam.domain, points):
+    for x in np.linspace(*fam.domain, thermo.PARTITION_GRID):
         y = np.array([float(x)])
         dy = np.ones(1)
         for _ in range(n):
@@ -581,6 +580,28 @@ PARTITION_CASES = {
     "three-maps-subset": (THREE_MAPS, [3, 1]),
     "custom": (QUADRATIC, [1, 2]),
 }
+
+
+@pytest.mark.parametrize("custom, points", [(False, max(3, thermo.PARTITION_GRID // 8)),
+                                            (True, thermo.PARTITION_GRID)])
+def test_partition_grid_follows_the_audit_method(custom, points, monkeypatch):
+    # E2's maps decrease, yet every word of Moebius maps is Moebius, with
+    # |f_u'| monotone: the exact audit takes the small grid, a custom map
+    # the full one
+    fam = E2
+    if custom:
+        fam = IfsFamily(tuple(CustomMap(mp.value, mp.dx) for mp in E2.maps),
+                        E2.domain, E2.param_interval)
+    seen = []
+    concat = thermo.concat_images
+
+    def recorded(fns, y):
+        seen.append(len(y))
+        return concat(fns, y)
+
+    monkeypatch.setattr(thermo, "concat_images", recorded)
+    partition_sum(fam, [1, 2], E2_DIMENSION, 0.0, 3)
+    assert seen[0] == points
 
 
 @pytest.mark.parametrize("block", [thermo.PARTITION_BLOCK, 100])
