@@ -29,8 +29,8 @@ class AuditFailure(RuntimeError):
     pass
 
 
-def fd_step(lam: float) -> float:
-    return FD_STEP_SCALE * max(1.0, abs(lam))
+def fd_step(lam):
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(lam))
 
 
 def solve_root(g, lo: float, hi: float) -> float:
@@ -114,7 +114,9 @@ class ShiftedMap(_FrozenEvaluated):
 
 @dataclass(frozen=True, eq=False)
 class CustomMap:
-    """Callback-backed map; missing dlam falls back to finite differences."""
+    """Callback-backed map; missing dlam falls back to finite differences.
+    Callbacks receive lambda as an array that broadcasts against x, as the
+    audit, the collocation and `project_words` pass it."""
 
     value_fn: object
     dx_fn: object
@@ -180,10 +182,6 @@ class IfsFamily:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.domain[0] + self.domain[1])
-
-    @property
-    def affine(self) -> bool:  # project_words then gathers every lambda at once
-        return all(type(mp) is AffineMap for mp in self.maps)
 
     def map(self, j: int):
         if not 1 <= j <= self.m:
@@ -535,10 +533,11 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam, x0, dlam: bool = True)
     in place of d: no map's dx or dlam is called and no d/dlam coefficient
     is built, so a caller that reads d on a few rows can screen by x first.
 
-    When every map is affine, one pass gathers each word's coefficients by
-    symbol for every lambda at once (`_gathered_affine_pass`); any other
-    family takes, once per lambda, a pass that masks the batch by symbol
-    and calls each frozen map on its share.  Both give the same floats."""
+    Each map is frozen once over the lambda array.  When every map is
+    affine, one pass gathers each word's coefficients by symbol for every
+    lambda at once (`_gathered_affine_pass`); any other family takes a
+    pass that masks the batch by symbol and calls each frozen map on its
+    (rows, L) share.  Both give the same floats."""
     lams = np.atleast_1d(lam)
     if lams.ndim != 1 or not lams.size:
         raise ValueError("lam must be one value or a non-empty 1-D array")
@@ -546,23 +545,21 @@ def project_words(fam: IfsFamily, words: np.ndarray, lam, x0, dlam: bool = True)
         outside = ~np.isin(words, np.arange(1, fam.m + 1))
         raise ValueError(f"symbol {words.flat[np.argmax(outside)]} outside 1..{fam.m}"
                          if outside.any() else f"symbols of dtype {words.dtype}, not integers")
-    if fam.affine:
-        x, d = _gathered_affine_pass([_freeze(mp, lams) for mp in fam.maps], words, x0, dlam)
+    frozen = [_freeze(mp, lams) for mp in fam.maps]
+    if all(type(mp) is _FrozenAffine for mp in frozen):
+        x, d = _gathered_affine_pass(frozen, words, x0, dlam)
     else:
-        k, n = words.shape
-        x = np.full((len(lams), k), x0, dtype=float)
+        x = np.full((len(words), len(lams)), np.reshape(x0, (-1, 1)), dtype=float)
         d = np.zeros_like(x) if dlam else None
-        for l, xl in enumerate(x):  # one row of x and d per lambda, in place
-            maps, dl = fam.at(lams[l]).maps, d[l] if dlam else None
-            for pos in range(n - 1, -1, -1):
-                col = words[:, pos]
-                for j, mp in enumerate(maps, 1):
-                    mask = col == j
-                    if mask.any():
-                        xm = xl[mask]
-                        if dlam:
-                            dl[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * dl[mask]
-                        xl[mask] = mp.value(xm)
+        for col in words.T[::-1]:
+            for j, mp in enumerate(frozen, 1):
+                mask = col == j
+                if mask.any():
+                    xm = x[mask]
+                    if dlam:
+                        d[mask] = np.asarray(mp.dlam(xm)) + np.asarray(mp.dx(xm)) * d[mask]
+                    x[mask] = mp.value(xm)
+        x, d = x.T, d if d is None else d.T
     if not np.ndim(lam):
         x, d = x[0], d if d is None else d[0]
     return x, d

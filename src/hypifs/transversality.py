@@ -16,7 +16,7 @@ LAMBDA_SWEEP_GRID = 1024
 NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
 FALSIFY_PHI_REL = 1e-9  # witness: |Phi| < FALSIFY_PHI_REL * diam(X) ...
 FALSIFY_DPHI_TOL = 1e-6  # ... and |d/dlam Phi| < FALSIFY_DPHI_TOL
-PROBE_CHUNK = 1024  # rows per screening call on an affine family; 2048 cost 1.4 MB more peak RSS
+PROBE_CHUNK = 1024  # rows per screening call; 2048 cost 1.4 MB more peak RSS
 
 
 class PartitionError(RuntimeError):
@@ -269,13 +269,11 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     recording near-collisions of the projections and the minimum
     |d/dlam Phi| over them.  A simultaneous near-zero of Phi and its
     derivative is a falsification witness; anything else is evidence.
-    An affine family's rows go PROBE_CHUNK per call over the whole grid,
-    any other's all at once per lambda, as its pass loops over lambda
-    anyway.  Each such block is screened by Phi alone (`project_words`
-    with dlam=False); d/dlam Phi is composed only for the rows with a
-    near-collision at some lambda of the block, in one call over the
-    same grid, so a family whose pairs mostly collide pays for both
-    passes.  The witness is the first bad pair at the first bad lambda."""
+    The pairs go PROBE_CHUNK rows at a time over the whole grid, each
+    block screened by Phi alone (`project_words` with dlam=False);
+    d/dlam Phi is composed only for the rows with a near-collision at
+    some lambda of the block, in one call over the same grid, so a
+    family whose pairs mostly collide pays for both passes.  The witness is the first bad pair at the first bad lambda."""
     if fam.m < 2:
         raise ValueError("need at least two symbols")
     if samples < 1:
@@ -295,18 +293,17 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     emp_eta = math.inf
     events = 0
     first_bad = (lam_grid, 0)  # the least (lambda index, row) of a bad pair
-    row_step, lam_step = (PROBE_CHUNK, lam_grid) if fam.affine else (samples, 1)
-    for r0, l0 in itertools.product(range(0, samples, row_step), range(0, lam_grid, lam_step)):
-        rows, grid = slice(r0, r0 + row_step), lams[l0:l0 + lam_step]
-        pu, _ = project_words(fam, u[rows], grid, fam.midpoint, dlam=False)
-        pv, _ = project_words(fam, v[rows], grid, fam.midpoint, dlam=False)
+    for r0 in range(0, samples, PROBE_CHUNK):
+        rows = slice(r0, r0 + PROBE_CHUNK)
+        pu, _ = project_words(fam, u[rows], lams, fam.midpoint, dlam=False)
+        pv, _ = project_words(fam, v[rows], lams, fam.midpoint, dlam=False)
         phi = pu - pv
         near = np.abs(phi) < eta0
         events += int(near.sum())
         hit = np.flatnonzero(near.any(axis=0))  # rows of the block, ascending
         if hit.size:
             _, d = project_words(fam, np.concatenate((u[r0 + hit], v[r0 + hit])),
-                                 grid, fam.midpoint)
+                                 lams, fam.midpoint)
             dphi = d[:, :hit.size] - d[:, hit.size:]
             near, phi = near[:, hit], phi[:, hit]
             emp_eta = min(emp_eta, float(np.abs(dphi[near]).min()))
@@ -314,7 +311,7 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
                 (np.abs(dphi) < FALSIFY_DPHI_TOL)
             if bad.any():
                 i, k = np.unravel_index(np.argmax(bad), bad.shape)
-                first_bad = min(first_bad, (l0 + i, r0 + hit[k]))
+                first_bad = min(first_bad, (i, r0 + hit[k]))
     i, k = first_bad
     witness = (tuple(u[k]), tuple(v[k]), float(lams[i])) if i < lam_grid else None
     verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"

@@ -498,13 +498,42 @@ def _word_batch_cases(draw):
 @given(_word_batch_cases())
 @settings(max_examples=40, deadline=None)
 def test_project_words_matches_per_word_references(case):
-    fam, words, lam, x0, _ = case
-    x, d = ifs.project_words(fam, words, lam, x0)
+    """At one lambda, and at every lambda of an array, x and d are the
+    per-word references at that lambda, bit for bit."""
+    fam, words, lam, x0, lams = case
+    for grid in (lam, lams):
+        x, d = ifs.project_words(fam, words, grid, x0)
+        assert x.shape == d.shape == np.shape(grid) + (len(words),)
+        _assert_rows_match_references(fam, words, grid, x0, x, d)
+
+
+def _assert_rows_match_references(fam, words, grid, x0, x, d):
+    """Row l of the (L, k) arrays x and d, or the (k,) arrays at one
+    lambda, is `compose_word` and `lambda_derivative` at grid[l]."""
     starts = np.broadcast_to(x0, len(words))
-    ref_x = np.array([float(compose_word(fam, w, lam, s)[0]) for w, s in zip(words, starts)])
-    ref_d = np.array([lambda_derivative(fam, lam, w, s) for w, s in zip(words, starts)])
-    assert x.tobytes() == ref_x.tobytes()
-    assert d.tobytes() == ref_d.tobytes()
+    for lam, xl, dl in zip(np.atleast_1d(grid), np.atleast_2d(x), np.atleast_2d(d)):
+        ref_x = np.array([float(compose_word(fam, w, lam, s)[0]) for w, s in zip(words, starts)])
+        ref_d = np.array([lambda_derivative(fam, lam, w, s) for w, s in zip(words, starts)])
+        assert xl.tobytes() == ref_x.tobytes()
+        assert dl.tobytes() == ref_d.tobytes()
+
+
+def test_project_words_differences_a_custom_map_over_a_lambda_array():
+    """A CustomMap without dlam_fn differences its value at lambda +-
+    fd_step(lambda) for a whole lambda array at once, with the step
+    scaled by |lambda| past 1: every row is the reference at its lambda."""
+    maps = tuple(CustomMap(lambda lam, x, c=c: (0.2 + 0.01 * lam) * x + c * lam * lam,
+                           lambda lam, x: (0.2 + 0.01 * lam) * np.ones_like(x))
+                 for c in (0.01, -0.02))
+    fam = IfsFamily(maps, (0.0, 1.0), (-2.5, 2.9))
+    lams = np.linspace(-2.5, 2.9, 17)
+    steps = ifs.fd_step(lams)
+    assert steps.tolist() == [ifs.fd_step(float(lam)) for lam in lams]
+    assert steps.max() > ifs.FD_STEP_SCALE == steps.min()
+    words = np.random.default_rng(3).integers(1, 3, size=(40, 12))
+    starts = np.random.default_rng(4).uniform(0.0, 1.0, size=len(words))
+    x, d = project_words(fam, words, lams, starts)
+    _assert_rows_match_references(fam, words, lams, starts, x, d)
 
 
 @given(_word_batch_cases())
@@ -519,6 +548,33 @@ def test_project_words_over_a_lambda_array_stacks_the_scalar_calls(case):
         assert x.shape == d.shape == (len(grid), len(words))
         assert x.tobytes() == np.stack([xl for xl, _ in at_each]).tobytes()
         assert d.tobytes() == np.stack([dl for _, dl in at_each]).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cf_family(0.5, 2.0, 0.1),
+    lambda: IfsFamily(tuple(CustomMap(lambda lam, x, s=s: lam * x + s * (1.0 - lam),
+                                      lambda lam, x: lam * np.ones_like(x))
+                            for s in (-1.0, 1.0)), (-1.0, 1.0), (0.5, 0.66)),
+    lambda: IfsFamily((ShiftedMap(bernoulli_psi(0), poly(0.0, 1.0), 0.6),
+                       ShiftedMap(bernoulli_psi(1), poly(0.0, -1.0), 0.6)),
+                      (-1.0, 1.0), (-0.05, 0.05)),
+], ids=["cf", "custom", "shifted"])
+def test_project_words_freezes_each_map_once_over_a_lambda_array(monkeypatch, make):
+    """One call over 17 values of lambda freezes each map once, over the
+    whole array, and leaves the memo of `IfsFamily.at` alone."""
+    fam = make()
+    for mp in fam.maps:  # a ShiftedMap freezes its base once, at base_lam, on first use
+        getattr(mp, "frozen_base", None)
+    calls = []
+    freeze = ifs._freeze
+    monkeypatch.setattr(ifs, "_freeze", lambda mp, lam: calls.append((mp, lam)) or freeze(mp, lam))
+    lams = np.linspace(*fam.param_interval, 17)
+    words = np.random.default_rng(1).integers(1, fam.m + 1, size=(30, 10))
+    x, d = project_words(fam, words, lams, fam.midpoint)
+    assert x.shape == d.shape == (17, 30)
+    assert [mp for mp, _ in calls] == list(fam.maps)
+    assert all(np.array_equal(lam, lams) for _, lam in calls)
+    assert fam not in ifs._frozen_cache
 
 
 @given(_word_batch_cases())

@@ -254,11 +254,20 @@ def rare_witness_family():
     return IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
 
 
+def _callback_copy(fam):
+    """`fam` with every map behind a CustomMap of its value, dx and dlam."""
+    return IfsFamily(tuple(CustomMap(mp.value, mp.dx, mp.dlam) for mp in fam.maps),
+                     fam.domain, fam.param_interval)
+
+
 PROBE_REF_FAMILIES = {
     "bernoulli": IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)),
     "identical": IfsFamily((bernoulli_psi(0), bernoulli_psi(0)), (-1.0, 1.0), (0.5, 0.66)),
     "moebius": cf_family(0.5, 2.0, 0.1),
     "rare-witness": rare_witness_family(),
+    "translation": build_pm_translation(sep_base(0.6, 0.1, 0.3), 0.0, 0.05),
+    "custom": _callback_copy(IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
+                                       (-1.0, 1.0), (0.5, 0.66))),
 }
 
 
@@ -273,16 +282,13 @@ def test_probe_matches_per_lambda_reference(fam, seed, samples):
     assert _fields(mc_transversality_probe(fam, samples=samples, depth=20, seed=seed)) == ref
 
 
-@pytest.mark.parametrize("name, calls", [("bernoulli", [(1024, 17), (476, 17)] * 2),
-                                         ("moebius", [(1500, 1)] * 34)],
-                         ids=["bernoulli", "moebius"])
-def test_probe_batches_affine_rows_and_other_lambdas(monkeypatch, name, calls):
-    """An affine family's pairs are screened through `project_words` with
-    dlam=False in row chunks over the whole lambda grid; a Moebius
-    family's masked pass runs once per lambda in any case, so it screens
-    every row at each lambda, as often as the per-lambda loop calls it.
-    Each block with a near-collision then takes one full call on the
-    same grid, on its near rows of u followed by the same rows of v."""
+@pytest.mark.parametrize("name", ["bernoulli", "moebius", "custom"])
+def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
+    """Every family's pairs are screened through `project_words` with
+    dlam=False in row chunks over the whole lambda grid, the gathered
+    affine pass and the masked pass alike.  Each block with a
+    near-collision then takes one full call on the same grid, on its
+    near rows of u followed by the same rows of v."""
     fam = PROBE_REF_FAMILIES[name]
     eta0 = transversality.NEAR_COLLISION_REL * fam.diam
     screens, blocks, full = [], [], []
@@ -301,7 +307,7 @@ def test_probe_batches_affine_rows_and_other_lambdas(monkeypatch, name, calls):
 
     monkeypatch.setattr(transversality, "project_words", counting)
     mc_transversality_probe(fam, samples=1500, depth=8, seed=1)
-    assert sorted((len(w), len(x)) for w, x in screens) == sorted(calls)
+    assert sorted((len(w), len(x)) for w, x in screens) == sorted([(1024, 17), (476, 17)] * 2)
     near_blocks = [(w, L) for w, L in blocks if len(w)]
     assert len(full) == len(near_blocks)
     for (w, L), (w_ref, L_ref) in zip(full, near_blocks):
@@ -335,12 +341,11 @@ def test_probe_composes_dlam_on_near_rows_only(monkeypatch, name, samples, depth
 def test_probe_witness_past_the_first_chunk(seed, callbacks):
     """The witness is the first bad pair at the first lambda that has one,
     though it lies past the first chunk and that chunk has bad pairs at a
-    later lambda: for the affine family, projected in row chunks over the
-    whole grid, and for its CustomMap copy, projected one lambda at a time."""
+    later lambda: for the affine family, through the gathered pass, and
+    for its CustomMap copy, through the masked pass."""
     fam = rare_witness_family()
     if callbacks:
-        fam = IfsFamily(tuple(CustomMap(mp.value, mp.dx, mp.dlam) for mp in fam.maps),
-                        fam.domain, fam.param_interval)
+        fam = _callback_copy(fam)
     ref, firsts = per_lambda_probe(fam, 2500, 5, seed)
     (_, row), later = firsts[0], firsts[1:]
     assert ref[3][2] == 0.25 and row >= transversality.PROBE_CHUNK
