@@ -485,14 +485,16 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     step = xs[1] - xs[0]
     exact = True
     for j, mp in enumerate(fam.maps, 1):
-        frozen = _freeze(mp, lams)
         at_ends = type(mp) in (AffineMap, RationalMap)
         exact = exact and at_ends
-        x = xs[[0, -1]] if at_ends else xs
-        v = np.broadcast_to(np.asarray(frozen.value(x[None, :]),
-                                       dtype=float), (len(lams), len(x)))
-        d = np.broadcast_to(np.asarray(frozen.dx(x[None, :]),
-                                       dtype=float), (len(lams), len(x)))
+        if at_ends:
+            v, d, (_, _, _, d1), den = at_interval_ends(mp, lams, (lo, hi))
+        else:
+            frozen = _freeze(mp, lams)
+            v = np.broadcast_to(np.asarray(frozen.value(xs[None, :]),
+                                           dtype=float), (len(lams), len(xs)))
+            d = np.broadcast_to(np.asarray(frozen.dx(xs[None, :]),
+                                           dtype=float), (len(lams), len(xs)))
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise EvaluationError("non-finite map evaluation in audit")
         ad = np.abs(d)
@@ -503,13 +505,12 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
         if v.min() < lo - pad or v.max() > hi + pad:
             invariant = False
         monotone.append(bool(np.all(d > 0)))
-        if type(mp) is RationalMap:
-            den = frozen.d0 + frozen.d1 * x
+        if at_ends:
             if np.any(np.signbit(den[:, 0]) != np.signbit(den[:, 1])):
                 raise EvaluationError(f"Moebius map {j} has a pole "
                                       f"on the domain [{lo!r}, {hi!r}]")
-            lip = max(lip, float(np.max(2 * np.abs(frozen.d1) / np.abs(den))))
-        elif not at_ends:
+            lip = max(lip, float(np.max(2 * np.abs(d1) / np.abs(den))))
+        else:
             dl = np.abs(np.diff(np.log(np.maximum(ad, 1e-300)), axis=1))
             lip = max(lip, float(dl.max()) / step)
     report = AuditReport(gamma1=float(g1), gamma2=float(g2),
@@ -519,6 +520,28 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
                          method="exact" if exact else "sampled")
     _audit_cache[fam] = report
     return report
+
+
+def at_interval_ends(mp, lams, ends):
+    """The affine or Moebius map `mp` frozen over the (L, 1) column `lams`,
+    at the two points `ends` = (lo, hi): (value, dx, (n0, n1, d0, d1),
+    den), value, dx and den = d0 + d1 x of shape (L, 2), an affine map
+    a x + b taken as n0 = b, n1 = a, d0 = 1, d1 = 0.  Where den keeps its
+    sign between the two points, [lo, hi] holds no pole, and the map and
+    |f'| = |n1 d0 - n0 d1| / den^2 are monotone on it, so their extremes
+    over [lo, hi] are at these two points: the exact-in-x evaluation of
+    `regularity_audit` and of the probe's prefix screen."""
+    frozen = _freeze(mp, lams)
+    x = np.asarray(ends, dtype=float)[None, :]
+    shape = (len(lams), 2)
+    v = np.broadcast_to(np.asarray(frozen.value(x), dtype=float), shape)
+    d = np.broadcast_to(np.asarray(frozen.dx(x), dtype=float), shape)
+    if type(frozen) is _FrozenAffine:
+        coeffs = (frozen.b, frozen.a, 1.0, 0.0)
+    else:
+        coeffs = (frozen.n0, frozen.n1, frozen.d0, frozen.d1)
+    den = np.broadcast_to(coeffs[2] + coeffs[3] * x, shape)
+    return v, d, coeffs, den
 
 
 def project_words(fam: IfsFamily, words: np.ndarray, lam, x0, dlam: bool = True):

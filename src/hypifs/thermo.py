@@ -545,12 +545,13 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     evaluating P once per point.
 
     P is the collocation pressure P_N, the log of the Perron root of
-    sum_j diag(|f_j'|^t) B_j on the N = COLLOCATION_LADDER[0] Chebyshev
-    nodes of the family frozen at lam, checked against P_2N at every t the
-    solver reads.  A root at any of whose points a rung is unusable (see
-    `_collocation_rung`), a leading eigenvalue is not real and positive,
-    or |P_N - P_2N| exceeds COLLOCATION_TOL is solved on the depth-r
-    cylinder `pressure`: `r` is used only by this fallback.
+    sum_j diag(|f_j'|^t) B_j on N Chebyshev nodes of the family frozen at
+    lam: at every t the solver reads, N is the coarser rung of the first
+    pair (N, 2N) of COLLOCATION_LADDER that `_collocation_ladder` settles.
+    A root at any of whose points no pair settles, because a rung is
+    unusable (see `_collocation_rung`), a leading eigenvalue is not real
+    and positive, or every |P_N - P_2N| exceeds COLLOCATION_TOL, is solved
+    on the depth-r cylinder `pressure`: `r` is used only by this fallback.
 
     Returns the root `s`, `pressure_at_s`, the partition-sum bracket of
     P(s) at word length BOWEN_BRACKET_N and its width, the `backend`
@@ -574,7 +575,7 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
                     _collocation_operator(frozen, np.exp(t * col.log_dx[ok]))]
 
         p, gaps[t] = _settled(_collocation_ladder(
-            lambda n, rows: _collocation_rung(frozen, n, read), COLLOCATION_LADDER[:2])[0])
+            lambda n, rows: _collocation_rung(frozen, n, read), COLLOCATION_LADDER)[0])
         return p
 
     try:

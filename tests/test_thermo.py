@@ -204,6 +204,19 @@ def test_bowen_root_falls_back_where_collocation_is_unresolved():
     assert lo <= 0.0 <= hi
 
 
+def test_bowen_root_settles_on_a_later_rung_pair():
+    # P_24 and P_48 differ by ~1e-9 at the root, P_48 and P_96 agree: the
+    # first two rungs alone left the depth-8 cylinder root 1.0490, whose
+    # error estimate was 8.5
+    fam = cf_family(0.001, 0.5)
+    res = bowen_root(fam, 0.0)
+    assert res["backend"] == "collocation" and res["error_estimate"] < 1e-12
+    frozen = fam.at(0.0)
+    ref = ifs.solve_root(
+        lambda t: collocation_pressure(frozen, t_log_derivative_potential(t), 384), 0.5, 1.5)
+    assert abs(res["s"] - ref) <= 1e-12
+
+
 @st.composite
 def _separated_affine(draw):
     """2-4 contraction ratios in [0.05, 0.24] placed left to right on [0, 1]

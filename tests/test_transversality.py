@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypifs import ifs, transversality
 from hypifs.apps import blackwell_family, cf_family
@@ -206,6 +208,16 @@ def test_gathered_affine_pass_matches_masked_pass(monkeypatch):
     assert [r[0] for r in gathered] == ["INCONCLUSIVE"] * 2 + ["FALSIFIED"] * 2
 
 
+def probe_words(fam, samples, depth, seed):
+    """The word arrays (u, v) that `mc_transversality_probe` draws at `seed`."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(1, fam.m + 1, size=(samples, depth))
+    v = rng.integers(1, fam.m + 1, size=(samples, depth))
+    clash = u[:, 0] == v[:, 0]
+    v[clash, 0] = 1 + (v[clash, 0] % fam.m)
+    return u, v
+
+
 def per_lambda_probe(fam, samples, depth, seed, lam_grid=17):
     """`mc_transversality_probe` as one pass over every pair at each lambda
     of the grid in turn, with `project_words` at one lambda: the report's
@@ -213,11 +225,7 @@ def per_lambda_probe(fam, samples, depth, seed, lam_grid=17):
     (lambda index, first bad row) of every lambda with a bad pair."""
     eta0 = transversality.NEAR_COLLISION_REL * fam.diam
     falsify_phi_tol = transversality.FALSIFY_PHI_REL * fam.diam
-    rng = np.random.default_rng(seed)
-    u = rng.integers(1, fam.m + 1, size=(samples, depth))
-    v = rng.integers(1, fam.m + 1, size=(samples, depth))
-    clash = u[:, 0] == v[:, 0]
-    v[clash, 0] = 1 + (v[clash, 0] % fam.m)
+    u, v = probe_words(fam, samples, depth, seed)
     emp_eta, events, witness, firsts = math.inf, 0, None, []
     for i, lam in enumerate(np.linspace(*fam.param_interval, lam_grid)):
         pu, du = ifs.project_words(fam, u, lam, fam.midpoint)
@@ -282,58 +290,204 @@ def test_probe_matches_per_lambda_reference(fam, seed, samples):
     assert _fields(mc_transversality_probe(fam, samples=samples, depth=20, seed=seed)) == ref
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "moebius", "custom"])
-def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
-    """Every family's pairs are screened through `project_words` with
-    dlam=False in row chunks over the whole lambda grid, the gathered
-    affine pass and the masked pass alike.  Each block with a
-    near-collision then takes one full call on the same grid, on its
-    near rows of u followed by the same rows of v."""
-    fam = PROBE_REF_FAMILIES[name]
-    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
-    screens, blocks, full = [], [], []
+def recording(monkeypatch):
+    """Every `project_words` call of the probe, as (words, L, dlam, x)."""
+    calls = []
 
-    def counting(fam, words, lams, x0, dlam=True):
+    def record(fam, words, lams, x0, dlam=True):
         x, d = ifs.project_words(fam, words, lams, x0, dlam=dlam)
-        if not dlam:
-            screens.append((words, x))
-            if len(screens) % 2 == 0:  # the v half of a block
-                (wu, xu), (wv, xv) = screens[-2:]
-                hit = np.flatnonzero((np.abs(xu - xv) < eta0).any(axis=0))
-                blocks.append((np.concatenate((wu[hit], wv[hit])), len(lams)))
-        else:
-            full.append((words, len(lams)))
+        calls.append((words, len(lams), dlam, x))
         return x, d
 
-    monkeypatch.setattr(transversality, "project_words", counting)
-    mc_transversality_probe(fam, samples=1500, depth=8, seed=1)
-    assert sorted((len(w), len(x)) for w, x in screens) == sorted([(1024, 17), (476, 17)] * 2)
-    near_blocks = [(w, L) for w, L in blocks if len(w)]
-    assert len(full) == len(near_blocks)
-    for (w, L), (w_ref, L_ref) in zip(full, near_blocks):
-        assert np.array_equal(w, w_ref) and L == L_ref
+    monkeypatch.setattr(transversality, "project_words", record)
+    return calls
 
 
-@pytest.mark.parametrize("name, samples, depth, seed, full_rows", [
-    ("identical", 1500, 8, 1, 2 * 1500),
-    ("moebius", 3000, 30, 4, 0),
+@pytest.mark.parametrize("name", ["bernoulli", "moebius", "custom"])
+def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
+    """Every family's pairs go through `project_words` in row chunks over
+    the whole lambda grid, the gathered affine pass and the masked pass
+    alike.  Where the prefix screen applies, a block's first K symbols of
+    u, then those of v, take one dlam=False call each, and the rows with
+    |Phi_K| below the limit at some lambda go on; a CustomMap family's
+    rows all go on.  Those rows of u, then of v, are screened with
+    dlam=False at full depth.  Each block with a near-collision then takes
+    one full call on the same grid, on its near rows of u followed by the
+    same rows of v."""
+    fam = PROBE_REF_FAMILIES[name]
+    samples, depth, K = 1500, 20, transversality.PREFIX_SYMBOLS
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    u, v = probe_words(fam, samples, depth, 1)
+    limits = transversality._prefix_limits(fam, np.linspace(*fam.param_interval, 17),
+                                           depth, eta0)
+    assert (limits is None) == (name == "custom")
+    calls = recording(monkeypatch)
+    mc_transversality_probe(fam, samples=samples, depth=depth, seed=1)
+    calls, kept = iter(calls), 0
+    for r0 in range(0, samples, transversality.PROBE_CHUNK):
+        rows = np.arange(r0, min(r0 + transversality.PROBE_CHUNK, samples))
+        if limits is not None:
+            (wu, L, dlam, xu), (wv, Lv, dlam_v, xv) = next(calls), next(calls)
+            assert np.array_equal(wu, u[rows, :K]) and np.array_equal(wv, v[rows, :K])
+            assert (L, dlam, Lv, dlam_v) == (17, False, 17, False)
+            rows = rows[(np.abs(xu - xv) < limits[:, None]).any(axis=0)]
+        kept += len(rows)
+        (wu, L, dlam, xu), (wv, Lv, dlam_v, xv) = next(calls), next(calls)
+        assert np.array_equal(wu, u[rows]) and np.array_equal(wv, v[rows])
+        assert (L, dlam, Lv, dlam_v) == (17, False, 17, False)
+        hit = rows[(np.abs(xu - xv) < eta0).any(axis=0)]
+        if hit.size:
+            words, L, dlam, _ = next(calls)
+            assert np.array_equal(words, np.concatenate((u[hit], v[hit])))
+            assert (L, dlam) == (17, True)
+    assert next(calls, None) is None
+    assert (kept < samples) == (limits is not None)
+
+
+@pytest.mark.parametrize("name, samples, depth, seed, screen_rows, full_rows", [
+    ("identical", 1500, 30, 1, 2 * 1500, 2 * 1500),
+    ("moebius", 3000, 30, 4, 0, 0),
 ], ids=["identical", "moebius"])
 def test_probe_composes_dlam_on_near_rows_only(monkeypatch, name, samples, depth, seed,
-                                               full_rows):
-    """Where every pair collides, the full pass receives every row of u
-    and of v; where none comes near, it receives none."""
-    received = []
-
-    def counting(fam, words, lams, x0, dlam=True):
-        if dlam:
-            received.append(len(words))
-        return ifs.project_words(fam, words, lams, x0, dlam=dlam)
-
-    monkeypatch.setattr(transversality, "project_words", counting)
+                                               screen_rows, full_rows):
+    """Where every pair collides, the prefix screen drops none, and the
+    x-only screen and the full pass receive every row of u and of v; where
+    none comes near, the prefix screen drops every pair and the later
+    passes receive none."""
+    calls = recording(monkeypatch)
     rep = mc_transversality_probe(PROBE_REF_FAMILIES[name], samples=samples, depth=depth,
                                   seed=seed)
-    assert sum(received) == full_rows
+    K = transversality.PREFIX_SYMBOLS
+    assert sum(len(w) for w, *_ in calls if w.shape[1] == K) == 2 * samples
+    assert sum(len(w) for w, _, dlam, _ in calls
+               if w.shape[1] == depth and not dlam) == screen_rows
+    assert sum(len(w) for w, _, dlam, _ in calls if dlam) == full_rows
     assert (rep.n_events == 0) == (full_rows == 0)
+
+
+UNSCREENED_FAMILIES = {
+    "custom": (PROBE_REF_FAMILIES["custom"], 20),
+    "shifted": (PROBE_REF_FAMILIES["translation"], 20),
+    # f_2(X) = [0.5001, 1.0001] leaves X' = [-1e-6, 1 + 1e-6]
+    "escaping": (IfsFamily((affine_map(0.5, 0.0), affine_map(0.5, 0.5001)),
+                           (0.0, 1.0), (0.0, 1.0)), 20),
+    "gamma-one": (IfsFamily((affine_map(1.0, 0.0), affine_map(0.5, poly(0.25, 0.1))),
+                            (0.0, 1.0), (0.0, 1.0)), 20),
+    # x / (x + 5e-7): the pole -5e-7 lies in X' but not in X
+    "pole": (IfsFamily((RationalMap(poly(0.0), poly(1.0), poly(5e-7), poly(1.0)),
+                        affine_map(0.5, poly(0.25, 0.1))), (0.0, 1.0), (0.0, 1.0)), 20),
+    # x / (x + 1e-6): the pole sits on the left end of X'
+    "pole-at-end": (IfsFamily((RationalMap(poly(0.0), poly(1.0), poly(1e-6), poly(1.0)),
+                               affine_map(0.5, poly(0.25, 0.1))), (0.0, 1.0), (0.0, 1.0)), 20),
+    "short": (PROBE_REF_FAMILIES["bernoulli"], transversality.PREFIX_SYMBOLS),
+}
+
+
+@pytest.mark.parametrize("name", UNSCREENED_FAMILIES)
+def test_probe_screens_every_row_where_the_prefix_bound_does_not_apply(monkeypatch, name):
+    """CustomMap and ShiftedMap families, a family whose X' is not
+    invariant, one with Gamma = 1, ones with a pole inside X' or at its
+    end, and words no longer than K send every row of u and of v to the
+    x-only screen."""
+    fam, depth = UNSCREENED_FAMILIES[name]
+    lams = np.linspace(*fam.param_interval, 17)
+    assert transversality._prefix_limits(fam, lams, depth, 1e-3 * fam.diam) is None
+    calls = recording(monkeypatch)
+    mc_transversality_probe(fam, samples=1500, depth=depth, seed=2)
+    screens = [len(w) for w, _, dlam, _ in calls if not dlam]
+    assert screens == [1024, 1024, 476, 476]
+    assert all(w.shape[1] == depth for w, *_ in calls)
+
+
+def test_prefix_limit_is_eta0_plus_twice_the_lipschitz_width_plus_slack():
+    """For the Bernoulli family Gamma = lambda, and the limit is eta0 +
+    2 lambda^K (|X|/2 + delta) plus a slack between its floor
+    PREFIX_SLACK_REL |X| and twice that."""
+    fam = PROBE_REF_FAMILIES["bernoulli"]
+    lams = np.linspace(*fam.param_interval, 17)
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    limits = transversality._prefix_limits(fam, lams, 40, eta0)
+    half_width = 0.5 * fam.diam + transversality.PREFIX_PAD_REL * fam.diam
+    slack = limits - eta0 - 2 * lams ** transversality.PREFIX_SYMBOLS * half_width
+    floor = transversality.PREFIX_SLACK_REL * fam.diam
+    assert np.all(slack >= floor) and np.all(slack <= 2 * floor)
+
+
+def test_prefix_limit_keeps_a_pair_whose_tails_sit_at_opposite_ends():
+    """u = 1 2^(n-1) and v = 2 1^(n-1) collide at lambda = 1/2: Phi = -2^(1-n).
+    Their tails sit near -1 and +1, so |Phi_K| = 2^(1-K) (1 - 2^(K-n)) is
+    within 2 Gamma^K |X|/2 of Phi but above eta0 + Gamma^K |X|/2: the
+    factor 2 of the limit is what keeps the pair."""
+    fam = IfsFamily(PROBE_REF_FAMILIES["bernoulli"].maps, (-1.0, 1.0), (0.5, 0.5))
+    n, K = 40, transversality.PREFIX_SYMBOLS
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    words = np.array([[1] + [2] * (n - 1), [2] + [1] * (n - 1)])
+    (x_u, x_v), _ = ifs.project_words(fam, words, 0.5, fam.midpoint, dlam=False)
+    (k_u, k_v), _ = ifs.project_words(fam, words[:, :K], 0.5, fam.midpoint, dlam=False)
+    assert abs(x_u - x_v) < eta0
+    [limit] = transversality._prefix_limits(fam, np.array([0.5]), n, eta0)
+    assert eta0 + 0.5 ** K * fam.diam / 2 < abs(k_u - k_v) < limit
+
+
+@st.composite
+def screened_families(draw):
+    """A family on X = [0, 1] over lambda in [0, 1] that the prefix screen
+    applies to.  Either 2-4 affine or Moebius maps, each onto [p, p + w] of
+    X, increasing or decreasing, p linear in lambda and w in [0.2, 0.45],
+    so that cylinders may overlap; or a planted witness: 3-5 maps of slope
+    1e-12 whose first two offsets cross at a grid lambda with d/dlam Phi =
+    1e-7, the other offsets anywhere in X."""
+    kind = draw(st.sampled_from(["affine", "moebius", "planted"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "planted":
+        c, lam_i = draw(st.floats(0.1, 0.9)), draw(st.integers(0, 16)) / 16
+        maps = [affine_map(1e-12, poly(c - 1e-7 * lam_i, 1e-7)), affine_map(1e-12, c)]
+        maps += [affine_map(1e-12, draw(unit) * 0.999)
+                 for _ in range(draw(st.integers(1, 3)))]
+        return kind, IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        w = draw(st.floats(0.2, 0.45))
+        p0, p1 = draw(unit) * (1 - w), draw(unit) * (1 - w)
+        p = (p0, p1 - p0)  # p(lam) = p0 + (p1 - p0) lam
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        lo = (p[0] + w * (sign < 0), p[1])  # the image of x = 0
+        if kind == "affine":
+            maps.append(affine_map(sign * w, poly(*lo)))
+            continue
+        # p + w g(x) or p + w (1 - g(x)), g(x) = x / (1 + k - k x) onto [0, 1],
+        # |f'| <= w max(1 + k, 1 / (1 + k)) < 0.77
+        k = draw(st.floats(-0.35, 0.7))
+        maps.append(RationalMap(poly(*((1 + k) * c for c in lo)),
+                                poly(sign * w - k * lo[0], -k * lo[1]),
+                                poly(1 + k), poly(-k)))
+    return kind, IfsFamily(tuple(maps), (0.0, 1.0), (0.0, 1.0))
+
+
+@given(screened_families(), st.integers(1, 1500),
+       st.integers(transversality.PREFIX_SYMBOLS + 1, 24), st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_prefix_screen_drops_no_near_pair(case, samples, depth, seed):
+    """The screened report is the per-lambda reference's, bit for bit, and
+    every pair the prefix screen drops, composed to full depth, has
+    |Phi| >= eta0 at every lambda."""
+    kind, fam = case
+    ref, _ = per_lambda_probe(fam, samples, depth, seed)
+    assert _fields(mc_transversality_probe(fam, samples=samples, depth=depth, seed=seed)) == ref
+    u, v = probe_words(fam, samples, depth, seed)
+    if kind == "planted" and (u[:, 0] + v[:, 0] == 3).any():  # first symbols 1 and 2
+        assert ref[0] == "FALSIFIED"
+    lams = np.linspace(*fam.param_interval, 17)
+    eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+    limits = transversality._prefix_limits(fam, lams, depth, eta0)
+    assert limits is not None
+    K = transversality.PREFIX_SYMBOLS
+    (pu, _), (pv, _) = (ifs.project_words(fam, w[:, :K], lams, fam.midpoint, dlam=False)
+                        for w in (u, v))
+    dropped = (np.abs(pu - pv) >= limits[:, None]).all(axis=0)
+    (pu, _), (pv, _) = (ifs.project_words(fam, w[dropped], lams, fam.midpoint, dlam=False)
+                        for w in (u, v))
+    assert not (np.abs(pu - pv) < eta0).any()
 
 
 @pytest.mark.parametrize("callbacks", [False, True], ids=["affine", "custom"])
