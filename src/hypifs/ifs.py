@@ -485,10 +485,10 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
     step = xs[1] - xs[0]
     exact = True
     for j, mp in enumerate(fam.maps, 1):
-        at_ends = type(mp) in (AffineMap, RationalMap)
-        exact = exact and at_ends
-        if at_ends:
-            v, d, (_, _, _, d1), den = at_interval_ends(mp, lams, (lo, hi))
+        at_ends = at_interval_ends(mp, lams, (lo, hi))
+        exact = exact and at_ends is not None
+        if at_ends is not None:
+            v, d, (_, _, _, d1), den = at_ends
         else:
             frozen = _freeze(mp, lams)
             v = np.broadcast_to(np.asarray(frozen.value(xs[None, :]),
@@ -505,7 +505,7 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
         if v.min() < lo - pad or v.max() > hi + pad:
             invariant = False
         monotone.append(bool(np.all(d > 0)))
-        if at_ends:
+        if at_ends is not None:
             if np.any(np.signbit(den[:, 0]) != np.signbit(den[:, 1])):
                 raise EvaluationError(f"Moebius map {j} has a pole "
                                       f"on the domain [{lo!r}, {hi!r}]")
@@ -523,14 +523,17 @@ def regularity_audit(fam: IfsFamily, grid_size: int = 256) -> AuditReport:
 
 
 def at_interval_ends(mp, lams, ends):
-    """The affine or Moebius map `mp` frozen over the (L, 1) column `lams`,
-    at the two points `ends` = (lo, hi): (value, dx, (n0, n1, d0, d1),
-    den), value, dx and den = d0 + d1 x of shape (L, 2), an affine map
-    a x + b taken as n0 = b, n1 = a, d0 = 1, d1 = 0.  Where den keeps its
-    sign between the two points, [lo, hi] holds no pole, and the map and
+    """The map `mp` frozen over the (L, 1) column `lams`, at the two points
+    `ends` = (lo, hi): (value, dx, (n0, n1, d0, d1), den), value, dx and
+    den = d0 + d1 x of shape (L, 2), an affine map a x + b taken as n0 = b,
+    n1 = a, d0 = 1, d1 = 0; or None for a map with no closed form, any map
+    but an `AffineMap` or `RationalMap`.  Where den keeps its sign between
+    the two points, [lo, hi] holds no pole, and the map and
     |f'| = |n1 d0 - n0 d1| / den^2 are monotone on it, so their extremes
     over [lo, hi] are at these two points: the exact-in-x evaluation of
     `regularity_audit` and of the probe's prefix screen."""
+    if type(mp) not in (AffineMap, RationalMap):
+        return None
     frozen = _freeze(mp, lams)
     x = np.asarray(ends, dtype=float)[None, :]
     shape = (len(lams), 2)

@@ -558,6 +558,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     ("collocation" or "cylinder") and `error_estimate`: the pressure error
     at s (|P_N - P_2N|, or the truncation bound at depth r) over
     log(1/gamma2), the least slope |P'|, which estimates |s - s_true|.
+    The bracket checks P(s) only to its width (0.047 at the E2 root) and
+    is no bound on |s - s_true|: it holds 0 at cylinder roots off by 0.085.
     """
     aud = regularity_audit(fam)
     if not aud.derivative_ok:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import (AffineMap, IfsFamily, RationalMap, ShiftedMap, at_interval_ends,
-                  cylinder_interval, poly, project_words, regularity_audit, solve_root)
+from .ifs import (IfsFamily, ShiftedMap, at_interval_ends, cylinder_interval, poly,
+                  project_words, regularity_audit, solve_root)
 
 LAMBDA_SWEEP_GRID = 1024
 NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
@@ -295,8 +295,7 @@ def _prefix_limits(fam: IfsFamily, lams, depth: int, eta0: float):
     word and the roundings of x0, Gamma^K, the limit, the differences and
     the comparison: a dropped pair has computed |Phi| >= eta0, and the
     screen changes no report."""
-    if depth <= PREFIX_SYMBOLS or any(type(mp) not in (AffineMap, RationalMap)
-                                      for mp in fam.maps):
+    if depth <= PREFIX_SYMBOLS:
         return None
     eps = np.finfo(float).eps
     delta = PREFIX_PAD_REL * fam.diam
@@ -306,7 +305,10 @@ def _prefix_limits(fam: IfsFamily, lams, depth: int, eta0: float):
     images = []
     for mp in fam.maps:
         with np.errstate(divide="ignore", invalid="ignore"):  # a pole at an end of X'
-            v, d, (n0, n1, d0, d1), den = at_interval_ends(mp, lams[:, None], (lo, hi))
+            at_ends = at_interval_ends(mp, lams[:, None], (lo, hi))
+        if at_ends is None:
+            return None
+        v, d, (n0, n1, d0, d1), den = at_ends
         den_min = np.abs(den).min(axis=1, keepdims=True)
         den_err = 2 * eps * (np.abs(d0) + np.abs(d1) * big)
         if np.any(np.signbit(den[:, 0]) != np.signbit(den[:, 1])) or \
@@ -337,20 +339,22 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     derivative is a falsification witness; anything else is evidence.
     The witness is the first bad pair at the first bad lambda.
 
-    The pairs go PROBE_CHUNK rows at a time over the whole grid, in three
-    stages.  (1) The prefix screen composes the first PREFIX_SYMBOLS = K
-    symbols of u, then of v, with dlam=False, the x-only screen's two calls
-    on K columns (one call on both halves peaked 0.4 MB higher), and
-    drops a pair when |Phi_K| reaches `_prefix_limits` at every lambda:
-    there |Phi| >= eta0, rounding included, so no report changes.  It
-    runs when every map is affine or Moebius, K < depth, and at every
-    lambda X widened by delta has no pole, is invariant, and has
-    Gamma = max_j sup |f_j'| < 1; otherwise every pair goes on.  (2) The
-    pairs left are screened by Phi alone at full depth (dlam=False).
-    (3) d/dlam Phi is composed only for the rows with a near-collision at
-    some lambda of the block, in one call over the same grid.  A family
-    whose pairs mostly collide, such as two identical maps, keeps every
-    pair and pays for all three passes."""
+    The pairs go PROBE_CHUNK rows at a time over the whole grid, through
+    a ladder of screens (k, limit): each composes the first k symbols of
+    u, then of v, in one x-only call each (dlam=False; one call on both
+    peaked 0.4 MB higher), and keeps the rows whose |Phi_k| is under the
+    limit, or NaN, at some lambda.  The prefix screen,
+    (PREFIX_SYMBOLS, `_prefix_limits`), drops only pairs with |Phi| >= eta0
+    at every lambda, rounding included; it is on the ladder when every map
+    is affine or Moebius, K < depth, and at every lambda X widened by delta
+    has no pole, is invariant and has Gamma = max_j sup |f_j'| < 1.  The
+    last screen, (depth, eta0), drops the pairs with no near-collision.
+    One full call on the rows left, u's then v's, gives Phi, the same
+    floats as the x-only pass, and d/dlam Phi: the near-collisions,
+    empirical_eta and the witness.  No dropped pair has a near-collision,
+    so no report changes.  Where every pair collides, as with two
+    identical maps, every pair survives both screens and pays for all
+    three passes."""
     if fam.m < 2:
         raise ValueError("need at least two symbols")
     if samples < 1:
@@ -371,34 +375,28 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     events = 0
     first_bad = (lam_grid, 0)  # the least (lambda index, row) of a bad pair
     limits = _prefix_limits(fam, lams, depth, eta0)
+    screens = [] if limits is None else [(PREFIX_SYMBOLS, limits[:, None])]
+    screens.append((depth, eta0))
+    index = np.arange(samples)
     for r0 in range(0, samples, PROBE_CHUNK):
-        rows = np.arange(r0, min(r0 + PROBE_CHUNK, samples))
-        if limits is not None:
-            block = slice(r0, r0 + PROBE_CHUNK)
-            ku, _ = project_words(fam, u[block, :PREFIX_SYMBOLS], lams, fam.midpoint,
-                                  dlam=False)
-            kv, _ = project_words(fam, v[block, :PREFIX_SYMBOLS], lams, fam.midpoint,
-                                  dlam=False)
-            far = np.abs(ku - kv) >= limits[:, None]
-            del ku, kv  # the later passes of the block then peak as without this stage
-            rows = rows[~far.all(axis=0)]
-        pu, _ = project_words(fam, u[rows], lams, fam.midpoint, dlam=False)
-        pv, _ = project_words(fam, v[rows], lams, fam.midpoint, dlam=False)
-        phi = pu - pv
+        rows = slice(r0, r0 + PROBE_CHUNK)  # words of a slice are views, not copies
+        for k, limit in screens:
+            pu, _ = project_words(fam, u[rows, :k], lams, fam.midpoint, dlam=False)
+            pv, _ = project_words(fam, v[rows, :k], lams, fam.midpoint, dlam=False)
+            rows = index[rows][~(np.abs(pu - pv) >= limit).all(axis=0)]
+            del pu, pv  # the next pass of the block then peaks as without this one
+        if not rows.size:
+            continue
+        x, d = project_words(fam, np.concatenate((u[rows], v[rows])), lams, fam.midpoint)
+        phi, dphi = x[:, :rows.size] - x[:, rows.size:], d[:, :rows.size] - d[:, rows.size:]
         near = np.abs(phi) < eta0
         events += int(near.sum())
-        hit = np.flatnonzero(near.any(axis=0))  # columns of rows, ascending
-        if hit.size:
-            _, d = project_words(fam, np.concatenate((u[rows[hit]], v[rows[hit]])),
-                                 lams, fam.midpoint)
-            dphi = d[:, :hit.size] - d[:, hit.size:]
-            near, phi = near[:, hit], phi[:, hit]
-            emp_eta = min(emp_eta, float(np.abs(dphi[near]).min()))
-            bad = near & (np.abs(phi) < falsify_phi_tol) & \
-                (np.abs(dphi) < FALSIFY_DPHI_TOL)
-            if bad.any():
-                i, k = np.unravel_index(np.argmax(bad), bad.shape)
-                first_bad = min(first_bad, (i, rows[hit[k]]))
+        # a block may keep only pairs with a NaN Phi, and then has no near entry
+        emp_eta = min(emp_eta, float(np.abs(dphi[near]).min(initial=math.inf)))
+        bad = near & (np.abs(phi) < falsify_phi_tol) & (np.abs(dphi) < FALSIFY_DPHI_TOL)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            first_bad = min(first_bad, (i, rows[j]))
     i, k = first_bad
     witness = (tuple(u[k]), tuple(v[k]), float(lams[i])) if i < lam_grid else None
     verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"

@@ -272,6 +272,7 @@ PROBE_REF_FAMILIES = {
     "bernoulli": IfsFamily((bernoulli_psi(0), bernoulli_psi(1)), (-1.0, 1.0), (0.5, 0.66)),
     "identical": IfsFamily((bernoulli_psi(0), bernoulli_psi(0)), (-1.0, 1.0), (0.5, 0.66)),
     "moebius": cf_family(0.5, 2.0, 0.1),
+    "moebius-overlap": cf_family(0.01, 0.05, 0.05),
     "rare-witness": rare_witness_family(),
     "translation": build_pm_translation(sep_base(0.6, 0.1, 0.3), 0.0, 0.05),
     "custom": _callback_copy(IfsFamily((bernoulli_psi(0), bernoulli_psi(1)),
@@ -303,7 +304,7 @@ def recording(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "moebius", "custom"])
+@pytest.mark.parametrize("name", ["bernoulli", "moebius", "moebius-overlap", "custom"])
 def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
     """Every family's pairs go through `project_words` in row chunks over
     the whole lambda grid, the gathered affine pass and the masked pass
@@ -524,6 +525,19 @@ def test_probe_distinct_first_symbols_forced():
                     (-1.0, 1.0), (0.5, 0.66))
     rep = mc_transversality_probe(fam, samples=100, depth=10, seed=0)
     assert rep.n_samples == 100 * 17
+
+
+def test_probe_counts_no_near_collision_where_phi_is_nan(monkeypatch):
+    """A pair whose Phi is NaN at every lambda passes every screen, whose
+    test |Phi_k| >= limit a NaN fails, and reaches the full pass, where it
+    is no near-collision: the report is that of a family with no near pair."""
+    nan_map = CustomMap(lambda lam, x: np.nan * x, lambda lam, x: 0.5 + 0 * x,
+                        lambda lam, x: 0 * x)
+    fam = IfsFamily((affine_map(0.5, 0.0), nan_map), (0.0, 1.0), (0.0, 1.0))
+    calls = recording(monkeypatch)
+    rep = mc_transversality_probe(fam, samples=50, depth=10, seed=0, lam_grid=3)
+    assert [dlam for _, _, dlam, _ in calls] == [False, False, True]
+    assert _fields(rep) == ("INCONCLUSIVE", 0, math.inf, None, 150)
 
 
 def test_report_lines_cover_fields():
