@@ -25,7 +25,7 @@ from .mstats import (EmpiricalSample, chaos_game_sample,
                      sobolev_estimate)
 from .apps import (RegionGrid, bernoulli_entropy_bounds, bernoulli_family,
                    bernoulli_moments, bernoulli_potential,
-                   bernoulli_region_scan, blackwell_cell_value,
-                   blackwell_family, blackwell_region_scan, cf_family,
-                   cf_overlap, similarity_dimension)
+                   bernoulli_region_scan, blackwell_family,
+                   blackwell_region_scan, cf_family, cf_overlap,
+                   similarity_dimension)
 from .words import enumerate_words

@@ -46,14 +46,6 @@ class RegionGrid:
     values: np.ndarray  # shape (n1, n2)
     verdicts: np.ndarray  # object array of strings
 
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"{self.axis_names[0]},{self.axis_names[1]},value,verdict\n")
-            for i, a in enumerate(self.axis1):
-                for j, b in enumerate(self.axis2):
-                    fh.write(f"{a:.12g},{b:.12g},{self.values[i, j]:.12g},"
-                             f"{self.verdicts[i, j]}\n")
-
 
 def bernoulli_family(param_interval=(0.5, BERNOULLI_TRANSVERSALITY_SUP)) -> IfsFamily:
     """{lam*x - (1-lam), lam*x + (1-lam)} on [-1, 1]."""
@@ -249,15 +241,6 @@ def blackwell_row_values(eps: float, ps, r: int) -> list:
             out[j] = (h_chi if isinstance(h_chi, AuditFailure)
                       else _outcome(_blackwell_ratio, fam, pot, ps[j], r, h_chi))
     return out
-
-
-def blackwell_cell_value(eps: float, p: float, r: int = 8) -> float:
-    """h/chi for the Blackwell Gibbs measure at (eps, p): the one-cell row
-    `blackwell_row_values(eps, [p], r)`, raised if it is a failure."""
-    value = blackwell_row_values(eps, [p], r)[0]
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def blackwell_region_scan(eps_range, p_range, shape, r: int = 8) -> RegionGrid:

@@ -195,21 +195,21 @@ def cmd_entropy(cfg, args, out):
 
 
 def cmd_region(cfg, args, out):
-    which = args.which
     shape = (cfg.read("run.grid1", as_int, 50), cfg.read("run.grid2", as_int, 50))
-    if which == "bernoulli":
+    if args.mode == "bernoulli":
         grid = bernoulli_region_scan(
             cfg.read("region.rho_range", as_pair, [0.0, 0.45]),
             cfg.read("region.lambda_range", as_pair, [0.51, 0.668]),
             shape, cfg.read("run.moment_terms", as_int, 12))
-        path = os.path.join(out, "region_bernoulli.csv")
     else:  # the parser accepts only bernoulli and blackwell
         grid = blackwell_region_scan(
             cfg.read("region.eps_range", as_pair, [0.05, 0.95]),
             cfg.read("region.p_range", as_pair, [0.05, 0.95]),
             shape, get_depth(cfg, args, 8))
-        path = os.path.join(out, "region_blackwell.csv")
-    grid.to_csv(path)
+    path = os.path.join(out, f"region_{args.mode}.csv")
+    _write_rows(path, [*grid.axis_names, "value", "verdict"],
+                [(a, b, grid.values[i, j], grid.verdicts[i, j])
+                 for i, a in enumerate(grid.axis1) for j, b in enumerate(grid.axis2)])
     n_super = int(np.sum(grid.verdicts == "SUPERCRITICAL"))
     print(f"cells: {grid.values.size}")
     print(f"supercritical: {n_super}")
@@ -358,36 +358,39 @@ def cmd_simdim(cfg, args, out):
     return 0
 
 
+# every subcommand, "command" or "command mode", in `hypifs --help` order
 COMMANDS = {
     "audit": cmd_audit, "project": cmd_project, "spectrum": cmd_spectrum,
     "pressure": cmd_pressure, "bowen": cmd_bowen, "entropy": cmd_entropy,
-    "region": cmd_region, "partition": cmd_partition, "energy": cmd_energy,
-    "dimcor": cmd_dimcor, "sample": cmd_sample, "sobolev": cmd_sobolev,
-    "mprobe": cmd_mprobe, "pressure-drop": cmd_pressure_drop,
-    "simdim": cmd_simdim,
+    "partition": cmd_partition, "energy": cmd_energy, "dimcor": cmd_dimcor,
+    "sample": cmd_sample, "sobolev": cmd_sobolev, "mprobe": cmd_mprobe,
+    "pressure-drop": cmd_pressure_drop, "simdim": cmd_simdim,
+    "transversality certify": cmd_certify, "transversality probe": cmd_probe,
+    "region bernoulli": cmd_region, "region blackwell": cmd_region,
+    "cf overlap": cmd_cf,
 }
+SEEDED = ("transversality probe", "sample", "sobolev")  # stanzas with a seed: line
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: handlers are looked up
-    in COMMANDS when a command runs, not bound into the parser."""
+    """The argument parser, built once per process from the keys of COMMANDS:
+    handlers are looked up there when a command runs, not bound into the parser."""
     ap = argparse.ArgumentParser(prog="hypifs")
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None)
+    ap.set_defaults(mode=None)
+    modes = {}
+    for key in COMMANDS:
+        command, *mode = key.split()
+        modes.setdefault(command, []).extend(mode)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        if name == "region":
-            continue
-        sub.add_parser(name)
-    tv = sub.add_parser("transversality")
-    tv.add_argument("mode", choices=["certify", "probe"])
-    rg = sub.add_parser("region")
-    rg.add_argument("which", choices=["bernoulli", "blackwell"])
-    cf = sub.add_parser("cf")
-    cf.add_argument("mode", choices=["overlap"])
+    for command, choices in modes.items():
+        parser = sub.add_parser(command)
+        if choices:
+            parser.add_argument("mode", choices=choices)
     return ap
 
 
@@ -400,16 +403,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
+    key = args.command if args.mode is None else f"{args.command} {args.mode}"
     try:
-        if args.command == "transversality":
-            handler = cmd_certify if args.mode == "certify" else cmd_probe
-        elif args.command == "cf":
-            handler = cmd_cf
-        else:
-            handler = COMMANDS[args.command]
-        seeded = handler in (cmd_probe, cmd_sample, cmd_sobolev)
-        print(stanza(cfg, get_seed(cfg, args) if seeded else None))
-        return handler(cfg, args, args.out)
+        print(stanza(cfg, get_seed(cfg, args) if key in SEEDED else None))
+        return COMMANDS[key](cfg, args, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

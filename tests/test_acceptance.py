@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from test_apps import blackwell_cell_value
 
 import hypifs as hi
 from hypifs.mstats import correlation_dimension
@@ -72,10 +73,10 @@ def test_04_moment_oracle():
 
 
 def test_05_blackwell_region():
-    cells = [hi.blackwell_cell_value(e, p, r=8)
+    cells = [blackwell_cell_value(e, p, r=8)
              for e, p in [(0.45, 0.775), (0.55, 0.775), (0.45, 0.225)]]
-    sym = abs(hi.blackwell_cell_value(0.3, 0.7, r=8) -
-              hi.blackwell_cell_value(0.7, 0.7, r=8))
+    sym = abs(blackwell_cell_value(0.3, 0.7, r=8) -
+              blackwell_cell_value(0.7, 0.7, r=8))
     t0 = time.time()
     grid = hi.blackwell_region_scan((0.05, 0.95), (0.05, 0.95), (50, 50), r=8)
     dt = time.time() - t0

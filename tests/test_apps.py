@@ -12,14 +12,24 @@ from hypifs import apps, thermo
 from hypifs.apps import (BERNOULLI_TRANSVERSALITY_SUP,
                          bernoulli_entropy_bounds, bernoulli_family,
                          bernoulli_moments, bernoulli_region_scan,
-                         blackwell_cell_value, blackwell_family,
-                         blackwell_region_scan, cf_domain, cf_family,
-                         cf_overlap, similarity_dimension)
+                         blackwell_family, blackwell_region_scan,
+                         cf_domain, cf_family, cf_overlap,
+                         similarity_dimension)
+from hypifs.cli import main
 from hypifs.ifs import ROOT_RTOL, ROOT_XTOL, IfsFamily, regularity_audit
 from hypifs.thermo import (CollocationUnresolved, bowen_root, collocation_h_chi,
                            entropy, gibbs_cylinder_measure,
                            log_probability_potential, lyapunov_exponent,
                            transfer_spectrum)
+
+
+def blackwell_cell_value(eps, p, r=8):
+    """h/chi for the Blackwell Gibbs measure at (eps, p): the one-cell row
+    `blackwell_row_values(eps, [p], r)`, raised if it is a failure."""
+    value = apps.blackwell_row_values(eps, [p], r)[0]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def test_bernoulli_family_shape():
@@ -300,13 +310,18 @@ def test_blackwell_row_values_are_the_cell_values(eps, ps, r):
                                         for p in ps])
 
 
-def test_region_csv_round_trip(tmp_path):
+def test_region_csv_round_trip(tmp_path, capsys):
+    cfg = tmp_path / "region.cfg"
+    cfg.write_text("region.rho_range = 0.0, 0.2\nregion.lambda_range = 0.55, 0.6\n"
+                   "run.grid1 = 3\nrun.grid2 = 3\nrun.moment_terms = 6\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "region", "bernoulli"]) == 0
+    assert "cells: 9" in capsys.readouterr().out.splitlines()
     grid = bernoulli_region_scan((0.0, 0.2), (0.55, 0.6), (3, 3), 6)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = (tmp_path / "region_bernoulli.csv").read_text().splitlines()
     assert lines[0] == "rho,lambda,value,verdict"
     assert len(lines) == 10
+    assert lines[1:] == [f"{a:.12g},{b:.12g},{grid.values[i, j]:.12g},{grid.verdicts[i, j]}"
+                         for i, a in enumerate(grid.axis1) for j, b in enumerate(grid.axis2)]
 
 
 def test_cf_domain_fixed_points():

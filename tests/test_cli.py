@@ -455,3 +455,46 @@ def test_sample_rejects_a_potential_without_probabilities_exit_1(tmp_path, capsy
     assert code == 1
     assert f"potential kind {kind!r}" in capsys.readouterr().err
     assert not (tmp_path / "sample.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["table", "module"])
+def test_a_wrapped_sample_handler_still_prints_its_seed(tmp_path, capsys, monkeypatch,
+                                                        where):
+    # a wrapper in COMMANDS, or a tracer's in place of the module's name: the
+    # seed line follows the command, not the handler's identity
+    sample = cli.COMMANDS["sample"]
+
+    def wrapped(cfg, args, out):
+        return sample(cfg, args, out)
+
+    if where == "table":
+        monkeypatch.setitem(cli.COMMANDS, "sample", wrapped)
+    else:
+        monkeypatch.setattr(cli, "cmd_sample", wrapped)
+    cfg = CANTOR + "potential.kind = constant\npotential.probs = 0.5, 0.5\nrun.samples = 200\n"
+    code, out = run(tmp_path, cfg, ["--seed", "11", "sample"], capsys)
+    assert code == 0
+    assert "seed: 11" in out.splitlines()
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS))
+def test_every_command_parses_and_runs_its_own_handler(tmp_path, capsys, monkeypatch,
+                                                       key):
+    called = []
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda cfg, args, out, name=name: called.append(name) or 0)
+    code, out = run(tmp_path, CANTOR, key.split(), capsys)
+    assert code == 0
+    assert called == [key]
+    assert ("seed: 0" in out.splitlines()) == (key in cli.SEEDED)
+
+
+def test_parser_lists_the_commands_in_help_order(capsys):
+    assert "{audit,project,spectrum,pressure,bowen,entropy,partition,energy,dimcor," \
+        "sample,sobolev,mprobe,pressure-drop,simdim,transversality,region,cf}" \
+        in cli.build_parser().format_usage().replace("\n", "").replace(" ", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "run.cfg", "region", "foo"])
+    assert exc.value.code == 2
+    assert "argument mode: invalid choice: 'foo'" in capsys.readouterr().err
