@@ -16,13 +16,17 @@ LAMBDA_SWEEP_GRID = 1024
 NEAR_COLLISION_REL = 1e-3  # near-collision: |Phi| < NEAR_COLLISION_REL * diam(X)
 FALSIFY_PHI_REL = 1e-9  # witness: |Phi| < FALSIFY_PHI_REL * diam(X) ...
 FALSIFY_DPHI_TOL = 1e-6  # ... and |d/dlam Phi| < FALSIFY_DPHI_TOL
-PROBE_CHUNK = 1024  # rows per screening call; 2048 cost 1.4 MB more peak RSS
-# K, the symbols of each word the prefix screen composes.  On the benchmark's
-# two probes (Bernoulli: 10,000 pairs of depth 40 at 17 lambdas on (0.5, 0.66);
-# two identical maps: 2,000 pairs), median of 25 in-process rounds on 2 vCPUs,
-# Python 3.11, numpy 2.4: a round took 65.4 ms unscreened, and 47.0, 46.9,
-# 48.2 and 49.2 ms at K = 6, 8, 10 and 12, the Bernoulli probe keeping 11.7,
-# 7.7, 5.6 and 3.7 % of its pairs
+# PROBE_CHUNK, the pairs of each block in every pass of the probe, and K, the
+# symbols of each word the prefix screen composes.  On the benchmark's two
+# probes (Bernoulli: 10,000 pairs of depth 40 at 17 lambdas on (0.5, 0.66);
+# two identical maps: 2,000 pairs), the least of 75 in-process rounds (three
+# runs of 25) on 2 vCPUs, Python 3.11, numpy 2.4: at K = 8 a round took
+# 36.3, 32.3 and 36.8 ms with blocks of 512, 1024 and 2048 pairs, the
+# Bernoulli probe peaking at 7.5, 7.6 and 7.6 MB traced; with 1024, 62.0 ms
+# unscreened, and 36.6, 32.3, 34.1, 37.3 and 44.4 ms at K = 6, 8, 10, 12 and
+# 14, the Bernoulli probe keeping 11.6, 7.8, 5.6, 3.8 and 2.4 % of its pairs
+# and peaking at 7.9, 7.6, 7.7, 8.2 and 9.4 MB
+PROBE_CHUNK = 1024
 PREFIX_SYMBOLS = 8
 PREFIX_PAD_REL = 1e-6  # delta / |X|: X' is X widened by delta at each end
 PREFIX_SLACK_REL = 1e-9  # the least slack of the prefix screen's drop rule / |X|
@@ -274,7 +278,8 @@ def build_pm_translation(base: IfsFamily, lam0: float,
 def _prefix_limits(fam: IfsFamily, lams, depth: int, eta0: float):
     """Per lambda, the least |Phi_K| at which the prefix screen drops a pair,
     eta0 + 2 Gamma^K (|X|/2 + delta) + slack; or None, and every pair goes
-    on, unless every map is affine or Moebius, K < depth, and at every
+    on, unless every map is affine or Moebius, K < depth, m^K < 2^63 (so
+    that the int64 codes of `_prefix_table` cannot wrap), and at every
     lambda of `lams` X' has no pole, Gamma < 1 and f_j(X') lies in X'
     narrowed by the slack at each end.
 
@@ -295,7 +300,7 @@ def _prefix_limits(fam: IfsFamily, lams, depth: int, eta0: float):
     word and the roundings of x0, Gamma^K, the limit, the differences and
     the comparison: a dropped pair has computed |Phi| >= eta0, and the
     screen changes no report."""
-    if depth <= PREFIX_SYMBOLS:
+    if depth <= PREFIX_SYMBOLS or fam.m ** PREFIX_SYMBOLS >= 2 ** 63:
         return None
     eps = np.finfo(float).eps
     delta = PREFIX_PAD_REL * fam.diam
@@ -330,6 +335,44 @@ def _prefix_limits(fam: IfsFamily, lams, depth: int, eta0: float):
     return (eta0 + 2 * gamma ** PREFIX_SYMBOLS * (0.5 * fam.diam + delta) + slack)[:, 0]
 
 
+def _prefix_table(fam: IfsFamily, lams, u, v):
+    """(table, iu, iv): the first K = PREFIX_SYMBOLS symbols of every
+    distinct prefix among the rows of u and of v, composed once from the
+    midpoint of X, x only, as the columns of an (L, n) table, and the
+    column of each row's prefix, for u and for v.  A prefix's code,
+    sum (w_i - 1) m^(K - i), is built in place in int64 (m^K < 2^63
+    wherever `_prefix_limits` applies); the table is composed one call per
+    PROBE_CHUNK columns, one call in all for m = 2 and K = 8.  Rows are
+    independent in `project_words`, so a row's column holds the floats of
+    its own prefix's composition."""
+    m, n = fam.m, len(u)
+    codes = np.zeros(2 * n, dtype=np.int64)
+    for k in range(PREFIX_SYMBOLS):
+        codes *= m
+        codes[:n] += u[:, k]
+        codes[n:] += v[:, k]
+        codes -= 1
+    distinct, columns = np.unique(codes, return_inverse=True)
+    powers = m ** np.arange(PREFIX_SYMBOLS - 1, -1, -1)
+    table = np.empty((len(lams), len(distinct)))
+    for cols in _blocks(np.arange(len(distinct))):
+        prefixes = distinct[cols, None] // powers % m + 1
+        table[:, cols], _ = project_words(fam, prefixes, lams, fam.midpoint, dlam=False)
+    return table, columns[:n], columns[n:]
+
+
+def _blocks(rows):
+    """`rows` in consecutive pieces of PROBE_CHUNK entries, the last one shorter."""
+    return (rows[r0:r0 + PROBE_CHUNK] for r0 in range(0, len(rows), PROBE_CHUNK))
+
+
+def _screen(rows, phi, limit):
+    """The entries of `rows` whose |phi(block)| is under `limit`, or NaN,
+    at some lambda, phi read on each of their `_blocks`."""
+    kept = [block[~(np.abs(phi(block)) >= limit).all(axis=0)] for block in _blocks(rows)]
+    return np.concatenate(kept) if kept else rows  # no block: rows is already empty
+
+
 def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
                             depth: int = 40, seed: int = 0,
                             lam_grid: int = 17) -> TransversalityReport:
@@ -339,22 +382,28 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     derivative is a falsification witness; anything else is evidence.
     The witness is the first bad pair at the first bad lambda.
 
-    The pairs go PROBE_CHUNK rows at a time over the whole grid, through
-    a ladder of screens (k, limit): each composes the first k symbols of
-    u, then of v, in one x-only call each (dlam=False; one call on both
-    peaked 0.4 MB higher), and keeps the rows whose |Phi_k| is under the
-    limit, or NaN, at some lambda.  The prefix screen,
-    (PREFIX_SYMBOLS, `_prefix_limits`), drops only pairs with |Phi| >= eta0
-    at every lambda, rounding included; it is on the ladder when every map
-    is affine or Moebius, K < depth, and at every lambda X widened by delta
-    has no pole, is invariant and has Gamma = max_j sup |f_j'| < 1.  The
-    last screen, (depth, eta0), drops the pairs with no near-collision.
-    One full call on the rows left, u's then v's, gives Phi, the same
+    The pairs climb a ladder of screens (Phi_k, limit), each read over the
+    whole grid PROBE_CHUNK rows at a time, and each keeps the rows whose
+    |Phi_k| is under the limit, or NaN, at some lambda; the survivors of
+    every block are pooled before the next screen.  The prefix screen,
+    (Phi_K, `_prefix_limits`) with K = PREFIX_SYMBOLS, reads Phi_K from
+    `_prefix_table`: each distinct K-prefix of u and of v is composed once,
+    and a block gathers its rows' columns for u minus those for v.  It
+    drops only pairs with |Phi| >= eta0 at every lambda, rounding
+    included; it is on the ladder when every map is affine or Moebius,
+    K < depth, m^K < 2^63, and at every lambda X widened by delta has no
+    pole, is invariant and has Gamma = max_j sup |f_j'| < 1.  The last
+    screen, (Phi, eta0), composes a block's rows of u, then of v, at full
+    depth in one x-only call each (dlam=False; one call on both peaked
+    0.4 MB higher), and drops the pairs with no near-collision.  One full
+    call per block of the rows left, u's then v's, gives Phi, the same
     floats as the x-only pass, and d/dlam Phi: the near-collisions,
-    empirical_eta and the witness.  No dropped pair has a near-collision,
-    so no report changes.  Where every pair collides, as with two
-    identical maps, every pair survives both screens and pays for all
-    three passes."""
+    empirical_eta and the witness.  Rows are independent in every pass, so
+    no value depends on the blocks, and no dropped pair has a
+    near-collision: no report changes.  Where every pair collides, as with
+    two identical maps, every pair survives both screens, and the x-only
+    and full passes run on every pair; the table has at most
+    min(m^K, 2 samples) columns."""
     if fam.m < 2:
         raise ValueError("need at least two symbols")
     if samples < 1:
@@ -371,24 +420,26 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
     clash = u[:, 0] == v[:, 0]
     v[clash, 0] = 1 + (v[clash, 0] % fam.m)  # force distinct first symbols
     lams = np.linspace(*fam.param_interval, lam_grid)
+    rows = np.arange(samples)
+    limits = _prefix_limits(fam, lams, depth, eta0)
+    if limits is not None:
+        table, iu, iv = _prefix_table(fam, lams, u, v)
+        rows = _screen(rows, lambda rows: table.take(iu[rows], axis=1)
+                       - table.take(iv[rows], axis=1), limits[:, None])
+        del table, iu, iv  # the later passes then peak as without the columns
+
+    def phi_depth(rows):
+        pu, _ = project_words(fam, u[rows], lams, fam.midpoint, dlam=False)
+        pv, _ = project_words(fam, v[rows], lams, fam.midpoint, dlam=False)
+        return pu - pv
+
+    rows = _screen(rows, phi_depth, eta0)
     emp_eta = math.inf
     events = 0
     first_bad = (lam_grid, 0)  # the least (lambda index, row) of a bad pair
-    limits = _prefix_limits(fam, lams, depth, eta0)
-    screens = [] if limits is None else [(PREFIX_SYMBOLS, limits[:, None])]
-    screens.append((depth, eta0))
-    index = np.arange(samples)
-    for r0 in range(0, samples, PROBE_CHUNK):
-        rows = slice(r0, r0 + PROBE_CHUNK)  # words of a slice are views, not copies
-        for k, limit in screens:
-            pu, _ = project_words(fam, u[rows, :k], lams, fam.midpoint, dlam=False)
-            pv, _ = project_words(fam, v[rows, :k], lams, fam.midpoint, dlam=False)
-            rows = index[rows][~(np.abs(pu - pv) >= limit).all(axis=0)]
-            del pu, pv  # the next pass of the block then peaks as without this one
-        if not rows.size:
-            continue
-        x, d = project_words(fam, np.concatenate((u[rows], v[rows])), lams, fam.midpoint)
-        phi, dphi = x[:, :rows.size] - x[:, rows.size:], d[:, :rows.size] - d[:, rows.size:]
+    for block in _blocks(rows):
+        x, d = project_words(fam, np.concatenate((u[block], v[block])), lams, fam.midpoint)
+        phi, dphi = x[:, :block.size] - x[:, block.size:], d[:, :block.size] - d[:, block.size:]
         near = np.abs(phi) < eta0
         events += int(near.sum())
         # a block may keep only pairs with a NaN Phi, and then has no near entry
@@ -396,7 +447,7 @@ def mc_transversality_probe(fam: IfsFamily, samples: int = 10000,
         bad = near & (np.abs(phi) < falsify_phi_tol) & (np.abs(dphi) < FALSIFY_DPHI_TOL)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            first_bad = min(first_bad, (i, rows[j]))
+            first_bad = min(first_bad, (i, block[j]))
     i, k = first_bad
     witness = (tuple(u[k]), tuple(v[k]), float(lams[i])) if i < lam_grid else None
     verdict = "FALSIFIED" if witness is not None else "INCONCLUSIVE"

@@ -304,43 +304,61 @@ def recording(monkeypatch):
     return calls
 
 
+def probe_blocks(rows):
+    """`rows` in the probe's blocks of PROBE_CHUNK entries."""
+    chunk = transversality.PROBE_CHUNK
+    return [rows[r0:r0 + chunk] for r0 in range(0, len(rows), chunk)]
+
+
+def distinct_prefixes(u, v):
+    """The distinct first K symbols of the rows of u and of v, in
+    lexicographic order."""
+    K = transversality.PREFIX_SYMBOLS
+    return np.unique(np.concatenate((u[:, :K], v[:, :K])), axis=0)
+
+
 @pytest.mark.parametrize("name", ["bernoulli", "moebius", "moebius-overlap", "custom"])
 def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
-    """Every family's pairs go through `project_words` in row chunks over
-    the whole lambda grid, the gathered affine pass and the masked pass
-    alike.  Where the prefix screen applies, a block's first K symbols of
-    u, then those of v, take one dlam=False call each, and the rows with
-    |Phi_K| below the limit at some lambda go on; a CustomMap family's
-    rows all go on.  Those rows of u, then of v, are screened with
-    dlam=False at full depth.  Each block with a near-collision then takes
-    one full call on the same grid, on its near rows of u followed by the
-    same rows of v."""
+    """Every family's pairs go through `project_words` over the whole
+    lambda grid, the gathered affine pass and the masked pass alike.
+    Where the prefix screen applies, the first call composes the distinct
+    K-prefixes of u and of v, each once, with dlam=False, and the pairs
+    with |Phi_K| below the limit at some lambda go on; a CustomMap
+    family's pairs all go on.  Those pairs, pooled over the sample, are
+    screened PROBE_CHUNK rows at a time, u's rows and then v's with
+    dlam=False at full depth.  The near pairs, pooled too, then take one
+    full call per PROBE_CHUNK rows on the same grid, on the rows of u
+    followed by the same rows of v."""
     fam = PROBE_REF_FAMILIES[name]
     samples, depth, K = 1500, 20, transversality.PREFIX_SYMBOLS
     eta0 = transversality.NEAR_COLLISION_REL * fam.diam
     u, v = probe_words(fam, samples, depth, 1)
-    limits = transversality._prefix_limits(fam, np.linspace(*fam.param_interval, 17),
-                                           depth, eta0)
+    lams = np.linspace(*fam.param_interval, 17)
+    limits = transversality._prefix_limits(fam, lams, depth, eta0)
     assert (limits is None) == (name == "custom")
     calls = recording(monkeypatch)
     mc_transversality_probe(fam, samples=samples, depth=depth, seed=1)
-    calls, kept = iter(calls), 0
-    for r0 in range(0, samples, transversality.PROBE_CHUNK):
-        rows = np.arange(r0, min(r0 + transversality.PROBE_CHUNK, samples))
-        if limits is not None:
-            (wu, L, dlam, xu), (wv, Lv, dlam_v, xv) = next(calls), next(calls)
-            assert np.array_equal(wu, u[rows, :K]) and np.array_equal(wv, v[rows, :K])
-            assert (L, dlam, Lv, dlam_v) == (17, False, 17, False)
-            rows = rows[(np.abs(xu - xv) < limits[:, None]).any(axis=0)]
-        kept += len(rows)
+    calls, rows = iter(calls), np.arange(samples)
+    if limits is not None:
+        words, L, dlam, _ = next(calls)
+        assert np.array_equal(words, distinct_prefixes(u, v))
+        assert len(words) <= min(fam.m ** K, 2 * samples) and (L, dlam) == (17, False)
+        (pu, _), (pv, _) = (ifs.project_words(fam, w[:, :K], lams, fam.midpoint, dlam=False)
+                            for w in (u, v))
+        rows = rows[(np.abs(pu - pv) < limits[:, None]).any(axis=0)]
+    kept, hit = len(rows), [rows[:0]]
+    for block in probe_blocks(rows):
         (wu, L, dlam, xu), (wv, Lv, dlam_v, xv) = next(calls), next(calls)
-        assert np.array_equal(wu, u[rows]) and np.array_equal(wv, v[rows])
+        assert np.array_equal(wu, u[block]) and np.array_equal(wv, v[block])
         assert (L, dlam, Lv, dlam_v) == (17, False, 17, False)
-        hit = rows[(np.abs(xu - xv) < eta0).any(axis=0)]
-        if hit.size:
-            words, L, dlam, _ = next(calls)
-            assert np.array_equal(words, np.concatenate((u[hit], v[hit])))
-            assert (L, dlam) == (17, True)
+        hit.append(block[(np.abs(xu - xv) < eta0).any(axis=0)])
+    if name == "bernoulli":  # the survivors of both blocks of the sample share a call
+        assert rows[0] < transversality.PROBE_CHUNK <= rows[-1]
+        assert len(probe_blocks(rows)) == 1
+    for block in probe_blocks(np.concatenate(hit)):
+        words, L, dlam, _ = next(calls)
+        assert np.array_equal(words, np.concatenate((u[block], v[block])))
+        assert (L, dlam) == (17, True)
     assert next(calls, None) is None
     assert (kept < samples) == (limits is not None)
 
@@ -351,19 +369,49 @@ def test_probe_screens_row_chunks_over_the_whole_grid(monkeypatch, name):
 ], ids=["identical", "moebius"])
 def test_probe_composes_dlam_on_near_rows_only(monkeypatch, name, samples, depth, seed,
                                                screen_rows, full_rows):
-    """Where every pair collides, the prefix screen drops none, and the
-    x-only screen and the full pass receive every row of u and of v; where
-    none comes near, the prefix screen drops every pair and the later
-    passes receive none."""
+    """The prefix screen composes each distinct K-prefix once.  Where
+    every pair collides, it drops none, and the x-only screen and the full
+    pass receive every row of u and of v, PROBE_CHUNK pairs a call; where
+    none comes near, it drops every pair and the later passes receive
+    none."""
+    fam = PROBE_REF_FAMILIES[name]
     calls = recording(monkeypatch)
-    rep = mc_transversality_probe(PROBE_REF_FAMILIES[name], samples=samples, depth=depth,
-                                  seed=seed)
+    rep = mc_transversality_probe(fam, samples=samples, depth=depth, seed=seed)
     K = transversality.PREFIX_SYMBOLS
-    assert sum(len(w) for w, *_ in calls if w.shape[1] == K) == 2 * samples
-    assert sum(len(w) for w, _, dlam, _ in calls
-               if w.shape[1] == depth and not dlam) == screen_rows
-    assert sum(len(w) for w, _, dlam, _ in calls if dlam) == full_rows
+    [table_rows] = [len(w) for w, *_ in calls if w.shape[1] == K]
+    assert table_rows == len(distinct_prefixes(*probe_words(fam, samples, depth, seed)))
+    assert table_rows <= min(fam.m ** K, 2 * samples)
+    screens = [len(w) for w, _, dlam, _ in calls if w.shape[1] == depth and not dlam]
+    fulls = [len(w) for w, _, dlam, _ in calls if dlam]
+    assert sum(screens) == screen_rows and sum(fulls) == full_rows
+    assert screens == [len(b) for b in probe_blocks(range(screen_rows // 2)) for _ in "uv"]
+    assert fulls == [2 * len(b) for b in probe_blocks(range(full_rows // 2))]
     assert (rep.n_events == 0) == (full_rows == 0)
+
+
+def test_probe_whose_prefix_screen_drops_every_pair():
+    """A probe whose prefix screen keeps no pair in any block reports no
+    near-collision and no witness, the per-lambda reference's report."""
+    fam = PROBE_REF_FAMILIES["moebius"]
+    for samples in (1, 1500, 3000):
+        lams = np.linspace(*fam.param_interval, 17)
+        eta0 = transversality.NEAR_COLLISION_REL * fam.diam
+        limits = transversality._prefix_limits(fam, lams, 30, eta0)
+        u, v = probe_words(fam, samples, 30, 4)
+        K = transversality.PREFIX_SYMBOLS
+        (pu, _), (pv, _) = (ifs.project_words(fam, w[:, :K], lams, fam.midpoint, dlam=False)
+                            for w in (u, v))
+        assert (np.abs(pu - pv) >= limits[:, None]).all()
+        rep = mc_transversality_probe(fam, samples=samples, depth=30, seed=4)
+        ref, _ = per_lambda_probe(fam, samples, 30, 4)
+        assert _fields(rep) == ref == ("INCONCLUSIVE", 0, math.inf, None, 17 * samples)
+
+
+def wide_family(m):
+    """m affine maps of slope 0.002, their offsets spread over [0.001,
+    0.991]: every condition of the prefix bound holds, whatever m."""
+    return IfsFamily(tuple(affine_map(0.002, 0.001 + 0.99 * k / (m - 1)) for k in range(m)),
+                     (0.0, 1.0), (0.0, 1.0))
 
 
 UNSCREENED_FAMILIES = {
@@ -381,6 +429,8 @@ UNSCREENED_FAMILIES = {
     "pole-at-end": (IfsFamily((RationalMap(poly(0.0), poly(1.0), poly(1e-6), poly(1.0)),
                                affine_map(0.5, poly(0.25, 0.1))), (0.0, 1.0), (0.0, 1.0)), 20),
     "short": (PROBE_REF_FAMILIES["bernoulli"], transversality.PREFIX_SYMBOLS),
+    # 235^8 > 2^63: an int64 prefix code could wrap
+    "wide": (wide_family(235), 20),
 }
 
 
@@ -388,8 +438,8 @@ UNSCREENED_FAMILIES = {
 def test_probe_screens_every_row_where_the_prefix_bound_does_not_apply(monkeypatch, name):
     """CustomMap and ShiftedMap families, a family whose X' is not
     invariant, one with Gamma = 1, ones with a pole inside X' or at its
-    end, and words no longer than K send every row of u and of v to the
-    x-only screen."""
+    end, words no longer than K, and an alphabet with m^K >= 2^63 send
+    every row of u and of v to the x-only screen."""
     fam, depth = UNSCREENED_FAMILIES[name]
     lams = np.linspace(*fam.param_interval, 17)
     assert transversality._prefix_limits(fam, lams, depth, 1e-3 * fam.diam) is None
@@ -489,6 +539,58 @@ def test_prefix_screen_drops_no_near_pair(case, samples, depth, seed):
     (pu, _), (pv, _) = (ifs.project_words(fam, w[dropped], lams, fam.midpoint, dlam=False)
                         for w in (u, v))
     assert not (np.abs(pu - pv) < eta0).any()
+
+
+def check_prefix_table(fam, u, v):
+    """`_prefix_table` on (u, v) has one column per distinct K-prefix, and
+    the columns it gives each row of u and of v are `project_words` of that
+    row's prefix, bit for bit."""
+    K = transversality.PREFIX_SYMBOLS
+    lams = np.linspace(*fam.param_interval, 17)
+    table, iu, iv = transversality._prefix_table(fam, lams, u, v)
+    assert table.shape == (17, len(distinct_prefixes(u, v)))
+    for words, columns in ((u, iu), (v, iv)):
+        ref, _ = ifs.project_words(fam, words[:, :K], lams, fam.midpoint, dlam=False)
+        assert table.take(columns, axis=1).tobytes() == ref.tobytes()
+
+
+@given(st.one_of(screened_families(), st.just(("rare-witness", rare_witness_family()))),
+       st.integers(1, 3000), st.integers(transversality.PREFIX_SYMBOLS, 24),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_prefix_table_gathers_the_per_row_compositions(case, samples, depth, seed):
+    """Phi_K read from the table of distinct prefixes is the per-row
+    composition's, on the screened families and on the 60-map rare-witness
+    family, where nearly every prefix is distinct."""
+    _, fam = case
+    check_prefix_table(fam, *probe_words(fam, samples, depth, seed))
+
+
+def test_prefix_codes_of_the_widest_screened_alphabet_do_not_wrap():
+    """234^8 < 2^63 <= 235^8: the prefix screen applies to 234 maps and
+    not to 235, and at 234 maps the least and the greatest prefix codes,
+    0 and 234^8 - 1, read their own columns."""
+    K = transversality.PREFIX_SYMBOLS
+    lams = np.linspace(0.0, 1.0, 17)
+    assert transversality._prefix_limits(wide_family(234), lams, 20, 1e-3) is not None
+    assert transversality._prefix_limits(wide_family(235), lams, 20, 1e-3) is None
+    fam = wide_family(234)
+    u, v = probe_words(fam, 50, 12, 0)
+    u[0, :K], u[1, :K], v[0, :K] = 1, 234, [234] * (K - 1) + [233]
+    check_prefix_table(fam, u, v)
+
+
+def test_prefix_table_of_a_wide_alphabet_is_composed_in_chunks(monkeypatch):
+    """With 60 maps nearly every prefix is distinct: the table takes one
+    x-only call per PROBE_CHUNK distinct prefixes, not one call on them all."""
+    fam = rare_witness_family()
+    calls = recording(monkeypatch)
+    mc_transversality_probe(fam, samples=1500, depth=12, seed=3)
+    K, chunk = transversality.PREFIX_SYMBOLS, transversality.PROBE_CHUNK
+    table = [w for w, *_ in calls if w.shape[1] == K]
+    prefixes = distinct_prefixes(*probe_words(fam, 1500, 12, 3))
+    assert [len(w) for w in table] == [len(b) for b in probe_blocks(prefixes)]
+    assert len(table) > 1 and np.array_equal(np.concatenate(table), prefixes)
 
 
 @pytest.mark.parametrize("callbacks", [False, True], ids=["affine", "custom"])
