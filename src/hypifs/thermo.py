@@ -15,7 +15,7 @@ from .ifs import (INVARIANCE_PAD, AuditFailure, EvaluationError, IfsFamily,
                   concat_images, regularity_audit, solve_root)
 
 MAX_CYLINDERS = 1 << 20  # memory cap m^r for dense spectra
-SPECTRUM_TOL = 1e-12  # power iteration stops once the update falls below this
+SPECTRUM_TOL = 1e-12  # power iteration stops once the relative update falls below this
 SPECTRUM_MAX_ITER = 10000
 PROB_AUDIT_GRID = 1024  # grid on which probability curves are audited
 PARTITION_GRID = 65  # x-grid of the partition sums for families with a custom map
@@ -246,7 +246,7 @@ def transfer_spectrum(fam: IfsFamily, pot: Potential, lam: float,
         g_new = float(h_new.max())
         h_new = h_new / g_new
         nu_new = nu_new / nu_new.sum()
-        delta = max(np.abs(h_new - h).max(), np.abs(nu_new - nu).max(),
+        delta = max(np.abs(h_new - h).max(), np.abs(nu_new - nu).max() / nu_new.max(),
                     abs(g_new - gamma) / max(g_new, 1e-300))
         h, nu, gamma = h_new, nu_new, g_new
         if delta < SPECTRUM_TOL:
@@ -544,19 +544,18 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     """Solve P(s) = 0 for the pressure of t log|f'| by Brent's method,
     evaluating P once per point.
 
-    P is the collocation pressure P_N, the log of the Perron root of
-    sum_j diag(|f_j'|^t) B_j on N Chebyshev nodes of the family frozen at
-    lam: at every t the solver reads, N is the coarser rung of the first
-    pair (N, 2N) of COLLOCATION_LADDER that `_collocation_ladder` settles.
-    A root at any of whose points no pair settles, because a rung is
-    unusable (see `_collocation_rung`), a leading eigenvalue is not real
-    and positive, or every |P_N - P_2N| exceeds COLLOCATION_TOL, is solved
-    on the depth-r cylinder `pressure`: `r` is used only by this fallback.
+    P_N is the log of the Perron root of sum_j diag(|f_j'|^t) B_j on N
+    Chebyshev nodes of the family frozen at lam.  Each pair (N, 2N) of
+    COLLOCATION_LADDER in turn solves s_N on P_N alone and settles the root
+    if |P_N(s_N) - P_2N(s_N)| <= COLLOCATION_TOL; it is passed over where a
+    rung is unusable (see `_collocation_rung`, run once per rung) or a
+    leading eigenvalue is not real and positive.  When no pair settles, the
+    root is solved on the depth-r cylinder `pressure`, the only use of `r`.
 
     Returns the root `s`, `pressure_at_s`, the partition-sum bracket of
     P(s) at word length BOWEN_BRACKET_N and its width, the `backend`
     ("collocation" or "cylinder") and `error_estimate`: the pressure error
-    at s (|P_N - P_2N|, or the truncation bound at depth r) over
+    at s (|P_N - P_2N| at s_N, or the truncation bound at depth r) over
     log(1/gamma2), the least slope |P'|, which estimates |s - s_true|.
     The bracket checks P(s) only to its width (0.047 at the E2 root) and
     is no bound on |s - s_true|: it holds 0 at cylinder roots off by 0.085.
@@ -569,23 +568,22 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
         raise ValueError("P(0) = log m <= 0: Bowen root is not positive")
     slope = -math.log(aud.gamma2)
     frozen = fam.at(np.array([[lam]]))  # a one-row column, as the rungs read
-    gaps = {}
 
-    def P_coll(t):
-        def read(frozen, col, ok):  # ok is [] or [0]: the column has one row
-            return [_perron_log(op) for op in
-                    _collocation_operator(frozen, np.exp(t * col.log_dx[ok]))]
+    def read(frozen, col, ok):  # ok is [] or [0]: the column has one row
+        return [lambda t: _settled(_perron_log(
+            _collocation_operator(frozen, np.exp(t * col.log_dx))[0]))]
+    # P_n, or the CollocationUnresolved of an unusable rung, checked once per rung
+    rung = functools.cache(lambda n: _collocation_rung(frozen, n, read)[0])
 
-        p, gaps[t] = _settled(_collocation_ladder(
-            lambda n, rows: _collocation_rung(frozen, n, read), COLLOCATION_LADDER)[0])
-        return p
-
-    try:
-        s, p_s = _bowen_solve(P_coll, fam.m, slope)
-    except CollocationUnresolved:
-        pass
-    else:
-        return _bowen_result(fam, lam, s, p_s, "collocation", gaps[s] / slope)
+    for n, n2 in zip(COLLOCATION_LADDER, COLLOCATION_LADDER[1:]):
+        try:
+            P, P2 = _settled(rung(n)), _settled(rung(n2))
+            s, p_s = _bowen_solve(P, fam.m, slope)
+            gap = abs(p_s - P2(s))
+        except CollocationUnresolved:
+            continue
+        if gap <= COLLOCATION_TOL:
+            return _bowen_result(fam, lam, s, p_s, "collocation", gap / slope)
 
     s, p_s = _bowen_solve(lambda t: pressure(fam, t, lam, r=r), fam.m, slope)
     bound = variation_tail(t_log_derivative_potential(s), fam, lam, r)
