@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     key = args.command if args.mode is None else f"{args.command} {args.mode}"
     try:
         print(stanza(cfg, get_seed(cfg, args) if key in SEEDED else None))
-        return COMMANDS[key](cfg, args, args.out)
+        code = COMMANDS[key](cfg, args, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -416,6 +416,9 @@ def main(argv=None) -> int:
     except PartitionError as exc:
         print(f"partition failure: {exc}", file=sys.stderr)
         return 2
+    for name in cfg.unread():
+        print(f"warning: config key {name!r} was not read", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,10 +10,28 @@ class ConfigError(ValueError):
 
 
 class Config(dict):
-    """Parsed configuration; looking up a missing key raises ConfigError."""
+    """Parsed configuration; looking up a missing key raises ConfigError.
+    Every key looked up, by [], get or read, is recorded, so that `unread`
+    can name the keys that a run never used (a misspelt key, say)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = set()
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
 
     def __missing__(self, key):
         raise ConfigError(f"missing config key {key!r}")
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+    def unread(self) -> list:
+        """The keys never looked up, in file order; `_hash` is not one."""
+        return [key for key in self if key not in self.asked and key != "_hash"]
 
     def read(self, key, convert, default=None):
         """`convert` of the numeric value at `key`, or of `default` when it

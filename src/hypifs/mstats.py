@@ -119,32 +119,22 @@ def correlation_dimension(fam: IfsFamily, lam: float, measure: CylinderMeasure):
 def _chaos_steps(values, curves, lam, u, x):
     """f_j(x) for every entry, j the first symbol with u < p_1(x) + ... +
     p_j(x), else the last: the scalar loop's float operations, as arrays.
-    A curve is evaluated only on the points still undecided when the loop
-    reaches it, and a map only on the points that chose it."""
-    todo = np.arange(len(x))  # the undecided entries, aligned with xs, us, acc
-    xs, us, acc, keep = x, u, 0.0, slice(None)
-    chosen = [todo[:0]] * len(values)
-    for jj, f in curves:
-        if jj:
-            todo, xs, us, acc = todo[keep], xs[keep], us[keep], acc[keep]
-        acc = np.broadcast_to(acc + np.asarray(f(lam, xs), dtype=float), us.shape)
-        hit = us < acc
-        keep = np.flatnonzero(~hit)
-        chosen[jj] = todo[np.flatnonzero(hit)]
-        if not len(keep):
-            break
-    chosen[-1] = todo[keep]
-    out = np.empty(len(x))
-    for value, sel in zip(values, chosen):
-        if len(sel):
-            out[sel] = value(x[sel])
+    Every curve and every map is evaluated on every entry, each once; the
+    choices are merged from the last symbol down, so the first hit wins."""
+    acc, hits = 0.0, []
+    for _, f in curves:
+        acc = acc + np.asarray(f(lam, x), dtype=float)
+        hits.append(u < acc)
+    out = values[-1](x)
+    for value, hit in zip(values[-2::-1], hits[::-1]):
+        out = np.where(hit, value(x), out)
     return out
 
 
-def _scalar_finish(values, curves, last, lam, uni, chain, start):
+def _scalar_finish(values, curves, last, lam, uni, x, out, start):
     """Run the chain one Python step at a time from its exact state
-    chain[start], writing chain[start + 1:len(uni) + 1]."""
-    x = float(chain[start])
+    x = x_start, writing x_{k + 1} to out[k] for k = start..len(uni) - 1."""
+    x = float(x)
     for k in range(start, len(uni)):
         u = float(uni[k])
         acc = 0.0
@@ -155,7 +145,7 @@ def _scalar_finish(values, curves, last, lam, uni, chain, start):
                 j = jj
                 break
         x = float(values[j](x))
-        chain[k + 1] = x
+        out[k] = x
 
 
 def _segment_length(n):
@@ -172,23 +162,26 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     with u_k < p_1(x_k) + ... + p_j(x_k), over count + burn_in uniforms u_k,
     is cut into segments of L = _segment_length(n) steps, the last padded
     with u = 0 steps that are never returned.  A pass advances all the
-    segments in lockstep, one array call per step position.  The first pass
-    starts every segment at the midpoint; each later pass starts segment b
-    where segment b - 1 ended in the pass before.  When no segment's end
-    differs, bit for bit, from the start the next segment used, every
-    x_{k+1} is the step applied to x_k, and x_0 is exact, so by induction
-    the array is the sequential chain bit for bit: the stopping rule is a
-    certificate, not a tolerance.  A chain that couples within L steps is
-    certified after 2 passes.  A pass after the first ends after step t
-    once every segment but the last holds, bit for bit, the state the pass
-    before held at t, and the last segment has run its real steps: from
-    there on, every path is the one already stored.  The last segment is
+    segments in lockstep, one `_chaos_steps` call per step position, which
+    evaluates every curve and every map at every segment's state and keeps
+    the map the scalar loop would choose; the uniforms and states are
+    stored step-major, so that the call reads and writes one row each.  The
+    first pass starts every segment at the midpoint; each later pass starts
+    segment b where segment b - 1 ended in the pass before.  When no
+    segment's end differs, bit for bit, from the start the next segment
+    used, every x_{k+1} is the step applied to x_k, and x_0 is exact, so by
+    induction the array is the sequential chain bit for bit: the stopping
+    rule is a certificate, not a tolerance.  A chain that couples within L
+    steps is certified after 2 passes.  A pass after the first ends after
+    step t once every segment but the last holds, bit for bit, the state the
+    pass before held at t, and the last segment has run its real steps:
+    from there on, every path is the one already stored.  The last segment is
     left out, since its padded u = 0 steps need never couple.  The segments
     before the first stale start are exact and are not run again.  Each
     state a pass steps from is a state of the same chain begun at the
-    midpoint at a later time (or one of its padded steps), and at each state
-    the curves and the map are the ones the scalar loop would evaluate
-    there.  Once CHAOS_BUDGET passes
+    midpoint at a later time (or one of its padded steps), so every curve
+    and map is evaluated in the domain, and the map kept at each state is
+    the one the scalar loop would apply there.  Once CHAOS_BUDGET passes
     are spent (a weak contraction couples slowly), the scalar loop
     finishes the chain from the first stale segment start.  The sample
     records its passes and that step, `scalar_from`.
@@ -209,11 +202,10 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     curves = list(enumerate(prob_fns[:last]))
     seg = _segment_length(n)
     nb = -(-n // seg)
-    steps = np.zeros((nb, seg))  # steps[b, t] = u_{b seg + t}
-    steps.flat[:n] = np.random.default_rng(seed).random(n)
-    chain = np.empty(nb * seg + 1)
-    chain[0] = fam.midpoint
-    states = chain[1:].reshape(nb, seg)  # states[b, t] = x_{b seg + t + 1}
+    # step-major, so that each lockstep step reads and writes one row
+    steps = np.zeros((seg, nb))  # steps[t, b] = u_{b seg + t}
+    steps.T.flat[:n] = np.random.default_rng(seed).random(n)
+    states = np.empty((seg, nb))  # states[t, b] = x_{b seg + t + 1}
     starts = np.full(nb, fam.midpoint)
     lo = 0  # segments before lo are exact
     tail = n - (nb - 1) * seg  # the last segment's steps that are not padding
@@ -221,22 +213,25 @@ def chaos_game_sample(fam: IfsFamily, prob_fns, lam: float, count: int,
     for passes in range(1, CHAOS_BUDGET + 1):
         x = starts[lo:]
         for t in range(seg):
-            x = _chaos_steps(values, curves, lam, steps[lo:, t], x)
+            x = _chaos_steps(values, curves, lam, steps[t, lo:], x)
             rejoined = (passes > 1 and t + 1 >= tail and
-                        np.array_equal(x[:-1].view(np.int64), states[lo:-1, t].view(np.int64)))
-            states[lo:, t] = x
+                        np.array_equal(x[:-1].view(np.int64), states[t, lo:-1].view(np.int64)))
+            states[t, lo:] = x
             if rejoined:
                 break
-        ends = states[lo:-1, -1]
+        ends = states[-1, lo:-1]
         stale = np.flatnonzero(ends.view(np.int64) != starts[lo + 1:].view(np.int64))
         if not len(stale):
             break
         lo += int(stale[0]) + 1
-        starts[lo:] = states[lo - 1:-1, -1]
+        starts[lo:] = states[-1, lo - 1:-1]
     else:
         scalar_from = lo * seg
-        _scalar_finish(values, curves, last, lam, steps.ravel()[:n], chain, scalar_from)
-    return EmpiricalSample(points=chain[burn_in + 1:n + 1], family_id=family_id, lam=lam,
+        _scalar_finish(values, curves, last, lam, steps.T.flat, starts[lo], states.T.flat,
+                       scalar_from)
+    del steps
+    chain = states.T.ravel()  # x_1, x_2, ... in chain order
+    return EmpiricalSample(points=chain[burn_in:n], family_id=family_id, lam=lam,
                            seed=seed, burn_in=burn_in, passes=passes,
                            scalar_from=scalar_from)
 
@@ -267,8 +262,9 @@ def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         sum_k exp(i xi x_k) = sum_{k<K} (i xi)^k S_k(xi),
         S_k(xi) = sum_b exp(i xi c_b) M_k[b],
     M_k[b] = sum_{x in b} d^k / k!, with K the least order whose term bound
-    a^K / K! is at most 2^-53.  Horner over k runs on one value per
-    frequency, after the cell sums.
+    a^K / K! is at most 2^-53.  Each cell sums the powers d^k first and
+    divides by k! once, so the K divisions run over cells, not points.
+    Horner over k runs on one value per frequency, after the cell sums.
 
     The phases come from a factorised table, as in a nonuniform FFT (Dutt &
     Rokhlin, SIAM J. Sci. Comput. 1993): with R = isqrt(N), Q = ceil(N / R)
@@ -310,8 +306,8 @@ def _fourier_mean(pts: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     for k in range(order):
         moments[k, :cells] = np.bincount(b, weights=w, minlength=cells)
         w *= d
-        w /= k + 1
     del b, d, w
+    moments /= np.array([math.factorial(k) for k in range(order)], dtype=float)[:, None]
     moments = moments.reshape(order * q_len, r_len)  # rows (k, q), columns r
     rows = max(1, FOURIER_BLOCK // (q_len * order))
     for s in range(0, len(freqs), rows):

@@ -75,6 +75,29 @@ def test_missing_key_exit_1_names_it(tmp_path, capsys):
     assert "'family.p'" in capsys.readouterr().err
 
 
+def test_unread_config_keys_are_named_on_stderr(tmp_path, capsys):
+    # misspelt keys run at their defaults: the run names them, and its exit
+    # code and stdout are those of the same config without them
+    def sample(cfg, name):
+        argv = ["--config", write(tmp_path, cfg, name), "--out", str(tmp_path), "sample"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out.split("\n", 2)[2], captured.err  # past the hash
+
+    clean = BERNOULLI.replace("family.lambda = 0.6\n", "") + "run.samples = 50\n"
+    code, out, err = sample(clean + "family.lam = 0.6\nrun.smaples = 5\n", "typos.cfg")
+    assert sample(clean, "clean.cfg") == (code, out, "") and code == 0
+    assert err == ("warning: config key 'family.lam' was not read\n"
+                   "warning: config key 'run.smaples' was not read\n")
+
+
+def test_a_failed_run_names_no_unread_key(tmp_path, capsys):
+    cfg = "family.kind = blackwell\nfamily.eps = 0.2\nrun.smaples = 5\n"
+    code = main(["--config", write(tmp_path, cfg), "--out", str(tmp_path), "audit"])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: missing config key 'family.p'\n"
+
+
 GRID_2X2 = "run.grid1 = 2\nrun.grid2 = 2\n"
 
 

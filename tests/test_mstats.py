@@ -263,12 +263,22 @@ def _chaos_cases():
     uniform = IfsFamily((affine_map(0.5, 0.0), affine_map(0.5, 0.5)), (0.0, 1.0), (0.0, 1e-9))
     cantor = IfsFamily((affine_map(1 / 3, 0.0), affine_map(1 / 3, 2 / 3)),
                        (0.0, 1.0), (0.0, 1e-9))
+    # more maps than np.choose takes on numpy 1.x (32); p_1, p_2 tilted in x
+    w = np.random.default_rng(1).uniform(0.5, 1.0, 40)
+    w /= w.sum()
+    forty = IfsFamily(tuple(affine_map(0.02, 0.98 * j / 39) for j in range(40)),
+                      (0.0, 1.0), (0.0, 1e-9))
+    tilt = 0.5 * min(w[0], w[1])
+    forty_probs = [lambda lam, x: w[0] + tilt * (np.asarray(x, dtype=float) - 0.5),
+                   lambda lam, x: w[1] - tilt * (np.asarray(x, dtype=float) - 0.5),
+                   *_constant_curves(w[2:])]
     return {
         "uniform": (uniform, halves, 0.0, 9000, 100),
         "cantor": (cantor, halves, 0.0, 5000, 100),
         "bernoulli": (bernoulli_family(), bernoulli_potential(0.2).prob_fns, 0.6, 5000, 100),
         "blackwell": (bw_fam, bw_probs, 0.3, 5000, 100),
         "three-map": (three, three_probs, 0.0, 5000, 100),
+        "forty-map": (forty, forty_probs, 0.0, 3000, 50),
         "one-point": (uniform, halves, 0.0, 1, 0),
     }
 
@@ -325,6 +335,50 @@ def test_chaos_game_is_the_scalar_chain(case, count, burn_in, seed):
     sample = chaos_game_sample(fam, probs, 0.0, count, burn_in, seed)
     ref = _chaos_reference(fam, probs, 0.0, count, burn_in, seed)
     assert sample.points.tobytes() == ref.tobytes()
+
+
+_THIRDS = IfsFamily((affine_map(0.3, 0.0), affine_map(0.3, 0.35), affine_map(0.3, 0.7)),
+                    (0.0, 1.0), (0.0, 1e-9))  # map j's image is [0.35 j, 0.35 j + 0.3]
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+def test_chaos_game_never_takes_a_map_of_probability_zero(monkeypatch, probs):
+    # the audit rejects a curve that vanishes; the steps must still take
+    # the first j with u < p_1 + ... + p_j, which a zero p_j never adds to
+    monkeypatch.setattr(mstats, "audit_prob_fns", lambda prob_fns, frozen: None)
+    curves = _constant_curves(probs)
+    sample = chaos_game_sample(_THIRDS, curves, 0.0, 2000, 20, seed=9)
+    ref = _chaos_reference(_THIRDS, curves, 0.0, 2000, 20, seed=9)
+    assert sample.points.tobytes() == ref.tobytes()
+    never = 0.35 * probs.index(0.0)
+    assert not np.any((never <= sample.points) & (sample.points <= never + 0.3))
+
+
+class _FixedUniforms:
+    """A stand-in for np.random.default_rng(seed) that draws given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, n):
+        return self.uniforms[:n].copy()
+
+
+def test_chaos_game_compares_uniforms_strictly_with_the_running_sum(monkeypatch):
+    # p = (0.1, 0.2, 0.7): the running sums are 0.1 and 0.0 + 0.1 + 0.2 =
+    # 0.30000000000000004, not 0.3; a uniform on a sum takes the next symbol
+    on_sums = [0.0, 0.1, 0.0 + 0.1 + 0.2, 0.3, np.nextafter(0.1, 0.0),
+               np.nextafter(0.1, 1.0), np.nextafter(0.3, 1.0)]
+    uniforms = np.random.default_rng(2).random(3000)
+    uniforms[::2] = np.resize(on_sums, 1500)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedUniforms(uniforms))
+    curves = _constant_curves([0.1, 0.2, 0.7])
+    sample = chaos_game_sample(_THIRDS, curves, 0.0, 2990, 10, seed=0)
+    ref = _chaos_reference(_THIRDS, curves, 0.0, 2990, 10, seed=0)
+    assert sample.points.tobytes() == ref.tobytes()
+    symbols = (sample.points // 0.35).astype(int)  # the map applied with uniforms[10:]
+    for u, symbol in [(0.0, 0), (0.1, 1), (0.1 + 0.2, 2), (0.3, 1)]:
+        assert set(symbols[uniforms[10:] == u].tolist()) == {symbol}
 
 
 def _recording_finish(monkeypatch):
