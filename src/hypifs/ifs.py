@@ -46,7 +46,16 @@ class Poly:
     coeffs: tuple
 
     def __call__(self, lam):
-        return np.polynomial.polynomial.polyval(lam, np.asarray(self.coeffs))
+        # numpy's polyval, step for step, without its per-call conversions
+        c = self._array
+        c0 = c[-1] + lam * 0
+        for i in range(2, len(c) + 1):
+            c0 = c[-i] + c0 * lam
+        return c0
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        return np.array(self.coeffs, dtype=float)
 
     def deriv(self) -> "Poly":
         return self._derivative
@@ -356,13 +365,16 @@ def _chebyshev_collocation(maps, domain, n: int, lead: tuple) -> Collocation:
         images[..., j, :] = mp.value(y)
         with np.errstate(divide="ignore"):  # a zero f_j' is the caller's to report
             log_dx[..., j, :] = np.log(np.abs(mp.dx(y)))
-    # second barycentric formula; a point on a node gets its unit row
+    # second barycentric formula in one buffer; a point on a node gets its
+    # unit row.  Only a row with a non-finite sum can hold an infinite c.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c = weights / (images[..., None] - nodes)
-        interp = c / c.sum(axis=-1, keepdims=True)
-    on_node = np.isinf(c)  # y on a node, or so near one that 1/diff overflows
-    hit = on_node.any(axis=-1)
-    interp[hit] = on_node[hit]
+        interp = np.subtract(images[..., None], nodes)
+        np.divide(weights, interp, out=interp)
+        total = interp.sum(axis=-1, keepdims=True)
+        rows = ~np.isfinite(total[..., 0])
+        on_node = np.isinf(interp[rows])  # y on a node, or so near one that 1/diff overflows
+        interp /= total
+    interp[rows] = np.where(on_node.any(axis=-1, keepdims=True), on_node, interp[rows])
     return Collocation(nodes, images, log_dx, interp)
 
 

@@ -23,7 +23,10 @@ PARTITION_CAP = 1 << 22  # most words a partition sum enumerates
 PARTITION_BLOCK = 1 << 18  # most (grid point, word) entries in one partition-sum array
 BOWEN_BRACKET_N = 6  # word length of the partition-sum bracket at the root
 COLLOCATION_TOL = 1e-12  # largest |value(N) - value(2N)| a collocation rung pair accepts
-COLLOCATION_LADDER = (24, 48, 96, 192)  # node counts of the collocation rungs
+# bowen_root keeps the coarse rung's root: from 16 nodes E2's was 1.2e-15 off, not 3.3e-16
+COLLOCATION_LADDER = (24, 48, 96, 192)
+# collocation_h_chi keeps the fine rung's value, so most cells settle at 16/24
+H_CHI_LADDER = (16, 24, 48, 96, 192)
 # most entries L m n^2 in one stacked collocation build, 2 MB per temporary: a
 # 50-cell Blackwell row through all four rungs peaked at 5.2 MB traced (10.3 MB
 # at 1 << 19, 20.2 MB at 1 << 20) and took no longer
@@ -424,16 +427,15 @@ def _collocation_rung(frozen, n: int, read) -> list:
 
 
 def _collocation_ladder(value, rungs, count: int = 1) -> list:
-    """The one N-vs-2N check of the collocation backend, for `count`
-    lambdas at once.  Lambda i settles at the coarser rung n of its first
-    consecutive pair (n, n2) of node counts in `rungs` whose values are
-    both resolved and differ by gap = max |value(n) - value(n2)| <=
-    COLLOCATION_TOL.
+    """The N-vs-2N check of `collocation_h_chi`, for `count` lambdas at
+    once.  Lambda i settles at the finer rung n2 of its first consecutive
+    pair (n, n2) of node counts in `rungs` whose values are both resolved
+    and differ by gap = max |value(n) - value(n2)| <= COLLOCATION_TOL.
 
     `value(n, rows)` gives the outcomes at rung n of the lambdas indexed by
     the list `rows`, one per row: a value, or the CollocationUnresolved of
     an unresolved rung.  It is called once per rung, for the lambdas still
-    unsettled.  Returns one entry per lambda: (value(n), gap), or a
+    unsettled.  Returns one entry per lambda: (value(n2), gap), or a
     CollocationUnresolved naming every pair's gap when none settles."""
     results = [None] * count
     gaps = [[] for _ in range(count)]
@@ -448,7 +450,7 @@ def _collocation_ladder(value, rungs, count: int = 1) -> list:
             else:
                 gap = float(np.abs(np.subtract(a, b)).max())
                 if gap <= COLLOCATION_TOL:
-                    results[i] = (a, gap)
+                    results[i] = (b, gap)
                     continue
                 gaps[i].append(f"{n}/{n2}: {gap:.2e}")
             left.append(i)
@@ -480,15 +482,18 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     barycentric row sums to 1), and its stationary vector l, from
     `_stationary_vectors`, is a quadrature rule for nu: h =
     -l^T [sum_j p_j log p_j] and chi = -l^T [sum_j p_j log|f_j'|] at the
-    nodes.  The rungs of COLLOCATION_LADDER are read by
-    `_collocation_ladder`, and (h, chi) at the coarser rung of the first
-    pair that agrees to COLLOCATION_TOL is returned.  A rung is unresolved
-    where `_collocation_rung` finds it unusable or the solve is singular.
+    nodes.  The rungs of H_CHI_LADDER are read by `_collocation_ladder`,
+    and (h, chi) at the finer rung of the first pair that agrees to
+    COLLOCATION_TOL is returned: a cell that settles at 16/24 never builds
+    48 nodes.  A rung is unresolved where `_collocation_rung` finds it
+    unusable or the solve is singular.
 
     Each rung is built for all the lambdas it reads at once, in stacks of
-    at most COLLOCATION_STACK entries L m n^2: the maps and the curves are
-    frozen once over the stack, one einsum gives its L operators, and one
-    stacked solve the stationary vectors of the lambdas still resolved.
+    at most COLLOCATION_STACK entries L m n^2: one einsum gives a stack's L
+    operators, and one stacked solve the stationary vectors of the lambdas
+    still resolved.  The maps are frozen once over all the lambdas; the
+    audit and every stack that holds all of them share that freeze, and
+    any other stack is frozen over its own lambdas.
 
     At one value, raises CollocationUnresolved when no pair settles,
     ValueError for a potential without probability curves, and
@@ -499,7 +504,8 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or not lams.size:
         raise ValueError("lam must be one value or a non-empty 1-D array")
-    results = list(prob_audit(pot.prob_fns, fam.at(lams[:, None])))
+    column = fam.at(lams[:, None])
+    results = list(prob_audit(pot.prob_fns, column))
     audited = np.flatnonzero([r is None for r in results])
 
     def read(frozen, col, ok):
@@ -516,20 +522,32 @@ def collocation_h_chi(fam: IfsFamily, pot: Potential, lam):
     def rung(n, rows):
         rows = audited[rows]
         step = max(1, COLLOCATION_STACK // (fam.m * n * n))
-        return [v for k in range(0, len(rows), step)
-                for v in _collocation_rung(fam.at(lams[rows[k:k + step], None]), n, read)]
+        stacks = [rows[k:k + step] for k in range(0, len(rows), step)]
+        return [v for stack in stacks for v in _collocation_rung(
+            column if len(stack) == len(lams) else fam.at(lams[stack, None]), n, read)]
 
-    for i, res in zip(audited, _collocation_ladder(rung, COLLOCATION_LADDER, len(audited))):
+    for i, res in zip(audited, _collocation_ladder(rung, H_CHI_LADDER, len(audited))):
         results[i] = res if isinstance(res, Exception) else tuple(map(float, res[0]))
     return results if np.ndim(lam) else _settled(results[0])
 
 
-def _bowen_solve(P, m: int, slope: float):
-    """(s, P(s)) for the root s of the decreasing pressure P on [0, t_hi],
-    t_hi doubled from log m / slope until P(t_hi) <= 0, evaluating P once
-    per point."""
+def _bowen_solve(P, m: int, slope: float, near=None):
+    """(s, P(s)) for the root s of the decreasing pressure P, evaluating P
+    once per point.  With near = (s0, d), the bracket runs from s0 to
+    s0 + d, or to s0 - d where P(s0) <= 0, d doubled until P changes sign
+    there.  Without `near`, or when that bracket leaves [0, log m / slope]
+    first, the bracket is [0, t_hi], t_hi doubled from log m / slope until
+    P(t_hi) <= 0."""
     P = functools.cache(P)  # brentq re-reads both ends and returns a point it read
     t_hi = math.log(m) / max(slope, 1e-12)
+    if near is not None:
+        s0, d = near
+        side = 1.0 if P(s0) > 0 else -1.0  # the root lies on this side of s0
+        while 0 <= (t := s0 + side * d) <= t_hi:
+            if (P(t) > 0) != (side > 0):
+                s = solve_root(P, min(s0, t), max(s0, t))
+                return s, P(s)
+            d *= 2.0
     doublings = 0
     while P(t_hi) > 0:
         if doublings == 10:
@@ -546,7 +564,8 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
 
     P_N is the log of the Perron root of sum_j diag(|f_j'|^t) B_j on N
     Chebyshev nodes of the family frozen at lam.  Each pair (N, 2N) of
-    COLLOCATION_LADDER in turn solves s_N on P_N alone and settles the root
+    COLLOCATION_LADDER in turn solves s_N on P_N alone, from a bracket
+    around the last pair's root once there is one, and settles the root
     if |P_N(s_N) - P_2N(s_N)| <= COLLOCATION_TOL; it is passed over where a
     rung is unusable (see `_collocation_rung`, run once per rung) or a
     leading eigenvalue is not real and positive.  When no pair settles, the
@@ -570,20 +589,22 @@ def bowen_root(fam: IfsFamily, lam: float, r: int = 8) -> dict:
     frozen = fam.at(np.array([[lam]]))  # a one-row column, as the rungs read
 
     def read(frozen, col, ok):  # ok is [] or [0]: the column has one row
-        return [lambda t: _settled(_perron_log(
-            _collocation_operator(frozen, np.exp(t * col.log_dx))[0]))]
+        return [functools.cache(lambda t: _settled(_perron_log(
+            _collocation_operator(frozen, np.exp(t * col.log_dx))[0])))]
     # P_n, or the CollocationUnresolved of an unusable rung, checked once per rung
     rung = functools.cache(lambda n: _collocation_rung(frozen, n, read)[0])
 
+    near = None  # (s_N, |P_N - P_2N| / slope at s_N) of the last pair solved
     for n, n2 in zip(COLLOCATION_LADDER, COLLOCATION_LADDER[1:]):
         try:
             P, P2 = _settled(rung(n)), _settled(rung(n2))
-            s, p_s = _bowen_solve(P, fam.m, slope)
+            s, p_s = _bowen_solve(P, fam.m, slope, near)
             gap = abs(p_s - P2(s))
         except CollocationUnresolved:
             continue
         if gap <= COLLOCATION_TOL:
             return _bowen_result(fam, lam, s, p_s, "collocation", gap / slope)
+        near = (s, gap / slope)
 
     s, p_s = _bowen_solve(lambda t: pressure(fam, t, lam, r=r), fam.m, slope)
     bound = variation_tail(t_log_derivative_potential(s), fam, lam, r)

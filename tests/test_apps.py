@@ -278,8 +278,8 @@ def test_blackwell_row_without_a_settled_pair_gives_the_cylinder_values(monkeypa
 
 
 def test_blackwell_scan_climbs_each_cells_node_ladder_once(monkeypatch):
-    # with no settling pair, each of the 2 x 12 cells reads all four rungs
-    # once and then takes the cylinder fallback
+    # with no settling pair, each of the 2 x 12 cells reads all five h/chi
+    # rungs once and then takes the cylinder fallback
     monkeypatch.setattr(thermo, "COLLOCATION_TOL", -1.0)
     stationary = thermo._stationary_vectors
     solved = []
@@ -291,7 +291,7 @@ def test_blackwell_scan_climbs_each_cells_node_ladder_once(monkeypatch):
     monkeypatch.setattr(thermo, "_stationary_vectors", counting)
     grid = blackwell_region_scan((0.2, 0.8), (0.1, 0.375), (2, 12), r=6)
     assert set(grid.verdicts.ravel()) == {"SUBCRITICAL"}
-    assert sum(solved) == 2 * 12 * len(thermo.COLLOCATION_LADDER)
+    assert sum(solved) == 2 * 12 * len(thermo.H_CHI_LADDER)
 
 
 @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

@@ -39,6 +39,25 @@ def test_poly_eval_and_deriv():
     assert p.deriv() is p.deriv()  # built once per Poly
 
 
+_poly_points = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 3),
+    st.floats(-4.0, 4.0).map(np.array),  # a 0-d array
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5).map(np.array),
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5).map(lambda v: np.array(v)[:, None]))
+
+
+@given(st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+                 st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+                 st.just([-0.0, 1.0, -0.0])), _poly_points)
+@settings(max_examples=60, deadline=None)
+def test_poly_call_is_numpys_polyval_bit_for_bit(coeffs, lam):
+    got = Poly(tuple(coeffs))(lam)
+    want = np.polynomial.polynomial.polyval(lam, np.asarray(coeffs))
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_affine_map_derivatives():
     mp = AffineMap(poly(0.0, 1.0), poly(1.0, -1.0))  # lam*x + (1 - lam)
     assert mp.value(0.5, 0.2) == pytest.approx(0.6)
@@ -433,6 +452,48 @@ def test_check_lam_guard(bernoulli_fam):
         natural_projection(bernoulli_fam, 0.9, [1], 5)
     with pytest.raises(EvaluationError):
         cylinder_interval(bernoulli_fam, 0.9, [1])
+
+
+def _two_pass_interp(images, nodes):
+    """Barycentric rows at `images` by the two-pass formula: c = w / (y - x)
+    and c / sum(c), then the unit row wherever c is infinite."""
+    k = np.arange(len(nodes))
+    weights = np.where(k % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = weights / (images[..., None] - nodes)
+        interp = c / c.sum(axis=-1, keepdims=True)
+    on_node = np.isinf(c)
+    hit = on_node.any(axis=-1)
+    interp[hit] = on_node[hit]
+    return interp
+
+
+# on [0, 1]: f_1(1) = 1 and f_1(0) = 1/2 land exactly on nodes (1/2 is one
+# at odd n), 1/(f_2(0) - 0) overflows, and f_3 is NaN at the nodes above 0.9
+EDGE_IMAGES = IfsFamily(
+    (CustomMap(lambda lam, x: 0.5 * x + 0.5 + 0 * lam, lambda lam, x: 0.5 + 0 * x),
+     CustomMap(lambda lam, x: 0.25 * x + 5e-324 + 0 * lam, lambda lam, x: 0.25 + 0 * x),
+     CustomMap(lambda lam, x: np.where(x > 0.9, np.nan, x / 3 + lam),
+               lambda lam, x: 1 / 3 + 0 * x)),
+    (0.0, 1.0), (0.0, 0.5))
+
+
+@pytest.mark.parametrize("n", [16, 17, 24, 48])
+@pytest.mark.parametrize("fam", [EDGE_IMAGES, blackwell_family(0.2, 0.3)[0]],
+                         ids=["edge-images", "blackwell"])
+def test_one_pass_collocation_is_the_two_pass_formula(fam, n):
+    lo, hi = fam.param_interval
+    for lam in (lo, np.array([[lo], [0.5 * (lo + hi)], [hi]])):
+        col = fam.at(lam).collocation(n)
+        assert col.interp.tobytes() == _two_pass_interp(col.images, col.nodes).tobytes()
+    if fam is EDGE_IMAGES:
+        eye = np.eye(n)
+        assert col.images[:, 1, -1].tolist() == [5e-324] * 3
+        # (map, node, the node its image lands on)
+        for j, k, u in [(0, 0, 0), (1, -1, -1)] + [(0, -1, (n - 1) // 2)] * (n % 2):
+            assert (col.interp[:, j, k] == eye[u]).all()
+        assert np.isnan(col.interp[:, 2, col.nodes > 0.9]).all()
 
 
 def test_frozen_family_keeps_the_latest_lambda(bernoulli_fam):

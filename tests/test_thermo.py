@@ -146,11 +146,11 @@ def test_bowen_root_solves_each_pressure_once(cantor, monkeypatch):
     bowen_solve = thermo._bowen_solve
     rung_check = thermo._collocation_rung
 
-    def recording_solve(P, m, slope):
+    def recording_solve(P, m, slope, near=None):
         def recorded(t):  # `_bowen_solve` memoises this, so once per t
             ts.append(t)
             return P(t)
-        return bowen_solve(recorded, m, slope)
+        return bowen_solve(recorded, m, slope, near)
 
     def recording_collocation(op):
         coll.append((op.shape[0], op.tobytes()))
@@ -245,6 +245,46 @@ def _root_on_384_nodes(fam):
     frozen = fam.at(0.0)
     return ifs.solve_root(
         lambda t: collocation_pressure(frozen, t_log_derivative_potential(t), 384), 0.5, 1.5)
+
+
+def test_bowen_root_solves_later_pairs_near_the_last_root(monkeypatch):
+    # cf(1e-4, 0.4142) settles on (96, 192).  A solve from [0, t_hi] takes
+    # about 20 eigen-solves at every rung; from a bracket around the last
+    # root, the solves at 48 and 96 nodes together take fewer than the
+    # first one at 24
+    eigen_step = thermo._perron_log
+    sizes = []
+
+    def counting(op):
+        sizes.append(op.shape[0])
+        return eigen_step(op)
+
+    monkeypatch.setattr(thermo, "_perron_log", counting)
+    fam = cf_family(1e-4, 0.4142)
+    res = bowen_root(fam, 0.0)
+    assert res["backend"] == "collocation"
+    assert sizes.count(192) == 1 and sizes.count(48) + sizes.count(96) < sizes.count(24)
+    assert abs(res["s"] - _root_on_384_nodes(fam)) <= 1e-12
+
+
+@pytest.mark.parametrize("near, lo, hi", [((0.9, 0.01), 0.9, 1.06), ((1.2, 0.01), 0.88, 1.2),
+                                          ((0.9, 5.0), 0.0, 2.0)],
+                         ids=["right", "left", "past-t_hi"])
+def test_bowen_solve_widens_a_bracket_around_a_near_root(near, lo, hi):
+    # P(t) = log 2 (1 - t), root 1, t_hi = log 2 / slope = 2: d doubles from
+    # 0.01 until P changes sign between s0 and s0 +- d, on the side where
+    # P(s0) puts the root (0.9 + 0.16, 1.2 - 0.32); a bracket that passes
+    # t_hi falls back to [0, 2]
+    read = []
+
+    def P(t):
+        read.append(t)
+        return math.log(2) * (1 - t)
+
+    s, p_s = thermo._bowen_solve(P, 2, 0.5 * math.log(2), near)
+    assert (min(read), max(read)) == (pytest.approx(lo), pytest.approx(hi))
+    assert len(read) == len(set(read))  # each point once
+    assert abs(s - 1.0) <= 1e-15 and p_s == P(s)
 
 
 def _placed(ratios):
@@ -815,7 +855,7 @@ def test_collocation_ladder_reads_each_rung_once_and_skips_unresolved_rungs():
         return [CollocationUnresolved("no value") if values[n] is None else values[n]]
 
     [(v, gap)] = thermo._collocation_ladder(value, thermo.COLLOCATION_LADDER)
-    assert v == 1.0 and gap == pytest.approx(2e-13)  # the value at 48, not 96
+    assert v == 1.0 + 2e-13 and gap == pytest.approx(2e-13)  # the value at 96, not 48
     assert read == [24, 48, 96]  # the unresolved 24 settles no pair; 192 unread
     values.update({96: 2.0})
     read.clear()
@@ -954,9 +994,9 @@ def test_collocation_h_chi_singular_matrix_leaves_its_neighbours_settled(monkeyp
     assert isinstance(outcomes[3], CollocationUnresolved)
     assert "stationary system" in str(outcomes[3])
     assert _described(outcomes[:3] + outcomes[4:]) == ref[:3] + ref[4:]
-    # the stack of 7 bordered systems at 24 nodes fails and is solved again
+    # the stack of 7 bordered systems at 16 nodes fails and is solved again
     # one system at a time
-    assert solves[:8] == [(7, 25, 25)] + [(1, 25, 25)] * 7
+    assert solves[:8] == [(7, 17, 17)] + [(1, 17, 17)] * 7
     with pytest.raises(CollocationUnresolved) as info:
         collocation_h_chi(fam, pot, lams[3])
     assert str(info.value) == str(outcomes[3])
@@ -966,6 +1006,11 @@ def test_collocation_h_chi_splits_a_long_row_by_the_stack_cap(monkeypatch):
     fam, pot = _blackwell_row(0.3, [0.2])
     lams = np.linspace(0.05, 0.45, 40)
     outcomes = collocation_h_chi(fam, pot, lams)
+    with monkeypatch.context() as first_pair:
+        first_pair.setattr(thermo, "H_CHI_LADDER", thermo.H_CHI_LADDER[:2])
+        climbing = sum(isinstance(o, CollocationUnresolved)
+                       for o in collocation_h_chi(fam, pot, lams))
+    assert 0 < climbing < 40  # lambdas that 16/24 leaves unsettled
     operator = thermo._collocation_operator
     stacks = []
 
@@ -976,8 +1021,42 @@ def test_collocation_h_chi_splits_a_long_row_by_the_stack_cap(monkeypatch):
     monkeypatch.setattr(thermo, "_collocation_operator", recording)
     monkeypatch.setattr(thermo, "COLLOCATION_STACK", 9 * 2 * 24 ** 2)
     assert collocation_h_chi(fam, pot, lams) == outcomes
-    # 9 lambdas per stack at 24 nodes, 2 at 48 (9 * 2 * 24^2 // (2 * 48^2))
-    # and one at 96 and 192
+    # 20 lambdas per stack at 16 nodes (9 * 2 * 24^2 // (2 * 16^2)), 9 at 24,
+    # 2 at 48 for the climbing lambdas, and one at 96 and 192
+    assert [L for L, n in stacks if n == 16] == [20, 20]
     assert [L for L, n in stacks if n == 24] == [9, 9, 9, 9, 4]
-    assert sum(L for L, n in stacks if n == 48) == 40
+    assert [L for L, n in stacks if n == 48] == [2] * (climbing // 2) + [1] * (climbing % 2)
     assert all(L <= max(1, 9 * 24 ** 2 // n ** 2) for L, n in stacks)
+
+
+def _h_chi_at(fam, pot, lam, n):
+    """(h, chi) of `pot` at lam from the n-node rung alone, the floats that
+    `collocation_h_chi` reads at n."""
+    frozen = fam.at(np.array([[lam]]))
+    col = frozen.collocation(n)
+    p = thermo._curve_values(pot.prob_fns, frozen, col.nodes)
+    w = np.stack([(p * np.log(p)).sum(axis=-2), (p * col.log_dx).sum(axis=-2)], axis=1)
+    [ell] = thermo._stationary_vectors(thermo._collocation_operator(frozen, p))
+    return tuple(map(float, -(w[0] * ell).sum(axis=-1)))
+
+
+@pytest.mark.parametrize("p, rungs", [(0.3, [16, 24]), (0.15, [16, 24, 48]),
+                                      (0.05, [16, 24, 48, 96])],
+                         ids=["16/24", "24/48", "48/96"])
+def test_blackwell_cell_takes_the_finer_rung_of_its_settling_pair(monkeypatch, p, rungs):
+    # at eps = 0.2 the 16/24 gap of the second cell is 8e-11 and its 24/48
+    # gap 6e-15; the third cell's 24/48 gap is 1.5e-10 and its 48/96 gap 2e-16
+    fam, pot = _blackwell_row(0.2, [p])
+    rung_check = thermo._collocation_rung
+    read = []
+
+    def recording(frozen, n, rd):
+        read.append(n)
+        return rung_check(frozen, n, rd)
+
+    monkeypatch.setattr(thermo, "_collocation_rung", recording)
+    h, chi = collocation_h_chi(fam, pot, p)
+    assert read == rungs
+    assert (h, chi) == _h_chi_at(fam, pot, p, rungs[-1])
+    h_ref, chi_ref = _h_chi_at(fam, pot, p, 256)
+    assert abs(h / chi - h_ref / chi_ref) <= 5e-14
